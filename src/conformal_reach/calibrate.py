@@ -160,20 +160,3 @@ def naive_reachset(
         sigma=cs.tau * threshold,
         guarantee=guarantee,
     )
-
-
-def calibration_manifest(
-    calib: CalibrationSet, cs: CenterScale, guarantee: GuaranteeSpec, seed, distribution
-) -> dict:
-    """Audit record: everything needed to re-check the guarantee."""
-    return {
-        "m": calib.size,
-        "rank_ell": guarantee.rank_ell,
-        "epsilon": guarantee.epsilon,
-        "seed": seed,
-        "distribution": distribution,
-        "rank_score": calib.rank_score(guarantee.rank_ell),
-        "tau_star": cs.tau_star,
-        "source": calib.source,
-        "degenerate_scales": cs.degenerate,
-    }

@@ -7,13 +7,15 @@ then inflates the hull (a Minkowski sum realized per component as interval
 addition), giving intervals on every logit with the full guarantee.
 
 The projection is a small-row linear program (the hull may have thousands
-of generators but the reduced space has N dimensions), so the solver here
-is a dense two-phase revised simplex: Dantzig pricing, switching to
-Bland's anti-cycling rule under stalling. The clipping hot loop skips the
-LP whenever a point certifies as interior via barycentric coordinates
-against a greedily chosen inscribed simplex of hull points; the
-certificate is exact containment in a sub-hull, so it never loosens
-results, and the hull itself always keeps every training point.
+of generators but the reduced space has N dimensions). Its feasible basis
+can be written down at the nearest hull point, so the solver here is a
+dense phase-2 revised simplex from that basis, with no phase 1: Dantzig
+pricing, switching to Bland's anti-cycling rule under stalling. The
+clipping hot loop skips the LP whenever a point certifies as interior via
+barycentric coordinates against a greedily chosen inscribed simplex of
+hull points; the certificate is exact containment in a sub-hull, so it
+never loosens results, and the hull itself always keeps every training
+point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibrate import CenterScale, build_calibration, center_and_scales
+from .calibrate import build_calibration, center_and_scales
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .model import MlpNetwork, infer
 from .pca import ProjectionBasis, deflate, load_basis, save_basis
@@ -34,17 +36,13 @@ from ._seeds import stage_rng
 
 __all__ = [
     "LpError",
-    "LpInfeasibleError",
-    "LpUnboundedError",
-    "LpResult",
-    "lp_solve",
     "HullModel",
     "SurrogateReachSet",
     "clip",
     "clip_batch",
     "surrogate_predict",
     "build_surrogate_reachset",
-    "project_intervals",
+    "stage_outputs",
     "save_surrogate",
     "load_surrogate",
     "PipelineStageError",
@@ -52,7 +50,6 @@ __all__ = [
 
 _RED_COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
-_FEAS_TOL = 1e-9
 _STALL_LIMIT = 24
 _INTERIOR_MARGIN = 1e-9
 
@@ -61,15 +58,19 @@ _INTERIOR_MARGIN = 1e-9
 PIPELINE_CHUNK = 8192
 
 
+def stage_outputs(
+    model: MlpNetwork, spec: PerturbationSpec, seed: int, stage: str, count: int
+):
+    """Network outputs on ``count`` fresh samples of one pipeline stage,
+    yielded in blocks of at most PIPELINE_CHUNK rows from the stage's
+    seeded stream."""
+    rng = stage_rng(seed, stage)
+    for start in range(0, count, PIPELINE_CHUNK):
+        k = min(PIPELINE_CHUNK, count - start)
+        yield infer(model, apply_batch(spec, sample_lambdas(spec, k, rng)))
+
+
 class LpError(RuntimeError):
-    pass
-
-
-class LpInfeasibleError(LpError):
-    pass
-
-
-class LpUnboundedError(LpError):
     pass
 
 
@@ -77,17 +78,9 @@ class PipelineStageError(RuntimeError):
     """A surrogate pipeline stage failed; the stage name leads the message."""
 
 
-@dataclass(frozen=True)
-class LpResult:
-    x: np.ndarray
-    fun: float
-    iterations: int
-
-
 def _iterate(A, b, c, basis, max_iters):
     """Primal revised simplex on min c'x s.t. Ax=b, x>=0 from a feasible
     basis. Dantzig pricing; Bland's rule takes over after a stall."""
-    n = A.shape[1]
     stall = 0
     last_obj = np.inf
     for it in range(max_iters):
@@ -111,7 +104,7 @@ def _iterate(A, b, c, basis, max_iters):
         d = np.linalg.solve(B, A[:, q])
         positive = d > _PIVOT_TOL
         if not positive.any():
-            raise LpUnboundedError("objective unbounded below")
+            raise LpError("objective unbounded below")
         ratios = np.full(d.shape, np.inf)
         ratios[positive] = np.maximum(xB[positive], 0.0) / d[positive]
         best = ratios.min()
@@ -123,133 +116,6 @@ def _iterate(A, b, c, basis, max_iters):
         last_obj = min(last_obj, obj)
         basis[p] = q
     raise LpError(f"simplex did not terminate within {max_iters} iterations")
-
-
-def _solve_standard(A, b, c, basis0=None, max_iters=None):
-    """Two-phase solve of min c'x s.t. Ax = b, x >= 0.
-
-    ``basis0`` skips phase 1 when the caller can construct a feasible
-    basis directly (the clipping LPs always can).
-    """
-    M, n = A.shape
-    if max_iters is None:
-        max_iters = 50 * (n + M) + 200
-    flip = b < 0
-    if flip.any():
-        A = A.copy()
-        b = b.copy()
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-    if basis0 is not None:
-        basis, xB, iters = _iterate(A, b, c, np.array(basis0, dtype=np.int64), max_iters)
-        x = np.zeros(n)
-        x[basis] = xB
-        return x, float(c @ x), iters
-
-    # phase 1: artificial variable j is the unit column for row j
-    A1 = np.hstack([A, np.eye(M)])
-    c1 = np.concatenate([np.zeros(n), np.ones(M)])
-    basis = np.arange(n, n + M, dtype=np.int64)
-    basis, xB, it1 = _iterate(A1, b, c1, basis, max_iters)
-    if float(c1[basis] @ xB) > _FEAS_TOL:
-        raise LpInfeasibleError("phase 1 ended with positive infeasibility")
-    drop_rows = []
-    for i in np.nonzero(basis >= n)[0]:
-        # artificial basic at zero: pivot in any usable structural column,
-        # otherwise its row is linearly dependent and can be dropped
-        B = A1[:, basis]
-        row_i = np.linalg.solve(B, A)[i]
-        in_basis = set(basis.tolist())
-        candidates = [
-            q for q in np.nonzero(np.abs(row_i) > _PIVOT_TOL)[0] if q not in in_basis
-        ]
-        if candidates:
-            basis[i] = candidates[0]
-        else:
-            drop_rows.append(int(basis[i]) - n)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(M), drop_rows)
-        A, b = A[keep], b[keep]
-        basis = basis[basis < n]
-        if basis.size != keep.size:
-            raise LpError("inconsistent basis after dropping redundant rows")
-    basis, xB, it2 = _iterate(A, b, c, basis.astype(np.int64), max_iters)
-    x = np.zeros(n)
-    x[basis] = xB
-    return x, float(c @ x), it1 + it2
-
-
-def lp_solve(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    bounds=None,
-    max_iters=None,
-) -> LpResult:
-    """Dense LP: minimize c'x subject to a_ub x <= b_ub, a_eq x = b_eq and
-    per-variable (lo, hi) bounds (default (0, None)).
-
-    Returns the primal optimum with constraint violation below 1e-9 and
-    objective within 1e-9 of optimal.
-
-    Raises
-    ------
-    LpInfeasibleError / LpUnboundedError
-        For empty feasible sets and directions of unbounded descent.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    n = c.shape[0]
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=np.float64)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=np.float64)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=np.float64)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=np.float64)
-    if bounds is None:
-        bounds = [(0.0, None)] * n
-    if len(bounds) != n:
-        raise ValueError("bounds length disagrees with objective")
-
-    # canonicalize: shift finite lower bounds to zero, split free variables,
-    # move finite upper bounds into inequality rows
-    shift = np.zeros(n)
-    split = []  # indices of free variables, each gains a negative part
-    extra_ub = []
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is None or np.isneginf(lo):
-            split.append(i)
-        else:
-            shift[i] = lo
-        if hi is not None and not np.isposinf(hi):
-            row = np.zeros(n)
-            row[i] = 1.0
-            extra_ub.append((row, hi))
-    if extra_ub:
-        a_ub = np.vstack([a_ub] + [r for r, _ in extra_ub])
-        b_ub = np.concatenate([b_ub, [h for _, h in extra_ub]])
-
-    b_ub_s = b_ub - a_ub @ shift
-    b_eq_s = b_eq - a_eq @ shift
-    n_neg = len(split)
-    mu, me = a_ub.shape[0], a_eq.shape[0]
-    total = n + n_neg + mu
-    A = np.zeros((mu + me, total))
-    A[:mu, :n] = a_ub
-    A[mu:, :n] = a_eq
-    for k, i in enumerate(split):
-        A[:mu, n + k] = -a_ub[:, i]
-        A[mu:, n + k] = -a_eq[:, i]
-    A[:mu, n + n_neg :] = np.eye(mu)
-    bb = np.concatenate([b_ub_s, b_eq_s])
-    cc = np.zeros(total)
-    cc[:n] = c
-    cc[n : n + n_neg] = -c[split]
-
-    x_std, _, iters = _solve_standard(A, bb, cc, max_iters=max_iters)
-    x = x_std[:n].copy()
-    x[split] -= x_std[n : n + n_neg]
-    x += shift
-    return LpResult(x=x, fun=float(c @ x), iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +290,6 @@ class _ClipProblem:
         return alpha, residual
 
 
-_CLIP_CACHE_ATTR = "_clip_problems"
-
-
-def _clip_problem(hull: HullModel, norm: str) -> _ClipProblem:
-    cache = getattr(hull, _CLIP_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(hull, _CLIP_CACHE_ATTR, cache)
-    if norm not in cache:
-        cache[norm] = _ClipProblem(hull, norm)
-    return cache[norm]
-
-
 def clip(v: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     """Project one reduced point onto the hull.
 
@@ -446,48 +299,27 @@ def clip(v: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (hull.dim,):
         raise ValueError(f"point must have shape ({hull.dim},), got {v.shape}")
-    problem = _clip_problem(hull, norm)
-    alpha, residual = problem.solve(v)
+    alpha, residual = _ClipProblem(hull, norm).solve(v)
     v_hat = hull.points.T @ alpha
     return v_hat, alpha, residual
 
 
-_CLIP_BLOCK = 512
-
-
-def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf", threads: int = 1):
+def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     """Project (k, N) points; returns (V_hat, residuals) without alphas.
 
     Interior points certified by the inscribed simplex keep their exact
-    coordinates with residual zero; the remainder go through the LP in
-    input order. ``threads`` caps a worker pool over fixed-size blocks of
-    LP solves; per-sample results are written by index and do not depend
-    on the worker count.
+    coordinates with residual zero; the remainder go through the LP one at
+    a time in input order.
     """
     V = np.asarray(V, dtype=np.float64)
     out = V.copy()
     residuals = np.zeros(V.shape[0])
-    inside = hull.interior_mask(V)
-    todo = np.nonzero(~inside)[0]
+    todo = np.nonzero(~hull.interior_mask(V))[0]
     if todo.size:
-        problem = _clip_problem(hull, norm)
-        P = hull.points.T
-
-        def run_block(indices):
-            for i in indices:
-                alpha, res = problem.solve(V[i])
-                out[i] = P @ alpha
-                residuals[i] = res
-
-        blocks = [todo[s : s + _CLIP_BLOCK] for s in range(0, todo.size, _CLIP_BLOCK)]
-        if threads > 1 and len(blocks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run_block, blocks))
-        else:
-            for block in blocks:
-                run_block(block)
+        problem = _ClipProblem(hull, norm)
+        for i in todo:
+            alpha, residuals[i] = problem.solve(V[i])
+            out[i] = hull.points.T @ alpha
     return out, residuals
 
 
@@ -514,6 +346,13 @@ class SurrogateReachSet:
     guarantee: GuaranteeSpec
 
     def __post_init__(self):
+        n, N = self.basis.input_dim, self.basis.num_components
+        if self.hull.dim != N:
+            raise ValueError(f"hull dimension {self.hull.dim} != basis components {N}")
+        for name in ("error_center", "error_sigma", "lift_lb", "lift_ub"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {shape}")
         if np.any(self.lift_lb > self.lift_ub):
             raise ValueError("lift_lb must be <= lift_ub")
         if np.any(self.error_sigma < 0):
@@ -524,11 +363,6 @@ class SurrogateReachSet:
             self.error_center + self.lift_lb - self.error_sigma,
             self.error_center + self.lift_ub + self.error_sigma,
         )
-
-
-def project_intervals(reachset):
-    """Componentwise interval bounds of either reachset kind."""
-    return reachset.project_intervals()
 
 
 def surrogate_predict(
@@ -559,7 +393,6 @@ def build_surrogate_reachset(
     guarantee: GuaranteeSpec,
     seed: int = 0,
     norm: str = "l_inf",
-    pca_opts: Optional[dict] = None,
 ) -> SurrogateReachSet:
     """End-to-end surrogate construction from disjoint seeded batches.
 
@@ -578,20 +411,9 @@ def build_surrogate_reachset(
         except Exception as exc:
             raise PipelineStageError(f"{name}: {exc}") from exc
 
-    def collect_outputs(stage_name, count):
-        rng = stage_rng(seed, stage_name)
-        chunks = []
-        remaining = count
-        while remaining > 0:
-            k = min(PIPELINE_CHUNK, remaining)
-            lams = sample_lambdas(spec, k, rng)
-            chunks.append(infer(model, apply_batch(spec, lams)))
-            remaining -= k
-        return np.vstack(chunks)
-
     def train():
-        Y = collect_outputs("train", train_size)
-        basis = deflate(Y, num_components, **(pca_opts or {}))
+        Y = np.vstack(list(stage_outputs(model, spec, seed, "train", train_size)))
+        basis = deflate(Y, num_components)
         V = Y @ basis.matrix
         hull = HullModel.from_points(V, basis=basis)
         lifted = V @ basis.matrix.T
@@ -600,16 +422,10 @@ def build_surrogate_reachset(
     basis, hull, lift_lb, lift_ub = stage("train", train)
 
     def residuals(stage_name, count):
-        rng = stage_rng(seed, stage_name)
         rows = []
-        remaining = count
-        while remaining > 0:
-            k = min(PIPELINE_CHUNK, remaining)
-            lams = sample_lambdas(spec, k, rng)
-            Y = infer(model, apply_batch(spec, lams))
+        for Y in stage_outputs(model, spec, seed, stage_name, count):
             V_hat, _ = clip_batch(Y @ basis.matrix, hull, norm)
             rows.append(Y - V_hat @ basis.matrix.T)
-            remaining -= k
         return np.vstack(rows)
 
     cs_q = stage("normalize", lambda: center_and_scales(residuals("aux", aux_size)))

@@ -137,32 +137,40 @@ def build_darkening(
     rng = np.random.default_rng(rng_seed)
     chosen = eligible[np.sort(rng.choice(n_eligible, size=r_pix, replace=False))]
 
+    values = arr[chosen[:, 0], chosen[:, 1]]  # (r_pix, nc)
+    too_dark = np.argwhere(min_darkening > values)
+    if too_dark.size:
+        p, ch = too_dark[0]
+        raise ValueError(
+            f"min_darkening {min_darkening} exceeds intensity {values[p, ch]} "
+            f"at pixel ({chosen[p, 0]}, {chosen[p, 1]}) channel {ch}"
+        )
+    return _darkening(
+        x,
+        chosen,
+        lambda_lower=min_darkening / values.reshape(-1),
+        lambda_upper=np.ones(values.size),
+        intensity_threshold=intensity_threshold,
+        min_darkening=min_darkening,
+        selection_seed=rng_seed,
+    )
+
+
+def _darkening(x: ImageTensor, pixels, **fields) -> PerturbationSpec:
+    """Box spec with one noise image per (pixel, channel) of ``pixels``,
+    pixel-major: minus that channel's value at that pixel, zero elsewhere."""
+    pixels = np.asarray(pixels, dtype=np.int64).reshape(-1, 2)
     nc = x.channels
-    r = nc * r_pix
-    noise = np.zeros((r, x.size))
-    lo = np.empty(r)
-    hi = np.ones(r)
-    for p, (i, j) in enumerate(chosen):
-        for ch in range(nc):
-            val = arr[i, j, ch]
-            if min_darkening > val:
-                raise ValueError(
-                    f"min_darkening {min_darkening} exceeds intensity {val} "
-                    f"at pixel ({i}, {j}) channel {ch}"
-                )
-            k = p * nc + ch
-            noise[k, (i * x.width + j) * nc + ch] = -val
-            lo[k] = min_darkening / val
+    flat_pixels = pixels[:, 0] * x.width + pixels[:, 1]
+    cols = (flat_pixels[:, None] * nc + np.arange(nc)).reshape(-1)
+    noise = np.zeros((cols.size, x.size))
+    noise[np.arange(cols.size), cols] = -x.data[cols]
     return PerturbationSpec(
         base_image=x,
         noise_matrix=noise,
-        lambda_lower=lo,
-        lambda_upper=hi,
         distribution=UNIFORM_BOX,
-        intensity_threshold=intensity_threshold,
-        min_darkening=min_darkening,
-        selected_pixels=tuple((int(i), int(j)) for i, j in chosen),
-        selection_seed=rng_seed,
+        selected_pixels=tuple((int(i), int(j)) for i, j in pixels),
+        **fields,
     )
 
 
@@ -252,22 +260,12 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
     if dist in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL):
         norm = "l2" if dist == UNIFORM_L2_BALL else "linf"
         return build_global_ball(base_image, norm, manifest["radius"])
-    arr = base_image.as_array()
-    nc = base_image.channels
-    pixels = [tuple(p) for p in manifest["selected_pixels"]]
-    r = nc * len(pixels)
-    noise = np.zeros((r, base_image.size))
-    for p, (i, j) in enumerate(pixels):
-        for ch in range(nc):
-            noise[p * nc + ch, (i * base_image.width + j) * nc + ch] = -arr[i, j, ch]
-    return PerturbationSpec(
-        base_image=base_image,
-        noise_matrix=noise,
+    return _darkening(
+        base_image,
+        manifest["selected_pixels"],
         lambda_lower=np.asarray(manifest["lambda_lower"], dtype=np.float64),
         lambda_upper=np.asarray(manifest["lambda_upper"], dtype=np.float64),
-        distribution=UNIFORM_BOX,
         intensity_threshold=manifest["intensity_threshold"],
         min_darkening=manifest["min_darkening"],
-        selected_pixels=tuple(pixels),
         selection_seed=manifest["selection_seed"],
     )

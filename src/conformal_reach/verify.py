@@ -20,10 +20,9 @@ from .calibrate import (
     naive_reachset,
 )
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .hull import PIPELINE_CHUNK, PipelineStageError, build_surrogate_reachset
+from .hull import PipelineStageError, build_surrogate_reachset, stage_outputs
 from .model import MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
-from .perturb import PerturbationSpec, apply_batch, sample_lambdas, spec_manifest
-from ._seeds import stage_rng
+from .perturb import PerturbationSpec, spec_manifest
 
 __all__ = [
     "STATUS_UNKNOWN",
@@ -32,7 +31,6 @@ __all__ = [
     "PixelStatusMask",
     "ConservatismReport",
     "pixel_status",
-    "robustness_value",
     "average_rv",
     "run_naive_pipeline",
     "run_surrogate_pipeline",
@@ -129,12 +127,6 @@ def pixel_status(
     )
 
 
-def robustness_value(mask: PixelStatusMask) -> float:
-    """Percentage of robust pixels."""
-    h, w = mask.status.shape
-    return 100.0 * float(np.sum(mask.status == STATUS_ROBUST)) / (h * w)
-
-
 def average_rv(masks) -> float:
     """Mean robustness value over a non-empty collection of masks."""
     masks = list(masks)
@@ -177,14 +169,7 @@ def run_naive_pipeline(
     guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
 
     def outputs(stage_name, count):
-        rng = stage_rng(seed, stage_name)
-        rows = []
-        remaining = count
-        while remaining > 0:
-            k = min(PIPELINE_CHUNK, remaining)
-            rows.append(infer(model, apply_batch(spec, sample_lambdas(spec, k, rng))))
-            remaining -= k
-        return np.vstack(rows)
+        return np.vstack(list(stage_outputs(model, spec, seed, stage_name, count)))
 
     try:
         cs = center_and_scales(outputs("train", train_size))
@@ -224,7 +209,6 @@ def run_surrogate_pipeline(
     rank_ell: int,
     seed: int = 0,
     norm: str = "l_inf",
-    pca_opts=None,
 ):
     """Hull-plus-inflation reachset; same contract as the naive pipeline."""
     h, w, L = _logit_shape(model, spec)
@@ -239,7 +223,6 @@ def run_surrogate_pipeline(
         guarantee=guarantee,
         seed=seed,
         norm=norm,
-        pca_opts=pca_opts,
     )
     lo, hi = reachset.project_intervals()
     mask = pixel_status(
@@ -276,18 +259,13 @@ def conservatism_audit(
         raise ValueError("sample_count must be >= 1")
     y_lo = np.asarray(y_lo, dtype=np.float64).reshape(-1)
     y_hi = np.asarray(y_hi, dtype=np.float64).reshape(-1)
-    rng = stage_rng(seed, "audit")
     misses = 0
     emp_lo = np.full(y_lo.shape, np.inf)
     emp_hi = np.full(y_hi.shape, -np.inf)
-    remaining = sample_count
-    while remaining > 0:
-        k = min(PIPELINE_CHUNK, remaining)
-        Y = infer(model, apply_batch(spec, sample_lambdas(spec, k, rng)))
+    for Y in stage_outputs(model, spec, seed, "audit", sample_count):
         misses += int(np.sum(np.any((Y < y_lo) | (Y > y_hi), axis=1)))
         emp_lo = np.minimum(emp_lo, Y.min(axis=0))
         emp_hi = np.maximum(emp_hi, Y.max(axis=0))
-        remaining -= k
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

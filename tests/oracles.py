@@ -11,15 +11,18 @@ import numpy as np
 
 
 def _compositions(parts: int, total: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(parts - 1, total - first)
-        rows.append(
-            np.hstack([np.full((rest.shape[0], 1), first, dtype=np.int64), rest])
-        )
-    return np.vstack(rows)
+    """Every nonnegative integer row of length ``parts`` summing to
+    ``total``, in lexicographic order. Built one leading column at a time:
+    a row with ``left`` still to place expands into left + 1 rows."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        first = np.arange(starts.size, dtype=np.int64) - starts
+        rows = np.hstack([np.repeat(rows, counts, axis=0), first[:, None]])
+        left = np.repeat(left, counts) - first
+    return np.hstack([rows, left[:, None]])
 
 
 def barycentric_grid(parts: int, resolution: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,10 @@ from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import (
     HullModel,
-    LpInfeasibleError,
-    LpUnboundedError,
     build_surrogate_reachset,
     clip,
     clip_batch,
     load_surrogate,
-    lp_solve,
-    project_intervals,
     save_surrogate,
     surrogate_predict,
 )
@@ -23,60 +21,30 @@ from conformal_reach.perturb import build_global_ball
 from oracles import enumerate_lp_minimum, grid_clip_residual
 
 
-class TestLpSolve:
-    def test_min_x_above_three(self):
-        res = lp_solve(np.array([1.0]), a_ub=[[-1.0]], b_ub=[-3.0])
-        assert res.fun == pytest.approx(3.0, abs=1e-9)
-        assert res.x[0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_degenerate_face(self):
-        res = lp_solve(
-            np.array([1.0, 1.0]), a_eq=[[1.0, 1.0]], b_eq=[1.0]
-        )
-        assert res.fun == pytest.approx(1.0, abs=1e-9)
-
-    def test_infeasible(self):
-        with pytest.raises(LpInfeasibleError):
-            lp_solve(
-                np.array([1.0]),
-                a_ub=[[1.0], [-1.0]],
-                b_ub=[1.0, -2.0],  # x <= 1 and x >= 2
-            )
-
-    def test_unbounded(self):
-        with pytest.raises(LpUnboundedError):
-            lp_solve(np.array([-1.0]))  # minimize -x, x >= 0
-
-    def test_free_variable_and_upper_bounds(self):
-        # minimize x + y with x free, y in [0, 2], x >= y - 3
-        res = lp_solve(
-            np.array([1.0, 1.0]),
-            a_ub=[[-1.0, 1.0]],
-            b_ub=[3.0],
-            bounds=[(None, None), (0.0, 2.0)],
-        )
-        assert res.fun == pytest.approx(-3.0, abs=1e-9)
-
-    def test_random_lps_match_vertex_enumeration(self):
-        rng = np.random.default_rng(0)
-        for trial in range(40):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, 5))
-            A = rng.normal(size=(m, n))
-            b = rng.uniform(0.1, 2.0, size=m)  # x = 0 always feasible
-            box = np.vstack([np.eye(n)])
-            A_full = np.vstack([A, box])
-            b_full = np.concatenate([b, np.full(n, 5.0)])  # bounded
-            c = rng.normal(size=n)
-            res = lp_solve(c, a_ub=A_full, b_ub=b_full)
-            oracle = enumerate_lp_minimum(c, A_full, b_full)
-            assert res.fun == pytest.approx(oracle, abs=1e-8)
-            assert np.all(A_full @ res.x <= b_full + 1e-9)
-            assert np.all(res.x >= -1e-9)
-
-
 def make_hull(points):
     return HullModel.from_points(np.asarray(points, dtype=float))
+
+
+def clip_lp_rows(points, v, norm):
+    """The clip LP written from its definition for ``enumerate_lp_minimum``.
+
+    Variables x = (alpha, s) >= 0 minimize sum(s) subject to
+    |v - P alpha| <= s coordinatewise (one shared s for l_inf, one per
+    coordinate for l_1) and sum(alpha) = 1, the equality as two rows.
+    """
+    t, N = points.shape
+    epi = np.ones((N, 1)) if norm == "l_inf" else np.eye(N)
+    ones = np.ones((1, t))
+    no_epi = np.zeros((1, epi.shape[1]))
+    a_ub = np.vstack([
+        np.hstack([points.T, -epi]),
+        np.hstack([-points.T, -epi]),
+        np.hstack([ones, no_epi]),
+        np.hstack([-ones, no_epi]),
+    ])
+    b_ub = np.concatenate([v, -v, [1.0, -1.0]])
+    c = np.concatenate([np.zeros(t), np.ones(epi.shape[1])])
+    return c, a_ub, b_ub
 
 
 class TestClip:
@@ -124,6 +92,23 @@ class TestClip:
             oracle = grid_clip_residual(pts, v, 1000)
             assert abs(residual - oracle) <= 2e-3
             assert residual <= oracle + 1e-9  # grid can only overestimate
+
+    def test_residual_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(0)
+        for trial in range(30):
+            t = int(rng.integers(2, 5))
+            N = int(rng.integers(1, 4))
+            pts = rng.uniform(-1, 1, size=(t, N))
+            if trial % 3 == 0:
+                pts[-1] = pts[0]  # repeated generator
+            v = rng.uniform(-1.5, 1.5, size=N)
+            hull = make_hull(pts)
+            for norm in ("l_inf", "l_1"):
+                _, alpha, residual = clip(v, hull, norm)
+                oracle = enumerate_lp_minimum(*clip_lp_rows(pts, v, norm))
+                assert residual == pytest.approx(oracle, abs=1e-9)
+                assert np.all(alpha >= 0.0)
+                assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_l1_norm_variant(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0]])
@@ -220,7 +205,7 @@ class TestSurrogateReachset:
             net, spec, train_size=500, calib_size=2000, aux_size=300,
             num_components=2, guarantee=g, seed=11,
         )
-        lo, hi = project_intervals(sr)
+        lo, hi = sr.project_intervals()
         # sigma is bounded by the tiny aux-residual center offset, orders of
         # magnitude under the box scale
         assert np.all(sr.error_sigma <= 1e-3)
@@ -244,7 +229,7 @@ class TestSurrogateReachset:
             net, spec, train_size=200, calib_size=500, aux_size=150,
             num_components=2, guarantee=g, seed=12,
         )
-        lo, hi = project_intervals(sr)
+        lo, hi = sr.project_intervals()
         np.testing.assert_allclose(
             hi - lo, (sr.lift_ub - sr.lift_lb) + 2 * sr.error_sigma, rtol=1e-12
         )
@@ -260,7 +245,7 @@ class TestSurrogateReachset:
             net, spec, train_size=150, calib_size=300, aux_size=100,
             num_components=2, guarantee=g, seed=13,
         )
-        lo, hi = project_intervals(sr)
+        lo, hi = sr.project_intervals()
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
 
@@ -283,7 +268,7 @@ class TestSurrogateReachset:
             net, spec, train_size=400, calib_size=m, aux_size=200,
             num_components=3, guarantee=g, seed=14,
         )
-        lo, hi = project_intervals(sr)
+        lo, hi = sr.project_intervals()
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
         from scipy.stats import beta as scipy_beta
@@ -322,10 +307,32 @@ class TestSurrogateReachset:
         np.testing.assert_array_equal(loaded.hull.points, sr.hull.points)
         np.testing.assert_array_equal(loaded.basis.matrix, sr.basis.matrix)
         np.testing.assert_array_equal(loaded.error_sigma, sr.error_sigma)
-        lo1, hi1 = project_intervals(sr)
-        lo2, hi2 = project_intervals(loaded)
+        lo1, hi1 = sr.project_intervals()
+        lo2, hi2 = loaded.project_intervals()
         np.testing.assert_array_equal(lo1, lo2)
         np.testing.assert_array_equal(hi1, hi2)
+
+    def test_load_rejects_inconsistent_sidecar(self, tmp_path):
+        rng = np.random.default_rng(16)
+        net = random_mlp([3, 8, 4], rng)
+        base = ImageTensor(1, 1, 3, np.full(3, 0.5))
+        spec = build_global_ball(base, "linf", 0.3)
+        g = guarantee_confidence(0.05, 95, 100)
+        sr = build_surrogate_reachset(
+            net, spec, train_size=80, calib_size=100, aux_size=50,
+            num_components=2, guarantee=g, seed=15,
+        )
+        save_surrogate(sr, tmp_path / "sr")
+        sidecar_path = tmp_path / "sr" / "surrogate.json"
+        good = json.loads(sidecar_path.read_text())
+        t, N = good["hull_shape"]
+        # the same hull bytes read as a dim-1 hull against the 2-column basis
+        flat = dict(good, hull_shape=[t * N, 1])
+        short = dict(good, error_sigma=good["error_sigma"][:1])
+        for bad in (flat, short):
+            sidecar_path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError):
+                load_surrogate(tmp_path / "sr")
 
 
 class TestProjectIntervals:
@@ -343,7 +350,7 @@ class TestProjectIntervals:
             lift_ub=np.array([2.0, 3.0]),
             guarantee=guarantee_confidence(0.1, 9, 10),
         )
-        lo, hi = project_intervals(sr)
+        lo, hi = sr.project_intervals()
         np.testing.assert_array_equal(lo, [-1.0, 0.0])
         np.testing.assert_array_equal(hi, [2.0, 3.0])
 
@@ -353,6 +360,6 @@ class TestProjectIntervals:
             sigma=np.array([0.5]),
             guarantee=guarantee_confidence(0.1, 9, 10),
         )
-        lo, hi = project_intervals(rs)
+        lo, hi = rs.project_intervals()
         np.testing.assert_array_equal(lo, [0.5])
         np.testing.assert_array_equal(hi, [1.5])

@@ -16,7 +16,6 @@ from conformal_reach.verify import (
     average_rv,
     conservatism_audit,
     pixel_status,
-    robustness_value,
     run_naive_pipeline,
     run_surrogate_pipeline,
     status_pgm_bytes,
@@ -102,14 +101,28 @@ class TestRvMetrics:
             rv=rv, guarantee=G,
         )
 
+    # per-pixel class intervals that yield each status when the baseline is class 1
+    INTERVALS = {
+        STATUS_ROBUST: [(5.0, 6.0), (1.0, 2.0)],
+        STATUS_NONROBUST: [(1.0, 2.0), (5.0, 6.0)],
+        STATUS_UNKNOWN: [(3.0, 6.0), (2.0, 4.0)],
+    }
+
+    def status_rv(self, codes):
+        bounds = np.array([[self.INTERVALS[c] for c in row] for row in codes])
+        baseline = np.ones(bounds.shape[:2], dtype=np.int64)
+        mask = pixel_status(bounds[..., 0], bounds[..., 1], baseline, G)
+        np.testing.assert_array_equal(mask.status, codes)
+        return mask.rv
+
     def test_all_robust(self):
-        assert robustness_value(self.make_mask([[1, 1], [1, 1]])) == 100.0
+        assert self.status_rv([[1, 1], [1, 1]]) == 100.0
 
     def test_none_robust(self):
-        assert robustness_value(self.make_mask([[0, 2], [2, 0]])) == 0.0
+        assert self.status_rv([[0, 2], [2, 0]]) == 0.0
 
     def test_three_quarters(self):
-        assert robustness_value(self.make_mask([[1, 1], [1, 0]])) == 75.0
+        assert self.status_rv([[1, 1], [1, 0]]) == 75.0
 
     def test_average(self):
         m1 = self.make_mask([[1, 1], [1, 1]])
@@ -208,7 +221,6 @@ class TestSurrogatePipeline:
     def test_soundness_coupling_with_samples(self):
         # whenever the reachset covers a sample's logits, a robust label
         # implies that sample's argmax equals the baseline class
-        from conformal_reach.hull import project_intervals
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
 
@@ -218,7 +230,7 @@ class TestSurrogatePipeline:
             model, spec, train_size=200, calib_size=400, aux_size=100,
             num_components=4, epsilon=0.02, rank_ell=392, seed=14,
         )
-        lo, hi = project_intervals(reachset)
+        lo, hi = reachset.project_intervals()
         lams = sample_lambdas(spec, 10_000, 77)
         Y = infer(model, apply_batch(spec, lams))
         covered = np.all((Y >= lo) & (Y <= hi), axis=1)
