@@ -159,13 +159,19 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _int_tail_sum(x: float, a: int, b: int) -> float:
+def _log(x: float) -> float:
+    """log x for x in (0, 1). log1p(x - 1) keeps a*log(x) accurate near 1,
+    where the large-a cases live (x - 1 is exact for x >= 0.5); below 0.5
+    the subtraction would round x away, down to log1p(-1) for tiny x."""
+    return math.log1p(x - 1.0) if x >= 0.5 else math.log(x)
+
+
+def _int_tail_sum(log_x: float, log_1mx: float, a: int, b: int) -> float:
     """I_x(a, b) for integer shapes with small b, via the exact identity
     I_x(a, b) = Pr[Bin(a+b-1, x) >= a]: a sum of b positive terms, immune
-    to the continued fraction's stagnation at shape parameters ~1e7."""
+    to the continued fraction's stagnation at shape parameters ~1e7. Takes
+    log x and log(1 - x), so the complement I_{1-x}(b, a) needs no 1 - x."""
     n = a + b - 1
-    log_x = math.log1p(x - 1.0)
-    log_1mx = math.log1p(-x)
     log_terms = []
     for k in range(b):
         j = n - k  # j runs a+b-1 .. a, so n-j = k stays small
@@ -208,20 +214,18 @@ def beta_cdf(x: float, a: float, b: float) -> float:
         return 1.0
     # Integer shapes with one small side take the exact binomial-tail sum;
     # this is the (ell, m+1-ell) regime, where shapes reach ~1e7.
+    log_x, log_1mx = _log(x), math.log1p(-x)
     if a == int(a) and b == int(b):
         ia, ib = int(a), int(b)
         if ib <= 64:
-            return min(_int_tail_sum(x, ia, ib), 1.0)
+            return min(_int_tail_sum(log_x, log_1mx, ia, ib), 1.0)
         if ia <= 64:
-            s = _int_tail_sum(1.0 - x, ib, ia)
+            s = _int_tail_sum(log_1mx, log_x, ib, ia)
             if s < 0.99:  # complement keeps full relative accuracy here
                 return 1.0 - s
             # result is tiny; the continued fraction below is accurate
             # for small a and loses nothing to cancellation
-    # log1p keeps a*log(x) accurate for x near 1, where the large-a cases live
-    log_front = (
-        -_log_beta(a, b) + a * math.log1p(x - 1.0) + b * math.log1p(-x)
-    )
+    log_front = -_log_beta(a, b) + a * log_x + b * log_1mx
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a

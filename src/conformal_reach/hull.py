@@ -10,8 +10,11 @@ The projection is a small-row linear program (the hull may have thousands
 of generators but the reduced space has N dimensions). Its feasible basis
 can be written down at the nearest hull point, so the solver here is a
 dense phase-2 revised simplex from that basis, with no phase 1: Dantzig
-pricing, switching to Bland's anti-cycling rule under stalling. The
-clipping hot loop skips the LP whenever a point certifies as interior via
+pricing, switching to Bland's anti-cycling rule under stalling. Queries
+are solved in blocks, in lockstep: each row keeps its own basis and pivot
+rules, while the pricing and the basis-inverse updates run on the whole
+block at once (see ``_ClipProblem``); a single point is a block of one.
+The clipping hot loop skips the LP whenever a point certifies as interior via
 barycentric coordinates against a greedily chosen inscribed simplex of
 hull points; the certificate is exact containment in a sub-hull, so it
 never loosens results, and the hull itself always keeps every training
@@ -52,6 +55,12 @@ _RED_COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _STALL_LIMIT = 24
 _INTERIOR_MARGIN = 1e-9
+# Queries the clip simplex solves in lockstep, and pivots between
+# refactorizations of their stacked basis inverses.
+_CLIP_BLOCK = 64
+_REFACTOR_EVERY = 16
+# A pivot this small next to its column's largest entry may be eta noise.
+_SMALL_PIVOT = 1e-9
 
 # Sampling happens in fixed-size blocks so that a run is reproducible from
 # its seed regardless of sizes requested downstream.
@@ -76,46 +85,6 @@ class LpError(RuntimeError):
 
 class PipelineStageError(RuntimeError):
     """A surrogate pipeline stage failed; the stage name leads the message."""
-
-
-def _iterate(A, b, c, basis, max_iters):
-    """Primal revised simplex on min c'x s.t. Ax=b, x>=0 from a feasible
-    basis. Dantzig pricing; Bland's rule takes over after a stall."""
-    stall = 0
-    last_obj = np.inf
-    for it in range(max_iters):
-        B = A[:, basis]
-        try:
-            xB = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:
-            raise LpError(f"singular basis at iteration {it}") from exc
-        red = c - y @ A
-        red[basis] = 0.0
-        if stall >= _STALL_LIMIT:
-            negatives = np.nonzero(red < -_RED_COST_TOL)[0]
-            if negatives.size == 0:
-                return basis, np.maximum(xB, 0.0), it
-            q = int(negatives[0])
-        else:
-            q = int(np.argmin(red))
-            if red[q] >= -_RED_COST_TOL:
-                return basis, np.maximum(xB, 0.0), it
-        d = np.linalg.solve(B, A[:, q])
-        positive = d > _PIVOT_TOL
-        if not positive.any():
-            raise LpError("objective unbounded below")
-        ratios = np.full(d.shape, np.inf)
-        ratios[positive] = np.maximum(xB[positive], 0.0) / d[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-15)[0]
-        # leaving tie-break by lowest variable index (Bland-safe)
-        p = int(ties[np.argmin(basis[ties])])
-        obj = float(c[basis] @ xB)
-        stall = stall + 1 if obj >= last_obj - 1e-12 * (1.0 + abs(obj)) else 0
-        last_obj = min(last_obj, obj)
-        basis[p] = q
-    raise LpError(f"simplex did not terminate within {max_iters} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +189,18 @@ class _ClipProblem:
     depends on the query point, and a feasible basis can be written down
     directly from the nearest hull point, so each solve starts in phase 2
     a few pivots from optimal.
+
+    ``solve_block`` runs the primal revised simplex on a block of queries
+    in lockstep, one row each. Every row follows its own pivot rules
+    (Dantzig pricing, Bland's rule after a stall, ratio-test ties to the
+    lowest variable index), so its result does not depend on the other
+    rows; only the linear algebra is shared. The basis inverses are kept
+    as a stacked (k, M, M) array that each pivot updates with a rank-one
+    eta step instead of solving with the basis. They are refactorized from
+    A[:, basis] every _REFACTOR_EVERY pivots, and at once when a chosen
+    pivot is small enough to be eta noise (_SMALL_PIVOT), which would
+    otherwise make the basis singular. Rows leave the block when optimal;
+    each one's reported point is then solved afresh from its final basis.
     """
 
     def __init__(self, hull: HullModel, norm: str):
@@ -246,48 +227,139 @@ class _ClipProblem:
         A[2 * N, :t] = 1.0
         c = np.zeros(cols)
         c[t : t + n_epi] = 1.0
-        self.A, self.c = A, c
+        self.columns = A.T.copy()  # row j is column j of A
+        self.c = c
         self.n_epi = n_epi
         self.max_iters = 50 * (cols + M) + 200
 
-    def rhs(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([v, -v, [1.0]])
-
-    def initial_basis(self, v: np.ndarray) -> np.ndarray:
-        """Feasible basis at the hull vertex nearest to v."""
+    def initial_basis(self, V: np.ndarray) -> np.ndarray:
+        """Feasible bases (k, M) at the hull vertex nearest to each row of V."""
         P, t, N, n_epi = self.P, self.t, self.N, self.n_epi
+        k = V.shape[0]
+        # distance to every hull point, one coordinate at a time into two
+        # (k, t) buffers, so the block never holds a (k, N, t) array
+        dist = np.abs(V[:, :1] - P[0])
+        gap = np.empty_like(dist)
+        for i in range(1, N):
+            np.subtract(V[:, i : i + 1], P[i], out=gap)
+            np.abs(gap, out=gap)
+            if self.norm == "l_inf":
+                np.maximum(dist, gap, out=dist)
+            else:
+                dist += gap
+        j0 = np.argmin(dist, axis=1)
+        r = V - P[:, j0].T
         if self.norm == "l_inf":
-            j0 = int(np.argmin(np.max(np.abs(v[:, None] - P), axis=0)))
-            r = v - P[:, j0]
-            i0 = int(np.argmax(np.abs(r)))
+            i0 = np.argmax(np.abs(r), axis=1)
+            binding = r[np.arange(k), i0] <= 0
             # the inf-norm row that binds contributes no slack to the basis
-            drop = t + n_epi + i0 if r[i0] <= 0 else t + n_epi + N + i0
-            slack_cols = [t + n_epi + k for k in range(2 * N) if t + n_epi + k != drop]
-            return np.array([j0, t] + slack_cols, dtype=np.int64)
-        j0 = int(np.argmin(np.sum(np.abs(v[:, None] - P), axis=0)))
-        r = v - P[:, j0]
-        # all epigraph vars basic; per coordinate, the binding side's slack leaves
-        slack_cols = [
-            t + n_epi + i if r[i] <= 0 else t + n_epi + N + i for i in range(N)
-        ]
-        keep = [
-            col
-            for col in range(t + n_epi, t + n_epi + 2 * N)
-            if col not in set(slack_cols)
-        ]
-        return np.array([j0] + list(range(t, t + n_epi)) + keep, dtype=np.int64)
+            keep = np.ones((k, 2 * N), dtype=bool)
+            keep[np.arange(k), np.where(binding, i0, N + i0)] = False
+        else:
+            # all epigraph vars basic; per coordinate, the binding side's slack leaves
+            keep = np.hstack([r > 0, r <= 0])
+        slacks = t + n_epi + np.nonzero(keep)[1].reshape(k, -1)
+        epi = np.broadcast_to(np.arange(t, t + n_epi), (k, n_epi))
+        return np.hstack([j0[:, None], epi, slacks])
 
-    def solve(self, v: np.ndarray):
-        basis = self.initial_basis(v)
-        b = self.rhs(v)
-        final_basis, xB, _ = _iterate(
-            self.A, b, self.c, basis, self.max_iters
-        )
-        x = np.zeros(self.A.shape[1])
-        x[final_basis] = xB
-        alpha = x[: self.t]
-        residual = float(self.c @ x)
-        return alpha, residual
+    def entering(self, y: np.ndarray, basis: np.ndarray, bland: np.ndarray):
+        """Entering column of each row under duals y (k, M), and each row's
+        least reduced cost c - y A. Dantzig pricing takes the most negative
+        column; rows flagged in ``bland`` take the first negative one."""
+        N, t, n_epi = self.N, self.t, self.n_epi
+        k = y.shape[0]
+        # alpha columns (P; -P; 1^T) have cost 0 and are priced apart from
+        # the epigraph and slack columns, so no (k, cols) array is formed
+        red_a = (y[:, N : 2 * N] - y[:, :N]) @ self.P
+        red_a -= y[:, 2 * N :]
+        red_s = np.empty((k, n_epi + 2 * N))
+        # epigraph columns have cost 1 and -1 in the rows they bound
+        if self.norm == "l_inf":
+            red_s[:, 0] = 1.0 + y[:, : 2 * N].sum(axis=1)
+        else:
+            red_s[:, :N] = 1.0 + y[:, :N] + y[:, N : 2 * N]
+        # slack columns are the identity
+        red_s[:, n_epi:] = -y[:, : 2 * N]
+        # basic columns price at exactly zero
+        row, pos = np.nonzero(basis < t)
+        red_a[row, basis[row, pos]] = 0.0
+        row, pos = np.nonzero(basis >= t)
+        red_s[row, basis[row, pos] - t] = 0.0
+        rows = np.arange(k)
+        q_a, q_s = red_a.argmin(axis=1), red_s.argmin(axis=1)
+        low_a, low_s = red_a[rows, q_a], red_s[rows, q_s]
+        # equal minima go to the alpha column, the lower index
+        q = np.where(low_s < low_a, t + q_s, q_a)
+        if bland.any():
+            negative = np.hstack([red_a[bland], red_s[bland]]) < -_RED_COST_TOL
+            q[bland] = np.argmax(negative, axis=1)
+        return q, np.minimum(low_a, low_s)
+
+    def solve_block(self, V: np.ndarray):
+        """Clip the rows of V (k, N). Returns each row's optimal basis (k, M),
+        its basic solution (k, M) and its residual (k,)."""
+        k, t = V.shape[0], self.t
+        rhs = np.hstack([V, -V, np.ones((k, 1))])
+        final = np.empty((k, 2 * self.N + 1), dtype=np.int64)
+        live = np.arange(k)  # query row of each row still in the block
+        basis = self.initial_basis(V)
+        b = rhs
+        stall = np.zeros(k, dtype=np.int64)
+        last_obj = np.full(k, np.inf)
+        age = _REFACTOR_EVERY  # eta steps since the last refactorization
+        for it in range(self.max_iters):
+            if age >= _REFACTOR_EVERY:
+                try:
+                    Binv = np.linalg.inv(self.columns[basis].transpose(0, 2, 1))
+                except np.linalg.LinAlgError as exc:
+                    raise LpError(f"singular basis at iteration {it}") from exc
+                age = 0
+            xB = (Binv @ b[:, :, None])[:, :, 0]
+            cB = self.c[basis]
+            y = (cB[:, None, :] @ Binv)[:, 0, :]
+            q, low = self.entering(y, basis, stall >= _STALL_LIMIT)
+            done = low >= -_RED_COST_TOL
+            if done.any():
+                final[live[done]] = basis[done]
+                go = ~done
+                if not go.any():
+                    break
+                live, basis, b, Binv, xB, cB, q, stall, last_obj = (
+                    a[go] for a in (live, basis, b, Binv, xB, cB, q, stall, last_obj)
+                )
+            d = (Binv @ self.columns[q][:, :, None])[:, :, 0]
+            positive = d > _PIVOT_TOL
+            if not positive.any(axis=1).all():
+                raise LpError("objective unbounded below")
+            ratios = np.full(d.shape, np.inf)
+            ratios[positive] = np.maximum(xB[positive], 0.0) / d[positive]
+            ties = ratios <= ratios.min(axis=1, keepdims=True) + 1e-15
+            # leaving tie-break by lowest variable index (Bland-safe)
+            p = np.argmin(np.where(ties, basis, np.iinfo(np.int64).max), axis=1)
+            rows = np.arange(live.size)
+            if age and np.any(d[rows, p] < _SMALL_PIVOT * np.abs(d).max(axis=1)):
+                # eta error can lift an exact zero of d over _PIVOT_TOL;
+                # redo the pass with freshly factorized inverses
+                age = _REFACTOR_EVERY
+                continue
+            obj = (cB * xB).sum(axis=1)
+            stalled = obj >= last_obj - 1e-12 * (1.0 + np.abs(obj))
+            stall = np.where(stalled, stall + 1, 0)
+            last_obj = np.minimum(last_obj, obj)
+            basis[rows, p] = q
+            pivot_row = Binv[rows, p] / d[rows, p][:, None]
+            Binv -= d[:, :, None] * pivot_row[:, None, :]
+            Binv[rows, p] = pivot_row
+            age += 1
+        else:
+            raise LpError(f"simplex did not terminate within {self.max_iters} iterations")
+        # each point is solved afresh from its final basis
+        B = self.columns[final].transpose(0, 2, 1)
+        try:
+            xB = np.maximum(np.linalg.solve(B, rhs[:, :, None])[:, :, 0], 0.0)
+        except np.linalg.LinAlgError as exc:
+            raise LpError(f"singular basis at iteration {it}") from exc
+        return final, xB, (self.c[final] * xB).sum(axis=1)
 
 
 def clip(v: np.ndarray, hull: HullModel, norm: str = "l_inf"):
@@ -299,27 +371,40 @@ def clip(v: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (hull.dim,):
         raise ValueError(f"point must have shape ({hull.dim},), got {v.shape}")
-    alpha, residual = _ClipProblem(hull, norm).solve(v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"point must be finite, got {v}")
+    basis, xB, residual = _ClipProblem(hull, norm).solve_block(v[None, :])
+    alpha = np.zeros(hull.size)
+    is_alpha = basis[0] < hull.size
+    alpha[basis[0, is_alpha]] = xB[0, is_alpha]
     v_hat = hull.points.T @ alpha
-    return v_hat, alpha, residual
+    return v_hat, alpha, float(residual[0])
 
 
 def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     """Project (k, N) points; returns (V_hat, residuals) without alphas.
 
     Interior points certified by the inscribed simplex keep their exact
-    coordinates with residual zero; the remainder go through the LP one at
-    a time in input order.
+    coordinates with residual zero; the remainder go through the LP in
+    blocks of _CLIP_BLOCK rows, in input order.
     """
     V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != hull.dim:
+        raise ValueError(f"points must have shape (k, {hull.dim}), got {V.shape}")
+    bad = np.nonzero(~np.all(np.isfinite(V), axis=1))[0]
+    if bad.size:
+        raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
+    problem = _ClipProblem(hull, norm)
     out = V.copy()
     residuals = np.zeros(V.shape[0])
     todo = np.nonzero(~hull.interior_mask(V))[0]
-    if todo.size:
-        problem = _ClipProblem(hull, norm)
-        for i in todo:
-            alpha, residuals[i] = problem.solve(V[i])
-            out[i] = hull.points.T @ alpha
+    for start in range(0, todo.size, _CLIP_BLOCK):
+        rows = todo[start : start + _CLIP_BLOCK]
+        basis, xB, residuals[rows] = problem.solve_block(V[rows])
+        # basic alpha columns weigh their hull points; the others weigh 0
+        weights = np.where(basis < hull.size, xB, 0.0)
+        points = hull.points[np.minimum(basis, hull.size - 1)]
+        out[rows] = np.einsum("km,kmn->kn", weights, points)
     return out, residuals
 
 
@@ -350,9 +435,11 @@ class SurrogateReachSet:
         if self.hull.dim != N:
             raise ValueError(f"hull dimension {self.hull.dim} != basis components {N}")
         for name in ("error_center", "error_sigma", "lift_lb", "lift_ub"):
-            shape = np.shape(getattr(self, name))
-            if shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {shape}")
+            value = getattr(self, name)
+            if np.shape(value) != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {np.shape(value)}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.lift_lb > self.lift_ub):
             raise ValueError("lift_lb must be <= lift_ub")
         if np.any(self.error_sigma < 0):
@@ -475,9 +562,13 @@ def load_surrogate(directory) -> SurrogateReachSet:
         sidecar = json.load(fh)
     basis = load_basis(os.path.join(directory, "basis.pca"))
     t, N = sidecar["hull_shape"]
-    points = np.fromfile(
-        os.path.join(directory, "hull_points.f64"), dtype="<f8"
-    ).reshape(t, N)
+    points_path = os.path.join(directory, "hull_points.f64")
+    size = os.path.getsize(points_path)
+    if min(t, N) < 1 or size != 8 * t * N:
+        raise ValueError(
+            f"{points_path}: {size} bytes, but hull_shape {t}x{N} needs {8 * t * N}"
+        )
+    points = np.fromfile(points_path, dtype="<f8").reshape(t, N)
     g = sidecar["guarantee"]
     guarantee = guarantee_confidence(g["epsilon"], g["rank_ell"], g["calib_size_m"])
     return SurrogateReachSet(

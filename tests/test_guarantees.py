@@ -62,6 +62,24 @@ class TestBetaCdf:
             exact = float(mp.betainc(a, b, 0, x, regularized=True))
             assert beta_cdf(x, a, b) == pytest.approx(exact, rel=1e-12)
 
+    def test_against_mpmath_small_x(self):
+        # log(x) must not go through x - 1, which rounds small x away
+        # (to log1p(-1) for x below 2**-53); the integer cases take the
+        # binomial tail sum and its complement
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        cases = [
+            (1e-10, 2.0, 5.0),
+            (1e-10, 2.0, 5.5),
+            (3e-9, 1.5, 2.5),
+            (1e-6, 3.0, 100.0),
+            (1e-20, 1.0, 65.0),
+            (1e-300, 1.0, 1.0),
+        ]
+        for x, a, b in cases:
+            exact = float(mp.betainc(a, b, 0, x, regularized=True))
+            assert beta_cdf(x, a, b) == pytest.approx(exact, rel=1e-12)
+
     def test_symmetry_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

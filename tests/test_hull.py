@@ -149,6 +149,151 @@ class TestClip:
             assert res <= 1e-7
 
 
+class TestClipValidation:
+    def test_rejects_non_finite_points(self):
+        hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            clip(np.array([np.nan, 0.5]), hull)
+        V = np.array([[0.2, 0.2], [2.0, 2.0], [np.inf, 0.0]])
+        for norm in ("l_inf", "l_1"):
+            with pytest.raises(ValueError, match="finite; row 2"):
+                clip_batch(V, hull, norm)
+
+    def test_rejects_wrong_width(self):
+        hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            clip(np.zeros(3), hull)
+        for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 2, 1))):
+            with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+                clip_batch(bad, hull)
+
+    def test_rejects_wrong_width_on_degenerate_hull(self):
+        # two points in 3-D: no inscribed simplex, so every query takes the LP
+        hull = make_hull([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert hull.degenerate
+        with pytest.raises(ValueError, match=r"shape \(k, 3\)"):
+            clip_batch(np.zeros((5, 2)), hull)
+
+
+def mixed_queries(points, rng, count):
+    """Hull points, points just outside the hull and far-away points, so
+    rows of one block finish after very different numbers of pivots."""
+    t, N = points.shape
+    scale = np.ptp(points, axis=0).max()
+    vertices = points[rng.integers(0, t, size=count // 3)]
+    W = rng.dirichlet(np.ones(t), size=count // 3)
+    near = W @ points + rng.normal(scale=0.05 * scale, size=(count // 3, N))
+    far = rng.normal(scale=5.0 * scale, size=(count - 2 * (count // 3), N))
+    V = np.vstack([vertices, near, far])
+    return V[rng.permutation(count)]
+
+
+class TestLockstep:
+    """clip_batch solves blocks of rows in lockstep; each row's result must
+    be the one a block of one (clip) gives."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Record, per simplex pass, the live rows and the Bland-rule rows."""
+        from conformal_reach import hull as hull_module
+
+        log = []
+        entering = hull_module._ClipProblem.entering
+
+        def spy(self, y, basis, bland):
+            log.append((y.shape[0], int(np.count_nonzero(bland))))
+            return entering(self, y, basis, bland)
+
+        monkeypatch.setattr(hull_module._ClipProblem, "entering", spy)
+        return log
+
+    @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+    def test_batch_matches_rows_over_several_blocks(self, norm, passes):
+        from conformal_reach.hull import _CLIP_BLOCK
+
+        rng = np.random.default_rng(30)
+        pts = rng.normal(size=(60, 6))
+        pts = np.vstack([pts, pts[:20]])  # repeated generators
+        hull = make_hull(pts)
+        V = mixed_queries(pts, rng, 2 * _CLIP_BLOCK + 37)  # three blocks
+        V_hat, residuals = clip_batch(V, hull, norm)
+        # split the passes into blocks: the live count only grows when a
+        # new block starts; in each, rows leave after the first pivot and
+        # others go on for at least eight
+        live = [rows for rows, _ in passes]
+        starts = [0] + [i for i in range(1, len(live)) if live[i] > live[i - 1]]
+        assert len(starts) == 3
+        for begin, end in zip(starts, starts[1:] + [len(live)]):
+            assert live[begin + 1] < live[begin]
+            assert end - begin >= 8
+        for i in range(V.shape[0]):
+            v_hat, alpha, res = clip(V[i], hull, norm)
+            assert residuals[i] == pytest.approx(res, abs=1e-9)
+            np.testing.assert_allclose(V_hat[i], v_hat, rtol=0, atol=1e-9)
+
+    def test_degenerate_lps_reach_blands_rule(self, passes):
+        # queries at the generators of a hull whose points repeat: every
+        # pivot is degenerate, and some rows stall long enough to switch to
+        # Bland's rule
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(20, 7))
+        pts = np.vstack([pts, pts, pts[:8]])
+        hull = make_hull(pts)
+        V = pts[rng.integers(0, pts.shape[0], size=150)]
+        V_hat, residuals = clip_batch(V, hull, "l_1")
+        assert sum(bland for _, bland in passes) > 0
+        assert np.all(residuals <= 1e-9)
+        np.testing.assert_allclose(V_hat, V, rtol=0, atol=1e-9)
+        for i in range(0, V.shape[0], 5):
+            _, _, res = clip(V[i], hull, "l_1")
+            assert residuals[i] == pytest.approx(res, abs=1e-9)
+
+    def test_eta_noise_pivot_is_refactorized(self, monkeypatch):
+        # The surrogate-dark16-n10 benchmark instance of seed 3, built from
+        # the package. Refactorized only every 32 pivots, the eta-updated
+        # inverses of this block lift an exact zero of a pivot column to
+        # ~1e-11, just over the pivot tolerance; pivoting on it made the
+        # basis singular and reported row 49 (query 561) inside the hull,
+        # residual 0 against 4.787e-4. The block must match one solved
+        # with a fresh inverse at every pivot.
+        from conformal_reach import hull as hull_module
+        from conformal_reach.hull import stage_outputs
+        from conformal_reach.perturb import build_darkening
+
+        rng = np.random.default_rng(3)
+        arr = rng.uniform(0.0, 0.55, size=(16, 16, 1))
+        flat = arr.reshape(256, 1)
+        bright = rng.choice(256, size=120, replace=False)
+        flat[bright] = rng.uniform(0.65, 1.0, size=(120, 1))
+        model = random_mlp([256, 256, 768], rng)
+        spec = build_darkening(ImageTensor.from_array(arr), 0.05, rng_seed=3)
+        Y = next(stage_outputs(model, spec, 3, "train", 1000))
+        basis = deflate(Y, 10)
+        hull = HullModel.from_points(Y @ basis.matrix)
+        V = next(stage_outputs(model, spec, 3, "calib", 600))[512:576] @ basis.matrix
+        assert not hull.interior_mask(V).any()  # one block of 64 LPs
+
+        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
+        V_ref, res_ref = clip_batch(V, hull, "l_1")
+        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 32)
+        V_hat, residuals = clip_batch(V, hull, "l_1")
+        assert res_ref[49] == pytest.approx(4.787e-4, rel=1e-3)
+        np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+    def test_row_result_does_not_depend_on_neighbours(self, norm):
+        rng = np.random.default_rng(32)
+        pts = rng.normal(size=(60, 5))
+        hull = make_hull(np.vstack([pts, pts[:10]]))
+        V = mixed_queries(pts, rng, 200)
+        perm = rng.permutation(V.shape[0])
+        V_hat, residuals = clip_batch(V, hull, norm)
+        V_hat_p, residuals_p = clip_batch(V[perm], hull, norm)
+        np.testing.assert_allclose(residuals_p, residuals[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V_hat_p, V_hat[perm], rtol=0, atol=1e-12)
+
+
 class TestSurrogatePredict:
     def test_training_points_reproduced(self):
         rng = np.random.default_rng(4)
@@ -333,6 +478,50 @@ class TestSurrogateReachset:
             sidecar_path.write_text(json.dumps(bad))
             with pytest.raises(ValueError):
                 load_surrogate(tmp_path / "sr")
+
+    def test_load_rejects_hull_file_of_wrong_size(self, tmp_path):
+        rng = np.random.default_rng(17)
+        net = random_mlp([3, 8, 4], rng)
+        base = ImageTensor(1, 1, 3, np.full(3, 0.5))
+        spec = build_global_ball(base, "linf", 0.3)
+        g = guarantee_confidence(0.05, 95, 100)
+        sr = build_surrogate_reachset(
+            net, spec, train_size=80, calib_size=100, aux_size=50,
+            num_components=2, guarantee=g, seed=15,
+        )
+        save_surrogate(sr, tmp_path / "sr")
+        sidecar_path = tmp_path / "sr" / "surrogate.json"
+        good = json.loads(sidecar_path.read_text())
+        t, N = good["hull_shape"]
+        sidecar_path.write_text(json.dumps(dict(good, hull_shape=[t + 1, N])))
+        with pytest.raises(ValueError, match=r"hull_points\.f64: .* needs"):
+            load_surrogate(tmp_path / "sr")
+        sidecar_path.write_text(json.dumps(good))
+        points_path = tmp_path / "sr" / "hull_points.f64"
+        points_path.write_bytes(points_path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=r"hull_points\.f64: .* needs"):
+            load_surrogate(tmp_path / "sr")
+
+    def test_rejects_non_finite_vectors(self):
+        from conformal_reach.hull import SurrogateReachSet
+
+        hull = make_hull([[0.0, 1.0], [1.0, 0.0]])
+        basis = deflate(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
+        fields = dict(
+            error_center=np.zeros(2),
+            error_sigma=np.ones(2),
+            lift_lb=np.zeros(2),
+            lift_ub=np.ones(2),
+        )
+        for name in fields:
+            for bad in (np.nan, np.inf, -np.inf):
+                vector = fields[name].copy()
+                vector[1] = bad
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SurrogateReachSet(
+                        hull=hull, basis=basis, guarantee=guarantee_confidence(0.1, 9, 10),
+                        **dict(fields, **{name: vector}),
+                    )
 
 
 class TestProjectIntervals:

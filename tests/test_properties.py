@@ -1,0 +1,65 @@
+"""Property tests: clip invariants on random hulls, beta_cdf monotonicity."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conformal_reach.guarantees import beta_cdf
+from conformal_reach.hull import HullModel, clip
+
+# Fixed example sequence, no example database: a run reproduces exactly.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+norms = st.sampled_from(["l_inf", "l_1"])
+
+
+@st.composite
+def hull_and_point(draw):
+    t = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 4))
+    points = draw(arrays(np.float64, (t, N), elements=coordinate))
+    v = draw(arrays(np.float64, (N,), elements=st.floats(-20.0, 20.0)))
+    return points, v
+
+
+def distance(u, norm):
+    return float(np.max(np.abs(u)) if norm == "l_inf" else np.sum(np.abs(u)))
+
+
+@PROPERTY
+@given(hull_and_point(), norms)
+def test_clip_invariants(case, norm):
+    points, v = case
+    hull = HullModel.from_points(points)
+    v_hat, alpha, residual = clip(v, hull, norm)
+    scale = 1.0 + np.abs(points).max() + np.abs(v).max()
+    assert residual >= 0.0
+    # alpha lies on the simplex and reproduces v_hat
+    assert np.all(alpha >= 0.0)
+    assert abs(alpha.sum() - 1.0) <= 1e-9
+    np.testing.assert_allclose(v_hat, points.T @ alpha, rtol=0, atol=1e-12 * scale)
+    # the residual is the attained norm distance
+    assert abs(residual - distance(v - v_hat, norm)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(hull_and_point(), norms, st.data())
+def test_hull_points_are_fixed(case, norm, data):
+    points, _ = case
+    i = data.draw(st.integers(0, points.shape[0] - 1))
+    _, _, residual = clip(points[i], HullModel.from_points(points), norm)
+    assert residual <= 1e-9
+
+
+@PROPERTY
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.05, 5e3),
+    st.floats(0.05, 5e3),
+)
+def test_beta_cdf_is_monotonic(x1, x2, a, b):
+    lo, hi = min(x1, x2), max(x1, x2)
+    assert beta_cdf(lo, a, b) <= beta_cdf(hi, a, b)
