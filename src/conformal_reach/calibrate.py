@@ -60,6 +60,10 @@ class CalibrationSet:
     def __post_init__(self):
         if self.scores.ndim != 1 or self.scores.shape[0] < 1:
             raise ValueError("scores must be a non-empty vector")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError(
+                "scores must be finite: a calibration output is NaN or infinite"
+            )
         if np.any(self.scores < 0):
             raise ValueError("scores must be non-negative")
         if np.any(np.diff(self.scores) < 0):

@@ -3,11 +3,15 @@
 Directions are extracted one at a time: projected gradient ascent on the
 uncentered second-moment objective J(a) = (1/t) sum_j (a^T z_j)^2 over the
 unit sphere (a damped power iteration), then removal of the found
-component from every vector before the next round. Products are
-matrix-free against the t stored vectors; the n x n moment matrix is never
-formed. No mean subtraction anywhere: downstream algebra projects raw
-logit vectors through A, so the basis must describe second moments about
-the origin, not the mean.
+component from every vector before the next round. The n x n moment
+matrix is never formed. The iterate always lies in span{p} + rowspace(Z),
+p the round's start vector and Z the (deflated) t x n cloud, so it is kept
+as a = beta p + Z^T u and each ascent step costs one product with the
+t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
+a itself is formed once per direction. Memory: one G per direction, no
+larger than the cloud when t <= n. No mean subtraction anywhere:
+downstream algebra projects raw logit vectors through A, so the basis must
+describe second moments about the origin, not the mean.
 """
 
 from __future__ import annotations
@@ -98,21 +102,32 @@ def deflate(
     converged = np.zeros(num_components, dtype=bool)
 
     for index in range(num_components):
-        a = _initial_direction(Z, cols, n)
-        j_prev = _objective(Z, a, t)
+        # a = beta * p + Z^T u, so Z a = beta * Zp + G u
+        p = _initial_direction(Z, cols, n)
+        zp = Z @ p
+        pp = float(p @ p)
+        G = Z @ Z.T
+        beta = 1.0
+        u = np.zeros(t)
+        w = zp  # Z a
+        j_prev = float(w @ w) / t
         for it in range(1, max_iters + 1):
-            grad = 2.0 * (Z.T @ (Z @ a)) / t
-            a = a + step_size * grad / max(2.0 * j_prev, _TINY)
-            a /= np.linalg.norm(a)
-            j_cur = _objective(Z, a, t)
+            # a += step * grad / (2 J) with grad = 2 Z^T w / t
+            u = u + step_size * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
+            Gu = G @ u
+            norm = np.sqrt(beta * beta * pp + 2.0 * beta * float(zp @ u) + float(u @ Gu))
+            beta /= norm
+            u /= norm
+            w = beta * zp + Gu / norm
+            j_cur = float(w @ w) / t
             if j_cur - j_prev <= tol * max(j_prev, _TINY):
-                j_prev = max(j_cur, j_prev)
                 converged[index] = True
                 iterations[index] = it
                 break
             j_prev = j_cur
         else:
             iterations[index] = max_iters
+        a = beta * p + Z.T @ u
         # re-orthogonalize against earlier directions; this only moves a by
         # float dust but keeps the pairwise-orthogonality contract unconditional
         for prev in cols:
@@ -121,9 +136,10 @@ def deflate(
         # sign convention: largest-magnitude entry positive, comparable runs
         if a[np.argmax(np.abs(a))] < 0:
             a = -a
-        rayleigh[index] = _objective(Z, a, t)
+        w = Z @ a
+        rayleigh[index] = float(w @ w) / t
         cols.append(a)
-        Z -= np.outer(Z @ a, a)
+        Z -= np.outer(w, a)
 
     return ProjectionBasis(
         matrix=np.stack(cols, axis=1),
@@ -131,11 +147,6 @@ def deflate(
         iterations=iterations,
         converged=converged,
     )
-
-
-def _objective(Z: np.ndarray, a: np.ndarray, t: int) -> float:
-    w = Z @ a
-    return float(w @ w) / t
 
 
 def _initial_direction(Z: np.ndarray, cols, n: int) -> np.ndarray:
@@ -199,12 +210,18 @@ def load_basis(path) -> ProjectionBasis:
         try:
             n, N = int(parts[2]), int(parts[3])
         except ValueError as exc:
-            raise BasisFormatError(f"malformed basis header in {path}") from exc
+            raise BasisFormatError(f"unparsable basis size in {path}") from exc
+        if not 1 <= N <= n:
+            raise BasisFormatError(
+                f"basis size n={n}, N={N} in {path} violates 1 <= N <= n"
+            )
         payload = fh.read()
     if len(payload) != (n * N + N) * 8:
         raise BasisFormatError(f"truncated basis payload in {path}")
     matrix = np.frombuffer(payload, dtype="<f8", count=n * N).reshape((n, N), order="F")
     rayleigh = np.frombuffer(payload, dtype="<f8", count=N, offset=n * N * 8)
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rayleigh))):
+        raise BasisFormatError(f"non-finite basis entries in {path}")
     return ProjectionBasis(
         matrix=matrix.copy(),
         rayleigh=rayleigh.copy(),

@@ -152,3 +152,61 @@ def enumerate_lp_minimum(c, a_ub, b_ub) -> float:
         if np.all(rows @ x <= rhs + 1e-9):
             best = min(best, float(c @ x))
     return best
+
+
+def zspace_deflate(Z, num_components, step_size=10.0, max_iters=10_000, tol=1e-10):
+    """Deflation power ascent carried out directly on the (t, n) cloud.
+
+    Reference for ``pca.deflate``, which runs the same ascent on the t x t
+    Gram matrix: same start vector (normalized cloud sum, else the first
+    Cartesian direction with a residual against the found ones), same
+    step, stopping test, re-orthogonalization and sign convention, but
+    every product is taken against Z itself. Returns
+    (matrix, rayleigh, iterations, converged).
+    """
+    Z = np.array(Z, dtype=np.float64)
+    t, n = Z.shape
+
+    def objective(a):
+        w = Z @ a
+        return float(w @ w) / t
+
+    cols = []
+    rayleigh = np.empty(num_components)
+    iterations = np.zeros(num_components, dtype=np.int64)
+    converged = np.zeros(num_components, dtype=bool)
+    for index in range(num_components):
+        a = Z.sum(axis=0)
+        if np.linalg.norm(a) >= 1e-14:
+            a = a / np.linalg.norm(a)
+        else:
+            for k in range(n):
+                a = np.zeros(n)
+                a[k] = 1.0
+                for prev in cols:
+                    a = a - (prev @ a) * prev
+                if np.linalg.norm(a) >= 1e-8:
+                    break
+            a = a / np.linalg.norm(a)
+        j_prev = objective(a)
+        for it in range(1, max_iters + 1):
+            grad = 2.0 * (Z.T @ (Z @ a)) / t
+            a = a + step_size * grad / max(2.0 * j_prev, 1e-300)
+            a /= np.linalg.norm(a)
+            j_cur = objective(a)
+            if j_cur - j_prev <= tol * max(j_prev, 1e-300):
+                converged[index] = True
+                iterations[index] = it
+                break
+            j_prev = j_cur
+        else:
+            iterations[index] = max_iters
+        for prev in cols:
+            a = a - (prev @ a) * prev
+        a /= np.linalg.norm(a)
+        if a[np.argmax(np.abs(a))] < 0:
+            a = -a
+        rayleigh[index] = objective(a)
+        cols.append(a)
+        Z -= np.outer(Z @ a, a)
+    return np.stack(cols, axis=1), rayleigh, iterations, converged

@@ -86,6 +86,18 @@ class TestBuildCalibration:
         assert calib.rank_score(1) == pytest.approx(3.0)
 
 
+class TestCalibrationSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationSet(scores=np.array([0.5, 1.0, bad]))
+
+    def test_build_calibration_rejects_nan_output(self):
+        cs = center_and_scales(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            build_calibration(np.array([[1.0, 2.0], [np.nan, 2.0], [0.5, 2.5]]), cs)
+
+
 class TestNaiveReachset:
     def test_hand_box(self):
         cs = center_and_scales(np.array([[-1.0, -3.0], [1.0, 3.0]]))  # c=0, tau=[1,3]

@@ -17,24 +17,11 @@ import numpy as np
 import pytest
 
 from conformal_reach.model import ImageTensor, random_mlp
-from conformal_reach.perturb import build_darkening
+from conformal_reach.perturb import build_darkening, build_global_ball
 from conformal_reach.verify import run_naive_pipeline, run_surrogate_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-9
-
-# name -> (pipeline, keyword arguments of the pipeline call)
-CASES = {
-    "naive": ("naive", dict(train_size=300, calib_size=600, epsilon=0.05, rank_ell=590, seed=21)),
-    "surrogate-linf": ("surrogate", dict(
-        train_size=200, calib_size=400, aux_size=150, num_components=4,
-        epsilon=0.05, rank_ell=390, seed=22, norm="l_inf",
-    )),
-    "surrogate-l1": ("surrogate", dict(
-        train_size=200, calib_size=400, aux_size=150, num_components=4,
-        epsilon=0.05, rank_ell=390, seed=23, norm="l_1",
-    )),
-}
 
 
 def golden_inputs():
@@ -51,9 +38,39 @@ def golden_inputs():
     return model, spec
 
 
+def ball_inputs():
+    """8x8 RGB image, a 192-64-256 random MLP (4 classes) and a global l2
+    ball of radius 0.5: n = 256 outputs, more than the 100 training
+    samples of its case, so deflation runs with t < n."""
+    rng = np.random.default_rng(2025)
+    image = ImageTensor.from_array(rng.uniform(0.0, 1.0, size=(8, 8, 3)))
+    model = random_mlp([192, 64, 256], rng)
+    return model, build_global_ball(image, "l2", 0.5)
+
+
+# name -> (pipeline, inputs, keyword arguments of the pipeline call)
+CASES = {
+    "naive": ("naive", golden_inputs, dict(
+        train_size=300, calib_size=600, epsilon=0.05, rank_ell=590, seed=21,
+    )),
+    "surrogate-linf": ("surrogate", golden_inputs, dict(
+        train_size=200, calib_size=400, aux_size=150, num_components=4,
+        epsilon=0.05, rank_ell=390, seed=22, norm="l_inf",
+    )),
+    "surrogate-l1": ("surrogate", golden_inputs, dict(
+        train_size=200, calib_size=400, aux_size=150, num_components=4,
+        epsilon=0.05, rank_ell=390, seed=23, norm="l_1",
+    )),
+    "surrogate-ball-t-lt-n": ("surrogate", ball_inputs, dict(
+        train_size=100, calib_size=400, aux_size=100, num_components=4,
+        epsilon=0.05, rank_ell=390, seed=24, norm="l_inf",
+    )),
+}
+
+
 def run_case(name):
-    pipeline, kwargs = CASES[name]
-    model, spec = golden_inputs()
+    pipeline, inputs, kwargs = CASES[name]
+    model, spec = inputs()
     if pipeline == "naive":
         reachset, mask, _ = run_naive_pipeline(model, spec, **kwargs)
     else:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conformal_reach.pca import (
+    BasisFormatError,
     ProjectionBasis,
     deflate,
     lift,
@@ -9,6 +10,7 @@ from conformal_reach.pca import (
     reduce,
     save_basis,
 )
+from oracles import zspace_deflate
 
 
 def principal_angles(A, B):
@@ -125,6 +127,60 @@ class TestDeflate:
             deflate(Z, 1)
 
 
+class TestGramAscentMatchesZSpace:
+    """``deflate`` runs the ascent on the t x t Gram matrix; the oracle runs
+    it on the t x n cloud. Both must take the same steps."""
+
+    def assert_matches_oracle(self, Z, N, **knobs):
+        basis = deflate(Z, N, **knobs)
+        matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **knobs)
+        np.testing.assert_array_equal(basis.iterations, iterations)
+        np.testing.assert_array_equal(basis.converged, converged)
+        np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
+
+    def test_fewer_samples_than_dimensions(self):
+        rng = np.random.default_rng(20)
+        Z = rng.normal(size=(25, 60)) * np.linspace(3.0, 0.2, 60) + 0.4
+        self.assert_matches_oracle(Z, 5)
+
+    def test_more_samples_than_dimensions(self):
+        rng = np.random.default_rng(21)
+        Z = rng.normal(size=(200, 12)) * np.linspace(3.0, 0.2, 12) + 0.4
+        self.assert_matches_oracle(Z, 6)
+
+    def test_vanishing_sum_uses_cartesian_start(self):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(10, 8)) * np.linspace(3.0, 0.2, 8)
+        Z = np.stack([X, -X], axis=1).reshape(20, 8)  # x1, -x1, x2, -x2, ...
+        assert np.all(Z.sum(axis=0) == 0.0)
+        self.assert_matches_oracle(Z, 4)
+
+    def test_iteration_cap_with_cartesian_start(self):
+        # stopped after three short steps, the start vector's share of each
+        # direction is still large
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(6, 30)) * np.linspace(3.0, 0.2, 30)
+        Z = np.stack([X, -X], axis=1).reshape(12, 30)
+        self.assert_matches_oracle(Z, 3, step_size=0.5, max_iters=3)
+        assert not np.any(deflate(Z, 3, step_size=0.5, max_iters=3).converged)
+
+    def test_rank_deficient_cloud(self):
+        # rank 3, six directions asked: the last three come from a cloud
+        # that deflation has reduced to rounding noise
+        rng = np.random.default_rng(23)
+        Z = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 12))
+        basis = deflate(Z, 6)
+        assert np.all(np.isfinite(basis.matrix))
+        assert np.all(np.isfinite(basis.rayleigh))
+        np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(6), atol=1e-10)
+        assert np.all(basis.rayleigh[3:] < 1e-20 * basis.rayleigh[0])
+        matrix, rayleigh, iterations, converged = zspace_deflate(Z, 3)
+        np.testing.assert_array_equal(basis.iterations[:3], iterations)
+        np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)
+
+
 class TestReduceLift:
     @pytest.fixture
     def basis(self):
@@ -170,3 +226,34 @@ def test_basis_round_trip(tmp_path):
     loaded = load_basis(path)
     np.testing.assert_array_equal(loaded.matrix, basis.matrix)
     np.testing.assert_array_equal(loaded.rayleigh, basis.rayleigh)
+
+
+def write_container(path, header, values):
+    path.write_bytes(header + np.asarray(values, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("n, N", [(0, 0), (-1, 2), (3, 0), (2, 3)])
+def test_load_rejects_out_of_range_size(tmp_path, n, N):
+    path = tmp_path / "basis.pca"
+    write_container(path, f"PCA v1 {n} {N}\n".encode(), np.ones(max(n * N + N, 0)))
+    with pytest.raises(BasisFormatError, match="basis.pca"):
+        load_basis(path)
+
+
+@pytest.mark.parametrize("size", [b"x 2", b"2.5 1", b"2 0x1"])
+def test_load_rejects_unparsable_size(tmp_path, size):
+    path = tmp_path / "basis.pca"
+    write_container(path, b"PCA v1 " + size + b"\n", np.ones(3))
+    with pytest.raises(BasisFormatError, match="basis.pca"):
+        load_basis(path)
+
+
+@pytest.mark.parametrize("index, value", [(0, np.nan), (3, np.inf), (4, np.nan), (5, -np.inf)])
+def test_load_rejects_non_finite_entries(tmp_path, index, value):
+    # n = 2, N = 2: entries 0-3 are the matrix, 4-5 the rayleigh values
+    values = np.array([1.0, 0.0, 0.0, 1.0, 2.0, 1.0])
+    values[index] = value
+    path = tmp_path / "basis.pca"
+    write_container(path, b"PCA v1 2 2\n", values)
+    with pytest.raises(BasisFormatError, match="basis.pca"):
+        load_basis(path)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conformal_reach import verify
 from conformal_reach.guarantees import guarantee_confidence
+from conformal_reach.hull import PipelineStageError
 from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.perturb import (
     PerturbationSpec,
@@ -186,6 +188,25 @@ class TestNaivePipeline:
         np.testing.assert_array_equal(r1.sigma, r2.sigma)
         assert man1["rank_score"] == man2["rank_score"]
         assert status_pgm_bytes(m1) == status_pgm_bytes(m2)
+
+    def test_nan_calibration_output_fails_calibrate_stage(self, monkeypatch):
+        model, base = synthetic_ssn_4x4()
+        spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
+        real = verify.stage_outputs
+
+        def one_nan_in_calib(model, spec, seed, stage, count):
+            for Y in real(model, spec, seed, stage, count):
+                if stage == "calib":
+                    Y = Y.copy()
+                    Y[0, 0] = np.nan
+                yield Y
+
+        monkeypatch.setattr(verify, "stage_outputs", one_nan_in_calib)
+        with pytest.raises(PipelineStageError, match="^calibrate: .*finite"):
+            run_naive_pipeline(
+                model, spec, train_size=100, calib_size=200, epsilon=0.05,
+                rank_ell=190, seed=8,
+            )
 
 
 class TestSurrogatePipeline:
