@@ -23,6 +23,7 @@ __all__ = [
     "nonconformity",
     "nonconformity_batch",
     "build_calibration",
+    "stream_calibration",
     "naive_reachset",
 ]
 
@@ -30,6 +31,11 @@ __all__ = [
 # all-identical training cloud makes tau* itself zero; this absolute floor
 # keeps the division defined in that degenerate case.
 TAU_ABSOLUTE_FLOOR = 1e-12
+
+# Rows whose deviations are formed at once when scoring: a (64, n) block
+# stays in cache for n up to about 16k, so the elementwise passes over it
+# do not go out to memory. Scores do not depend on it.
+_SCORE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,8 @@ def center_and_scales(train_outputs: np.ndarray) -> CenterScale:
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValueError("train_outputs must be a non-empty (t, n) array")
     c = y.mean(axis=0)
-    dev = np.abs(y - c)
+    dev = y - c
+    np.abs(dev, out=dev)
     tau_star = 1e-5 * dev.sum() / (y.shape[0] * y.shape[1])
     degenerate = False
     if tau_star < TAU_ABSOLUTE_FLOOR:
@@ -130,8 +137,24 @@ def nonconformity(y: np.ndarray, cs: CenterScale) -> float:
 
 
 def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
-    """Scores for a (k, n) batch of outputs."""
-    return np.max(np.abs(ys - cs.center) / cs.tau, axis=1)
+    """Scores for a (k, n) batch of outputs.
+
+    Deviations are formed in place, one reused block of rows at a time,
+    so scoring holds O(n) beyond its input; each row's score is the same
+    whatever the blocking.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    k = ys.shape[0]
+    scores = np.empty(k)
+    buf = np.empty((min(k, _SCORE_ROWS),) + ys.shape[1:])
+    for start in range(0, k, _SCORE_ROWS):
+        block = ys[start : start + _SCORE_ROWS]
+        dev = buf[: block.shape[0]]
+        np.subtract(block, cs.center, out=dev)
+        np.abs(dev, out=dev)
+        np.divide(dev, cs.tau, out=dev)
+        np.max(dev, axis=1, out=scores[start : start + _SCORE_ROWS])
+    return scores
 
 
 def build_calibration(
@@ -141,8 +164,20 @@ def build_calibration(
     ys = np.asarray(outputs, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1:
         raise ValueError("outputs must be a non-empty (m, n) array")
-    scores = nonconformity_batch(ys, cs)
-    return CalibrationSet(scores=np.sort(scores, kind="stable"), source=source)
+    return stream_calibration([ys], cs, source)
+
+
+def stream_calibration(
+    blocks, cs: CenterScale, source: str = "raw-outputs"
+) -> CalibrationSet:
+    """``build_calibration`` of the stacked blocks, scoring each (k, n)
+    block as it arrives so the (m, n) outputs are never held at once."""
+    scores = []
+    for Y in blocks:
+        scores.append(nonconformity_batch(Y, cs))
+        del Y  # free this block before the stream builds the next
+    scores = np.sort(np.concatenate(scores), kind="stable")
+    return CalibrationSet(scores=scores, source=source)
 
 
 def naive_reachset(

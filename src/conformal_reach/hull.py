@@ -539,6 +539,10 @@ def build_surrogate_reachset(
 # ---------------------------------------------------------------------------
 
 
+# Version of the surrogate.json layout; a loader accepts only its own.
+SURROGATE_FORMAT = 1
+
+
 def save_surrogate(sr: SurrogateReachSet, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     save_basis(sr.basis, os.path.join(directory, "basis.pca"))
@@ -546,6 +550,7 @@ def save_surrogate(sr: SurrogateReachSet, directory) -> None:
         os.path.join(directory, "hull_points.f64")
     )
     sidecar = {
+        "format": SURROGATE_FORMAT,
         "hull_shape": list(sr.hull.points.shape),
         "error_center": sr.error_center.tolist(),
         "error_sigma": sr.error_sigma.tolist(),
@@ -558,8 +563,14 @@ def save_surrogate(sr: SurrogateReachSet, directory) -> None:
 
 
 def load_surrogate(directory) -> SurrogateReachSet:
-    with open(os.path.join(directory, "surrogate.json")) as fh:
+    sidecar_path = os.path.join(directory, "surrogate.json")
+    with open(sidecar_path) as fh:
         sidecar = json.load(fh)
+    if sidecar.get("format") != SURROGATE_FORMAT:
+        raise ValueError(
+            f"{sidecar_path}: format {sidecar.get('format')!r}, "
+            f"expected {SURROGATE_FORMAT}"
+        )
     basis = load_basis(os.path.join(directory, "basis.pca"))
     t, N = sidecar["hull_shape"]
     points_path = os.path.join(directory, "hull_points.f64")

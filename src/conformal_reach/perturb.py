@@ -4,9 +4,12 @@ A perturbation set is a base image plus noise directions with a coefficient
 box: adversarial images are x + sum_i lambda(i) * noise_i. Three builders
 are provided: the darkening adversary (dim bright pixels channel-wise), and
 global l2 / l-inf balls whose noise basis is the identity and therefore
-never materialized. Perturbed intensities are deliberately not clamped to
-[0, 1]: the darkening construction is in-range by design, and clamping
-would destroy the affine structure the surrogate model relies on.
+never materialized. A darkening noise image has exactly one nonzero, so the
+set is stored as a signed selection, one (flat input index, value) pair per
+coefficient, and applied by scatter: memory and work grow with r, never
+with r * n0. Perturbed intensities are deliberately not clamped to [0, 1]:
+the darkening construction is in-range by design, and clamping would
+destroy the affine structure the surrogate model relies on.
 """
 
 from __future__ import annotations
@@ -41,14 +44,18 @@ DEFAULT_INTENSITY_THRESHOLD = 150.0 / 255.0
 class PerturbationSpec:
     """Immutable description of the input set I and its sampling law.
 
-    ``noise_matrix`` holds the r noise images as rows, flattened; ``None``
-    means the implicit identity basis of a global ball (r = n0). Bounds are
-    the componentwise coefficient box; for balls the box is the enclosing
-    [-e, e] cube and membership additionally requires the norm constraint.
+    Noise image i is zero except at flat input index ``noise_index[i]``,
+    where it equals ``noise_value[i]``; indices are distinct, so image k of
+    a batch is x plus ``lambda_k[i] * noise_value[i]`` at ``noise_index[i]``.
+    Both are ``None`` for the implicit identity basis of a global ball
+    (r = n0). Bounds are the componentwise coefficient box; for balls the
+    box is the enclosing [-e, e] cube and membership additionally requires
+    the norm constraint.
     """
 
     base_image: ImageTensor
-    noise_matrix: Optional[np.ndarray]
+    noise_index: Optional[np.ndarray]
+    noise_value: Optional[np.ndarray]
     lambda_lower: np.ndarray
     lambda_upper: np.ndarray
     distribution: str
@@ -63,9 +70,25 @@ class PerturbationSpec:
             raise ValueError("lambda bound shapes differ")
         if np.any(self.lambda_lower > self.lambda_upper):
             raise ValueError("lambda_lower must be <= lambda_upper componentwise")
-        if self.noise_matrix is not None:
-            if self.noise_matrix.shape != (self.dim, self.base_image.size):
-                raise ValueError("noise matrix shape disagrees with base image")
+        idx, val = self.noise_index, self.noise_value
+        if (idx is None) != (val is None):
+            raise ValueError("give both noise_index and noise_value, or neither")
+        if idx is None:
+            return
+        r = (self.dim,)
+        if idx.shape != r or val.shape != r:
+            raise ValueError(
+                f"noise_index {idx.shape} and noise_value {val.shape} "
+                f"must have shape {r}"
+            )
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"noise_index must be integer, got {idx.dtype}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.base_image.size):
+            raise ValueError(f"noise_index outside [0, {self.base_image.size})")
+        if np.unique(idx).size != idx.size:
+            raise ValueError("noise_index entries must be distinct")
+        if not np.all(np.isfinite(val)):
+            raise ValueError("noise_value must be finite")
 
     @property
     def dim(self) -> int:
@@ -84,6 +107,16 @@ class PerturbationSpec:
             and np.all(lam <= self.lambda_upper + atol)
         )
 
+    @property
+    def noise_matrix(self) -> Optional[np.ndarray]:
+        """Dense (r, n0) noise images, built on every access for readers
+        that want the explicit form; ``None`` for the implicit basis."""
+        if self.noise_index is None:
+            return None
+        dense = np.zeros((self.dim, self.base_image.size))
+        dense[np.arange(self.dim), self.noise_index] = self.noise_value
+        return dense
+
 
 def apply(spec: PerturbationSpec, lam: np.ndarray) -> ImageTensor:
     """Adversarial image x + sum_i lambda(i) noise_i for one coefficient
@@ -99,11 +132,18 @@ def apply(spec: PerturbationSpec, lam: np.ndarray) -> ImageTensor:
 
 
 def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
-    """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images."""
+    """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images.
+
+    Each selected index gets base + lambda * value and every other index
+    keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
+    product adds only exact zeros to the one nonzero term."""
     base = spec.base_image.data
-    if spec.noise_matrix is None:
+    if spec.noise_index is None:
         return base[None, :] + lams
-    return base[None, :] + lams @ spec.noise_matrix
+    idx = spec.noise_index
+    X = np.repeat(base[None, :], lams.shape[0], axis=0)
+    X[:, idx] = base[idx] + lams * spec.noise_value
+    return X
 
 
 def build_darkening(
@@ -163,11 +203,10 @@ def _darkening(x: ImageTensor, pixels, **fields) -> PerturbationSpec:
     nc = x.channels
     flat_pixels = pixels[:, 0] * x.width + pixels[:, 1]
     cols = (flat_pixels[:, None] * nc + np.arange(nc)).reshape(-1)
-    noise = np.zeros((cols.size, x.size))
-    noise[np.arange(cols.size), cols] = -x.data[cols]
     return PerturbationSpec(
         base_image=x,
-        noise_matrix=noise,
+        noise_index=cols,
+        noise_value=-x.data[cols],
         distribution=UNIFORM_BOX,
         selected_pixels=tuple((int(i), int(j)) for i, j in pixels),
         **fields,
@@ -192,7 +231,8 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
     e = float(radius)
     return PerturbationSpec(
         base_image=x,
-        noise_matrix=None,
+        noise_index=None,
+        noise_value=None,
         lambda_lower=np.full(n0, -e),
         lambda_upper=np.full(n0, e),
         distribution=dist,
@@ -255,16 +295,52 @@ def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:
 
 
 def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationSpec:
-    """Rebuild a spec from its manifest plus the base image it references."""
+    """Rebuild a spec from its manifest plus the base image it references.
+
+    The manifest's image shape must be the base image's, and a darkening
+    manifest must select distinct pixels inside the image and give one
+    coefficient bound per selected (pixel, channel); otherwise a ValueError
+    names the offending field.
+    """
+    shape = [base_image.height, base_image.width, base_image.channels]
+    if list(manifest["image_shape"]) != shape:
+        raise ValueError(
+            f"image_shape {manifest['image_shape']} disagrees with "
+            f"the base image {shape}"
+        )
     dist = manifest["distribution"]
     if dist in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL):
         norm = "l2" if dist == UNIFORM_L2_BALL else "linf"
         return build_global_ball(base_image, norm, manifest["radius"])
+    h, w = shape[:2]
+    pixels = np.asarray(manifest["selected_pixels"], dtype=np.int64)
+    if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] != 2:
+        raise ValueError("selected_pixels must be a non-empty list of [row, col] pairs")
+    outside = (pixels < 0).any(axis=1) | (pixels[:, 0] >= h) | (pixels[:, 1] >= w)
+    if outside.any():
+        i, j = pixels[np.argmax(outside)]
+        raise ValueError(
+            f"selected_pixels: pixel ({i}, {j}) lies outside the {h}x{w} image"
+        )
+    flat, counts = np.unique(pixels[:, 0] * w + pixels[:, 1], return_counts=True)
+    if np.any(counts > 1):
+        i, j = divmod(int(flat[np.argmax(counts > 1)]), w)
+        raise ValueError(
+            f"selected_pixels: pixel ({i}, {j}) is selected more than once"
+        )
+    r = pixels.shape[0] * base_image.channels
+    bounds = {}
+    for key in ("lambda_lower", "lambda_upper"):
+        bounds[key] = np.asarray(manifest[key], dtype=np.float64)
+        if bounds[key].shape != (r,):
+            raise ValueError(
+                f"{key} has shape {bounds[key].shape}, but {pixels.shape[0]} pixels "
+                f"x {base_image.channels} channels need ({r},)"
+            )
     return _darkening(
         base_image,
-        manifest["selected_pixels"],
-        lambda_lower=np.asarray(manifest["lambda_lower"], dtype=np.float64),
-        lambda_upper=np.asarray(manifest["lambda_upper"], dtype=np.float64),
+        pixels,
+        **bounds,
         intensity_threshold=manifest["intensity_threshold"],
         min_darkening=manifest["min_darkening"],
         selection_seed=manifest["selection_seed"],

@@ -15,9 +15,9 @@ import numpy as np
 
 from .calibrate import (
     HyperRectReachSet,
-    build_calibration,
     center_and_scales,
     naive_reachset,
+    stream_calibration,
 )
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .hull import PipelineStageError, build_surrogate_reachset, stage_outputs
@@ -168,15 +168,14 @@ def run_naive_pipeline(
     h, w, L = _logit_shape(model, spec)
     guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
 
-    def outputs(stage_name, count):
-        return np.vstack(list(stage_outputs(model, spec, seed, stage_name, count)))
-
     try:
-        cs = center_and_scales(outputs("train", train_size))
+        train = stage_outputs(model, spec, seed, "train", train_size)
+        cs = center_and_scales(np.vstack(list(train)))
     except Exception as exc:
         raise PipelineStageError(f"train: {exc}") from exc
     try:
-        calib = build_calibration(outputs("calib", calib_size), cs)
+        calib_outputs = stage_outputs(model, spec, seed, "calib", calib_size)
+        calib = stream_calibration(calib_outputs, cs)
     except Exception as exc:
         raise PipelineStageError(f"calibrate: {exc}") from exc
     reachset = naive_reachset(calib, cs, guarantee)
@@ -266,6 +265,7 @@ def conservatism_audit(
         misses += int(np.sum(np.any((Y < y_lo) | (Y > y_hi), axis=1)))
         emp_lo = np.minimum(emp_lo, Y.min(axis=0))
         emp_hi = np.maximum(emp_hi, Y.max(axis=0))
+        del Y  # free this block before the stream builds the next
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

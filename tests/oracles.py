@@ -132,6 +132,20 @@ def darkening_grid_rv(model, spec, h, w, L, grid_n=101):
     return 100.0 * float(robust.sum()) / (h * w), robust
 
 
+def dense_darkening_matrix(image, pixels) -> np.ndarray:
+    """(r, n0) darkening noise matrix written out entry by entry: one row
+    per (pixel, channel), pixel-major, holding minus that channel's value
+    at that pixel and zero everywhere else."""
+    arr = image.as_array()
+    rows = []
+    for i, j in pixels:
+        for ch in range(arr.shape[2]):
+            row = np.zeros(arr.shape)
+            row[i, j, ch] = -arr[i, j, ch]
+            rows.append(row.reshape(-1))
+    return np.array(rows)
+
+
 def enumerate_lp_minimum(c, a_ub, b_ub) -> float:
     """Exhaustive vertex enumeration for min c'x, a_ub x <= b_ub, x >= 0.
 

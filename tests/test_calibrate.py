@@ -66,6 +66,14 @@ class TestNonconformity:
         for i, y in enumerate(ys):
             assert batch[i] == nonconformity(y, cs)
 
+    def test_batch_agrees_with_scalar_across_row_blocks(self):
+        # 150 rows: two full scoring blocks and a partial one
+        rng = np.random.default_rng(2)
+        cs = center_and_scales(rng.normal(size=(10, 300)))
+        ys = rng.normal(size=(150, 300))
+        expected = [nonconformity(y, cs) for y in ys]
+        np.testing.assert_array_equal(nonconformity_batch(ys, cs), expected)
+
 
 class TestBuildCalibration:
     def test_sorting(self):

@@ -294,6 +294,16 @@ class TestLockstep:
         np.testing.assert_allclose(V_hat_p, V_hat[perm], rtol=0, atol=1e-12)
 
 
+def small_surrogate(seed):
+    """Surrogate reachset of a 3 -> 4 network under an l-inf ball."""
+    net = random_mlp([3, 8, 4], np.random.default_rng(seed))
+    spec = build_global_ball(ImageTensor(1, 1, 3, np.full(3, 0.5)), "linf", 0.3)
+    return build_surrogate_reachset(
+        net, spec, train_size=80, calib_size=100, aux_size=50,
+        num_components=2, guarantee=guarantee_confidence(0.05, 95, 100), seed=15,
+    )
+
+
 class TestSurrogatePredict:
     def test_training_points_reproduced(self):
         rng = np.random.default_rng(4)
@@ -500,6 +510,27 @@ class TestSurrogateReachset:
         points_path = tmp_path / "sr" / "hull_points.f64"
         points_path.write_bytes(points_path.read_bytes()[:-3])
         with pytest.raises(ValueError, match=r"hull_points\.f64: .* needs"):
+            load_surrogate(tmp_path / "sr")
+
+    def test_sidecar_format_round_trip(self, tmp_path):
+        sr = small_surrogate(18)
+        save_surrogate(sr, tmp_path / "sr")
+        sidecar = json.loads((tmp_path / "sr" / "surrogate.json").read_text())
+        assert sidecar["format"] == 1
+        loaded = load_surrogate(tmp_path / "sr")
+        np.testing.assert_array_equal(loaded.project_intervals(), sr.project_intervals())
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_load_rejects_missing_or_wrong_format(self, tmp_path, version):
+        save_surrogate(small_surrogate(19), tmp_path / "sr")
+        sidecar_path = tmp_path / "sr" / "surrogate.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        if version is None:
+            del sidecar["format"]
+        else:
+            sidecar["format"] = version
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=r"surrogate\.json: format"):
             load_surrogate(tmp_path / "sr")
 
     def test_rejects_non_finite_vectors(self):

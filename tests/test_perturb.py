@@ -3,6 +3,8 @@ import pytest
 
 from conformal_reach.model import ImageTensor
 from conformal_reach.perturb import (
+    UNIFORM_BOX,
+    PerturbationSpec,
     apply,
     apply_batch,
     build_darkening,
@@ -12,6 +14,8 @@ from conformal_reach.perturb import (
     spec_from_manifest,
     spec_manifest,
 )
+
+from oracles import dense_darkening_matrix, synthetic_ssn_4x4
 
 THRESH = 150.0 / 255.0
 
@@ -152,11 +156,10 @@ class TestSample:
         img = bright_2x2()
         lo = np.array([0.3, 0.4])
         spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=1)
-        from conformal_reach.perturb import PerturbationSpec, UNIFORM_BOX
-
         frozen = PerturbationSpec(
             base_image=img,
-            noise_matrix=spec.noise_matrix,
+            noise_index=spec.noise_index,
+            noise_value=spec.noise_value,
             lambda_lower=lo,
             lambda_upper=lo,
             distribution=UNIFORM_BOX,
@@ -189,3 +192,154 @@ def test_manifest_round_trip():
     np.testing.assert_array_equal(
         sample_lambdas(rebuilt2, 7, 18), sample_lambdas(ball, 7, 18)
     )
+
+
+def darkening_image(h, w, nc, bright, seed):
+    """Image whose ``bright`` random pixels beat the threshold in every
+    channel and whose other pixels fall below it."""
+    rng = np.random.default_rng(seed)
+    flat = rng.uniform(0.0, 0.55, size=(h * w, nc))
+    picked = rng.choice(h * w, size=bright, replace=False)
+    flat[picked] = rng.uniform(0.65, 1.0, size=(bright, nc))
+    return ImageTensor.from_array(flat.reshape(h, w, nc))
+
+
+class TestScatterMatchesDense:
+    """apply_batch against base + lams @ dense, the dense matrix built by
+    the oracle from the selected pixels alone."""
+
+    @pytest.mark.parametrize(
+        "shape, bright, fraction, r",
+        [((2, 2, 1), None, 1.0, 2), ((16, 16, 1), 120, 0.05, 6), ((64, 64, 3), 820, 0.10, 246)],
+    )
+    def test_darkening(self, shape, bright, fraction, r):
+        img = bright_2x2() if bright is None else darkening_image(*shape, bright, seed=r)
+        spec = build_darkening(img, fraction, rng_seed=21)
+        assert spec.dim == r
+        dense = dense_darkening_matrix(img, spec.selected_pixels)
+        rng = np.random.default_rng(22)
+        # box draws, plus arbitrary signs and exact zeros outside the box
+        lams = np.vstack([
+            sample_lambdas(spec, 16, rng),
+            rng.standard_normal((4, r)),
+            np.zeros((1, r)),
+        ])
+        np.testing.assert_array_equal(apply_batch(spec, lams), img.data + lams @ dense)
+
+    @pytest.mark.parametrize(
+        "base, darkening_seed, lo",
+        [
+            (synthetic_ssn_4x4()[1], 3, np.zeros(2)),
+            (synthetic_ssn_4x4()[1], 9, np.zeros(2)),
+            (bright_2x2(), 1, np.array([0.3, 0.4])),
+        ],
+    )
+    def test_frozen_box(self, base, darkening_seed, lo):
+        # the zero-width boxes of the pipeline and sampling tests
+        spec = build_darkening(base, 1.0, min_darkening=0.05, rng_seed=darkening_seed)
+        frozen = PerturbationSpec(
+            base_image=base,
+            noise_index=spec.noise_index,
+            noise_value=spec.noise_value,
+            lambda_lower=lo,
+            lambda_upper=lo,
+            distribution=UNIFORM_BOX,
+        )
+        lams = sample_lambdas(frozen, 5, 23)
+        dense = dense_darkening_matrix(base, spec.selected_pixels)
+        np.testing.assert_array_equal(apply_batch(frozen, lams), base.data + lams @ dense)
+
+    def test_noise_matrix_is_the_dense_form(self):
+        img = darkening_image(16, 16, 1, 120, seed=6)
+        spec = build_darkening(img, 0.05, rng_seed=24)
+        np.testing.assert_array_equal(
+            spec.noise_matrix, dense_darkening_matrix(img, spec.selected_pixels)
+        )
+
+
+class TestSelectionValidation:
+    def spec_with(self, index, value):
+        return PerturbationSpec(
+            base_image=bright_2x2(),
+            noise_index=index,
+            noise_value=value,
+            lambda_lower=np.zeros(2),
+            lambda_upper=np.ones(2),
+            distribution=UNIFORM_BOX,
+        )
+
+    def test_accepts_valid_selection(self):
+        spec = self.spec_with(np.array([3, 0]), np.array([-0.2, -0.9]))
+        assert spec.dim == 2
+
+    @pytest.mark.parametrize(
+        "index, value, match",
+        [
+            (np.array([0]), np.array([-0.9, -0.8]), "shape"),
+            (np.array([0, 2]), np.array([-0.9]), "shape"),
+            (np.array([0, 2, 3]), np.array([-0.9, -0.8, -0.2]), "shape"),
+            (np.array([-1, 2]), np.array([-0.9, -0.8]), "outside"),
+            (np.array([0, 4]), np.array([-0.9, -0.8]), "outside"),
+            (np.array([2, 2]), np.array([-0.9, -0.8]), "distinct"),
+            (np.array([0, 2]), np.array([-0.9, np.nan]), "finite"),
+            (np.array([0, 2]), np.array([np.inf, -0.8]), "finite"),
+            (np.array([0.0, 2.0]), np.array([-0.9, -0.8]), "integer"),
+            (np.array([0, 2]), None, "neither"),
+            (None, np.array([-0.9, -0.8]), "neither"),
+        ],
+    )
+    def test_rejects_bad_selection(self, index, value, match):
+        with pytest.raises(ValueError, match=match):
+            self.spec_with(index, value)
+
+
+class TestManifestValidation:
+    def manifest(self):
+        arr = np.full((3, 3), 0.1)
+        arr[0, 2] = arr[1, 1] = arr[2, 0] = 0.9
+        img = ImageTensor.from_array(arr)
+        spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=25)
+        assert spec.dim == 3
+        return spec_manifest(spec, "base.pgm"), img
+
+    def test_valid_manifest_loads(self):
+        man, img = self.manifest()
+        assert spec_from_manifest(man, img).selected_pixels == ((0, 2), (1, 1), (2, 0))
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            [[1, -1], [1, 1], [2, 0]],  # flat index 2 would alias pixel (0, 2)
+            [[0, 2], [3, 0], [2, 0]],
+            [[0, 2], [1, 3], [2, 0]],
+            [[-1, 2], [1, 1], [2, 0]],
+        ],
+    )
+    def test_rejects_pixel_outside_image(self, pixels):
+        man, img = self.manifest()
+        with pytest.raises(ValueError, match="selected_pixels: .* outside the 3x3 image"):
+            spec_from_manifest(dict(man, selected_pixels=pixels), img)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 3, 3)])
+    def test_rejects_other_image_shape(self, shape):
+        # pixels of the 3x3 manifest also fit these images
+        man, _ = self.manifest()
+        other = ImageTensor.from_array(np.full(shape, 0.9))
+        with pytest.raises(ValueError, match=r"^image_shape \[3, 3, 1\] disagrees"):
+            spec_from_manifest(man, other)
+        ball = spec_manifest(build_global_ball(bright_2x2(), "l2", 0.1))
+        with pytest.raises(ValueError, match="^image_shape"):
+            spec_from_manifest(ball, other)
+
+    def test_rejects_duplicate_pixel(self):
+        man, img = self.manifest()
+        with pytest.raises(ValueError, match=r"selected_pixels: pixel \(1, 1\) .* more than once"):
+            spec_from_manifest(dict(man, selected_pixels=[[0, 2], [1, 1], [1, 1]]), img)
+
+    @pytest.mark.parametrize("key", ["lambda_lower", "lambda_upper"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rejects_bound_of_wrong_length(self, key, length):
+        man, img = self.manifest()
+        bad = dict(man, **{key: (man[key] * 2)[:length]})
+        with pytest.raises(ValueError, match=f"^{key} .* 3 pixels x 1 channels"):
+            spec_from_manifest(bad, img)

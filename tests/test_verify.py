@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conformal_reach import verify
+from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
-from conformal_reach.hull import PipelineStageError
+from conformal_reach.hull import PIPELINE_CHUNK, PipelineStageError, stage_outputs
 from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.perturb import (
     PerturbationSpec,
@@ -148,7 +149,8 @@ class TestNaivePipeline:
         spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=3)
         frozen = PerturbationSpec(
             base_image=base,
-            noise_matrix=spec.noise_matrix,
+            noise_index=spec.noise_index,
+            noise_value=spec.noise_value,
             lambda_lower=np.zeros(2),
             lambda_upper=np.zeros(2),
             distribution=UNIFORM_BOX,
@@ -189,6 +191,29 @@ class TestNaivePipeline:
         assert man1["rank_score"] == man2["rank_score"]
         assert status_pgm_bytes(m1) == status_pgm_bytes(m2)
 
+    def test_streamed_calibration_matches_stacked(self):
+        # two calib blocks: scoring each on arrival equals scoring the stack
+        model, base = synthetic_ssn_4x4()
+        spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=5)
+        m, ell = PIPELINE_CHUNK + 808, PIPELINE_CHUNK + 700
+        reachset, mask, manifest = run_naive_pipeline(
+            model, spec, train_size=400, calib_size=m, epsilon=0.02,
+            rank_ell=ell, seed=6,
+        )
+        blocks = list(stage_outputs(model, spec, 6, "calib", m))
+        assert [b.shape[0] for b in blocks] == [PIPELINE_CHUNK, 808]
+        cs = center_and_scales(np.vstack(list(stage_outputs(model, spec, 6, "train", 400))))
+        calib = build_calibration(np.vstack(blocks), cs)
+        g = guarantee_confidence(0.02, ell, m)
+        stacked = naive_reachset(calib, cs, g)
+        lo, hi = stacked.project_intervals()
+        status = pixel_status(
+            lo.reshape(4, 4, 3), hi.reshape(4, 4, 3), mask.baseline_mask, g
+        ).status
+        assert manifest["rank_score"] == calib.rank_score(ell)
+        np.testing.assert_array_equal(reachset.sigma, stacked.sigma)
+        np.testing.assert_array_equal(mask.status, status)
+
     def test_nan_calibration_output_fails_calibrate_stage(self, monkeypatch):
         model, base = synthetic_ssn_4x4()
         spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
@@ -215,7 +240,8 @@ class TestSurrogatePipeline:
         spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=9)
         frozen = PerturbationSpec(
             base_image=base,
-            noise_matrix=spec.noise_matrix,
+            noise_index=spec.noise_index,
+            noise_value=spec.noise_value,
             lambda_lower=np.zeros(2),
             lambda_upper=np.zeros(2),
             distribution=UNIFORM_BOX,
