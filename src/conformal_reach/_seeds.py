@@ -1,24 +1,23 @@
 """Sub-seed derivation: every pipeline stage draws from a generator keyed
-by (root_seed, stage_code, shard), so runs are reproducible end to end and
-stages never share or race a stream. The derivation is SeedSequence's
-documented hash of the entropy plus spawn key."""
+by (root_seed, stage_code), so runs are reproducible end to end and stages
+never share a stream. The derivation is SeedSequence's documented hash of
+the entropy plus spawn key."""
 
 from __future__ import annotations
 
 import numpy as np
 
+# Stage codes and the trailing 0 of the spawn key are part of every
+# stream's seed: renumbering or dropping them changes all draws.
 STAGES = {
     "train": 0,
     "calib": 1,
     "aux": 2,
-    "fresh": 3,
     "audit": 4,
-    "select": 5,
-    "model": 6,
 }
 
 
-def stage_rng(root_seed: int, stage: str, shard: int = 0) -> np.random.Generator:
+def stage_rng(root_seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence(root_seed, spawn_key=(STAGES[stage], shard))
+        np.random.SeedSequence(root_seed, spawn_key=(STAGES[stage], 0))
     )

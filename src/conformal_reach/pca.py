@@ -23,8 +23,6 @@ import numpy as np
 __all__ = [
     "ProjectionBasis",
     "deflate",
-    "reduce",
-    "lift",
     "save_basis",
     "load_basis",
 ]
@@ -167,26 +165,6 @@ def _initial_direction(Z: np.ndarray, cols, n: int) -> np.ndarray:
         if norm >= 1e-8:
             return a / norm
     raise ValueError("could not construct an initial direction")
-
-
-def reduce(basis: ProjectionBasis, y: np.ndarray) -> np.ndarray:
-    """A^T y: reduced coordinates; accepts (n,) or (k, n)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1] != basis.input_dim:
-        raise ValueError(
-            f"last dim {y.shape[-1]} != basis input dim {basis.input_dim}"
-        )
-    return y @ basis.matrix
-
-
-def lift(basis: ProjectionBasis, v: np.ndarray) -> np.ndarray:
-    """A v: back to the ambient space; accepts (N,) or (k, N)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != basis.num_components:
-        raise ValueError(
-            f"last dim {v.shape[-1]} != num components {basis.num_components}"
-        )
-    return v @ basis.matrix.T
 
 
 # Basis container: ASCII header "PCA v1 <n> <N>", then the N columns one

@@ -23,11 +23,9 @@ from .model import ImageTensor
 
 __all__ = [
     "PerturbationSpec",
-    "apply",
     "apply_batch",
     "build_darkening",
     "build_global_ball",
-    "sample",
     "sample_lambdas",
     "spec_manifest",
     "DEFAULT_INTENSITY_THRESHOLD",
@@ -116,19 +114,6 @@ class PerturbationSpec:
         dense = np.zeros((self.dim, self.base_image.size))
         dense[np.arange(self.dim), self.noise_index] = self.noise_value
         return dense
-
-
-def apply(spec: PerturbationSpec, lam: np.ndarray) -> ImageTensor:
-    """Adversarial image x + sum_i lambda(i) noise_i for one coefficient
-    vector inside the box; raw superposition, no clamping."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (spec.dim,):
-        raise ValueError(f"lambda must have shape ({spec.dim},), got {lam.shape}")
-    if np.any(lam < spec.lambda_lower) or np.any(lam > spec.lambda_upper):
-        raise ValueError("lambda outside the coefficient box")
-    flat = apply_batch(spec, lam[None, :])[0]
-    img = spec.base_image
-    return ImageTensor(img.height, img.width, img.channels, flat)
 
 
 def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
@@ -243,8 +228,7 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
 def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     """(count, r) i.i.d. coefficient draws from the spec's distribution.
 
-    ``rng`` is an integer seed or a numpy Generator; pass derived
-    sub-generators to parallelize shards deterministically.
+    ``rng`` is an integer seed or a numpy Generator.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
@@ -259,17 +243,6 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
         radii = spec.radius * rng.random(count) ** (1.0 / r)
         return g * radii[:, None]
     raise ValueError(f"unknown distribution {spec.distribution!r}")
-
-
-def sample(spec: PerturbationSpec, count: int, rng_seed: int):
-    """List of (lambda, ImageTensor) pairs, reproducible from the seed."""
-    lams = sample_lambdas(spec, count, rng_seed)
-    flats = apply_batch(spec, lams)
-    img = spec.base_image
-    return [
-        (lams[i].copy(), ImageTensor(img.height, img.width, img.channels, flats[i]))
-        for i in range(count)
-    ]
 
 
 def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:

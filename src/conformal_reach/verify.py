@@ -31,12 +31,10 @@ __all__ = [
     "PixelStatusMask",
     "ConservatismReport",
     "pixel_status",
-    "average_rv",
     "run_naive_pipeline",
     "run_surrogate_pipeline",
     "conservatism_audit",
     "status_pgm_bytes",
-    "status_summary",
 ]
 
 STATUS_UNKNOWN = 0
@@ -102,6 +100,9 @@ def pixel_status(
         y_hi = y_hi.as_array()
     if y_lo.shape != y_hi.shape or y_lo.ndim != 3:
         raise ValueError(f"bound shapes disagree: {y_lo.shape} vs {y_hi.shape}")
+    # NaN fails every comparison below, which would certify the pixel
+    if not (np.all(np.isfinite(y_lo)) and np.all(np.isfinite(y_hi))):
+        raise ValueError("y_lo and y_hi must be finite")
     if np.any(y_lo > y_hi):
         raise ValueError("y_lo must be <= y_hi componentwise")
     h, w, L = y_lo.shape
@@ -125,14 +126,6 @@ def pixel_status(
     return PixelStatusMask(
         status=status, baseline_mask=baseline_mask.copy(), rv=rv, guarantee=guarantee
     )
-
-
-def average_rv(masks) -> float:
-    """Mean robustness value over a non-empty collection of masks."""
-    masks = list(masks)
-    if not masks:
-        raise ValueError("average_rv needs at least one mask")
-    return float(np.mean([m.rv for m in masks]))
 
 
 def _logit_shape(model: MlpNetwork, spec: PerturbationSpec):
@@ -286,12 +279,3 @@ def status_pgm_bytes(mask: PixelStatusMask) -> bytes:
         levels[mask.status == code] = level
     return write_pgm_bytes(levels)
 
-
-def status_summary(mask: PixelStatusMask, seeds=None) -> dict:
-    """JSON-ready mask summary."""
-    return {
-        "rv": mask.rv,
-        "counts": mask.counts,
-        "guarantee": mask.guarantee.as_dict(),
-        "seeds": seeds if seeds is not None else {},
-    }

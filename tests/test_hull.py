@@ -533,6 +533,18 @@ class TestSurrogateReachset:
         with pytest.raises(ValueError, match=r"surrogate\.json: format"):
             load_surrogate(tmp_path / "sr")
 
+    @pytest.mark.parametrize("field, value", [
+        ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
+    ])
+    def test_load_rejects_non_integer_rank(self, tmp_path, field, value):
+        save_surrogate(small_surrogate(20), tmp_path / "sr")
+        sidecar_path = tmp_path / "sr" / "surrogate.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["guarantee"][field] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="integer"):
+            load_surrogate(tmp_path / "sr")
+
     def test_rejects_non_finite_vectors(self):
         from conformal_reach.hull import SurrogateReachSet
 

@@ -5,9 +5,7 @@ from conformal_reach.pca import (
     BasisFormatError,
     ProjectionBasis,
     deflate,
-    lift,
     load_basis,
-    reduce,
     save_basis,
 )
 from oracles import zspace_deflate
@@ -179,43 +177,6 @@ class TestGramAscentMatchesZSpace:
         np.testing.assert_array_equal(basis.iterations[:3], iterations)
         np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)
-
-
-class TestReduceLift:
-    @pytest.fixture
-    def basis(self):
-        rng = np.random.default_rng(6)
-        return deflate(rng.normal(size=(40, 9)), 4)
-
-    def test_projection_identity_on_span(self, basis):
-        rng = np.random.default_rng(7)
-        y = lift(basis, rng.normal(size=4))  # inside span(A)
-        np.testing.assert_allclose(lift(basis, reduce(basis, y)), y, atol=1e-9)
-
-    def test_orthogonal_complement_maps_to_zero(self, basis):
-        rng = np.random.default_rng(8)
-        y = rng.normal(size=9)
-        y_perp = y - lift(basis, reduce(basis, y))
-        np.testing.assert_allclose(reduce(basis, y_perp), 0.0, atol=1e-9)
-
-    def test_projection_contracts(self, basis):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            y = rng.normal(size=9)
-            assert np.linalg.norm(lift(basis, reduce(basis, y))) <= np.linalg.norm(y) + 1e-12
-
-    def test_batch_shapes(self, basis):
-        rng = np.random.default_rng(10)
-        Y = rng.normal(size=(13, 9))
-        V = reduce(basis, Y)
-        assert V.shape == (13, 4)
-        assert lift(basis, V).shape == (13, 9)
-
-    def test_dimension_mismatch(self, basis):
-        with pytest.raises(ValueError):
-            reduce(basis, np.zeros(8))
-        with pytest.raises(ValueError):
-            lift(basis, np.zeros(5))
 
 
 def test_basis_round_trip(tmp_path):

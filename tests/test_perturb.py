@@ -5,11 +5,9 @@ from conformal_reach.model import ImageTensor
 from conformal_reach.perturb import (
     UNIFORM_BOX,
     PerturbationSpec,
-    apply,
     apply_batch,
     build_darkening,
     build_global_ball,
-    sample,
     sample_lambdas,
     spec_from_manifest,
     spec_manifest,
@@ -28,22 +26,22 @@ class TestApply:
     def test_zero_lambda_is_base(self):
         img = bright_2x2()
         spec = build_global_ball(img, "linf", 0.25)
-        out = apply(spec, np.zeros(spec.dim))
-        np.testing.assert_array_equal(out.data, img.data)
+        out = apply_batch(spec, np.zeros((1, spec.dim)))
+        np.testing.assert_array_equal(out[0], img.data)
 
     def test_full_darkening_zeroes_channel(self):
         img = bright_2x2()
         spec = build_darkening(img, 1e-9, min_darkening=0.01, rng_seed=1)
         assert spec.dim == 1  # fraction small enough for one pixel, nc=1
         (i, j) = spec.selected_pixels[0]
-        out = apply(spec, np.ones(1)).as_array()
+        out = apply_batch(spec, np.ones((1, 1)))[0].reshape(2, 2, 1)
         assert out[i, j, 0] == 0.0
 
     def test_two_pixel_superposition(self):
         img = bright_2x2()
         spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=2)
         lam = np.array([0.5, 0.25])
-        out = apply(spec, lam).as_array()
+        out = apply_batch(spec, lam[None, :])[0].reshape(2, 2, 1)
         base = img.as_array()
         for k, (i, j) in enumerate(spec.selected_pixels):
             assert out[i, j, 0] == pytest.approx(base[i, j, 0] * (1 - lam[k]))
@@ -56,14 +54,9 @@ class TestApply:
             l1 = rng.uniform(spec.lambda_lower, spec.lambda_upper)
             l2 = rng.uniform(spec.lambda_lower, spec.lambda_upper)
             a = rng.random()
-            mix = apply(spec, a * l1 + (1 - a) * l2).data
-            combo = a * apply(spec, l1).data + (1 - a) * apply(spec, l2).data
+            mix, out1, out2 = apply_batch(spec, np.stack([a * l1 + (1 - a) * l2, l1, l2]))
+            combo = a * out1 + (1 - a) * out2
             np.testing.assert_allclose(mix, combo, rtol=1e-12, atol=1e-15)
-
-    def test_lambda_outside_box_rejected(self):
-        spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=4)
-        with pytest.raises(ValueError, match="outside"):
-            apply(spec, spec.lambda_upper + 0.5)
 
 
 class TestBuildDarkening:
@@ -104,16 +97,16 @@ class TestBuildDarkening:
             for ch in range(3):
                 touched.add((i * 4 + j) * 3 + ch)
         lam = spec.lambda_upper.copy()
-        out = apply(spec, lam)
+        out = apply_batch(spec, lam[None, :])[0]
         untouched = np.setdiff1d(np.arange(img.size), sorted(touched))
-        np.testing.assert_array_equal(out.data[untouched], img.data[untouched])
+        np.testing.assert_array_equal(out[untouched], img.data[untouched])
 
 
 class TestGlobalBall:
     def test_linf_membership(self):
         img = bright_2x2()
         spec = build_global_ball(img, "linf", 0.03)
-        for lam, _ in sample(spec, 50, rng_seed=11):
+        for lam in sample_lambdas(spec, 50, 11):
             assert np.max(np.abs(lam)) <= 0.03
             assert spec.contains(lam)
 
@@ -126,8 +119,8 @@ class TestGlobalBall:
     def test_radius_to_zero_limit(self):
         img = bright_2x2()
         spec = build_global_ball(img, "l2", 1e-14)
-        for _, pert in sample(spec, 5, rng_seed=13):
-            np.testing.assert_allclose(pert.data, img.data, atol=1e-13)
+        for pert in apply_batch(spec, sample_lambdas(spec, 5, 13)):
+            np.testing.assert_allclose(pert, img.data, atol=1e-13)
 
     def test_implicit_basis_not_materialized(self):
         spec = build_global_ball(bright_2x2(), "linf", 0.1)
@@ -138,11 +131,9 @@ class TestGlobalBall:
 class TestSample:
     def test_deterministic_from_seed(self):
         spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
-        a = sample(spec, 3, rng_seed=42)
-        b = sample(spec, 3, rng_seed=42)
-        for (la, ia), (lb, ib) in zip(a, b):
-            np.testing.assert_array_equal(la, lb)
-            np.testing.assert_array_equal(ia.data, ib.data)
+        la, lb = sample_lambdas(spec, 3, 42), sample_lambdas(spec, 3, 42)
+        np.testing.assert_array_equal(la, lb)
+        np.testing.assert_array_equal(apply_batch(spec, la), apply_batch(spec, lb))
 
     def test_box_sampling_means(self):
         spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
