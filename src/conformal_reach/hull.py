@@ -4,7 +4,9 @@ The surrogate g replaces the network f by projecting reduced logits onto
 the convex hull of reduced training logits; its deterministic reachset is
 the hull itself. A conformal hyper-rectangle over the residual q = f - g
 then inflates the hull (a Minkowski sum realized per component as interval
-addition), giving intervals on every logit with the full guarantee.
+addition), giving intervals on every logit with the full guarantee. The
+pipeline that fits and calibrates it is ``verify.run_surrogate_pipeline``;
+this module holds the hull, the clip LP, the inflated set and its files.
 
 The projection is a small-row linear program (the hull may have thousands
 of generators but the reduced space has N dimensions). Its feasible basis
@@ -30,10 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .calibrate import build_calibration, center_and_scales
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .model import MlpNetwork, infer
-from .pca import ProjectionBasis, deflate, load_basis, save_basis
+from .pca import ProjectionBasis, load_basis, save_basis
 from .perturb import PerturbationSpec, apply_batch, sample_lambdas
 from ._seeds import stage_rng
 
@@ -44,11 +45,9 @@ __all__ = [
     "clip",
     "clip_batch",
     "surrogate_predict",
-    "build_surrogate_reachset",
     "stage_outputs",
     "save_surrogate",
     "load_surrogate",
-    "PipelineStageError",
 ]
 
 _RED_COST_TOL = 1e-10
@@ -83,10 +82,6 @@ class LpError(RuntimeError):
     pass
 
 
-class PipelineStageError(RuntimeError):
-    """A surrogate pipeline stage failed; the stage name leads the message."""
-
-
 # ---------------------------------------------------------------------------
 # Hull model and the clipping block
 # ---------------------------------------------------------------------------
@@ -96,17 +91,15 @@ class PipelineStageError(RuntimeError):
 class HullModel:
     """Convex hull of the t reduced training logits (rows of ``points``).
 
-    Keeps every training point as a generator. ``simplex_idx`` names the
-    vertices of a max-volume inscribed simplex used only to certify
-    interior points cheaply; ``degenerate`` flags clouds too flat to build
-    one (clipping still works, every query just takes the LP route).
+    Keeps every training point as a generator. A max-volume inscribed
+    simplex of them certifies interior points cheaply; ``degenerate`` flags
+    clouds too flat to build one (clipping still works, every query just
+    takes the LP route).
     """
 
     points: np.ndarray  # (t, N)
     basis: Optional[ProjectionBasis] = None
-    simplex_idx: Optional[np.ndarray] = None
     _bary_solver: Optional[tuple] = None
-    degenerate: bool = False
 
     @classmethod
     def from_points(cls, points: np.ndarray, basis=None) -> "HullModel":
@@ -115,14 +108,11 @@ class HullModel:
             raise ValueError("hull needs a non-empty (t, N) point array")
         if not np.all(np.isfinite(points)):
             raise ValueError("hull points must be finite")
-        idx, solver = _inscribed_simplex(points)
-        return cls(
-            points=points,
-            basis=basis,
-            simplex_idx=idx,
-            _bary_solver=solver,
-            degenerate=idx is None,
-        )
+        return cls(points=points, basis=basis, _bary_solver=_inscribed_simplex(points))
+
+    @property
+    def degenerate(self) -> bool:
+        return self._bary_solver is None
 
     @property
     def size(self) -> int:
@@ -145,10 +135,11 @@ class HullModel:
 
 
 def _inscribed_simplex(points: np.ndarray):
-    """Greedy max-volume simplex of hull points; None when degenerate."""
+    """Barycentric solver (origin, inverse edge matrix) of a greedy
+    max-volume simplex of hull points; None when degenerate."""
     t, N = points.shape
     if t < N + 1:
-        return None, None
+        return None
     centroid = points.mean(axis=0)
     first = int(np.argmax(np.linalg.norm(points - centroid, axis=1)))
     chosen = [first]
@@ -161,18 +152,17 @@ def _inscribed_simplex(points: np.ndarray):
         nxt = int(np.argmax(dist))
         scale = max(np.linalg.norm(points[chosen[0]]), 1.0)
         if dist[nxt] <= 1e-12 * scale:
-            return None, None
+            return None
         chosen.append(nxt)
         q = resid[nxt] / dist[nxt]
         Q = np.column_stack([Q, q])
-    idx = np.array(chosen, dtype=np.int64)
-    origin = points[idx[0]]
-    T = (points[idx[1:]] - origin).T  # (N, N)
+    origin = points[chosen[0]]
+    T = (points[chosen[1:]] - origin).T  # (N, N)
     try:
         inv_T = np.linalg.inv(T)
     except np.linalg.LinAlgError:
-        return None, None
-    return idx, (origin, inv_T)
+        return None
+    return origin, inv_T
 
 
 class _ClipProblem:
@@ -470,70 +460,6 @@ def surrogate_predict(
     return G[0] if single else G
 
 
-def build_surrogate_reachset(
-    model: MlpNetwork,
-    spec: PerturbationSpec,
-    train_size: int,
-    calib_size: int,
-    aux_size: int,
-    num_components: int,
-    guarantee: GuaranteeSpec,
-    seed: int = 0,
-    norm: str = "l_inf",
-) -> SurrogateReachSet:
-    """End-to-end surrogate construction from disjoint seeded batches.
-
-    Stage order: train the basis and hull on ``train_size`` samples,
-    bound the lifted hull, fit error normalization on ``aux_size``
-    separate samples, calibrate the error scores on ``calib_size`` more,
-    then assemble the inflated set. Any failure is re-raised with the
-    stage name attached.
-    """
-    if guarantee.calib_size_m != calib_size:
-        raise ValueError("guarantee and calib_size disagree")
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise PipelineStageError(f"{name}: {exc}") from exc
-
-    def train():
-        Y = np.vstack(list(stage_outputs(model, spec, seed, "train", train_size)))
-        basis = deflate(Y, num_components)
-        V = Y @ basis.matrix
-        hull = HullModel.from_points(V, basis=basis)
-        lifted = V @ basis.matrix.T
-        return basis, hull, lifted.min(axis=0), lifted.max(axis=0)
-
-    basis, hull, lift_lb, lift_ub = stage("train", train)
-
-    def residuals(stage_name, count):
-        rows = []
-        for Y in stage_outputs(model, spec, seed, stage_name, count):
-            V_hat, _ = clip_batch(Y @ basis.matrix, hull, norm)
-            rows.append(Y - V_hat @ basis.matrix.T)
-        return np.vstack(rows)
-
-    cs_q = stage("normalize", lambda: center_and_scales(residuals("aux", aux_size)))
-    calib = stage(
-        "calibrate",
-        lambda: build_calibration(
-            residuals("calib", calib_size), cs_q, source="surrogate-errors"
-        ),
-    )
-    threshold = calib.rank_score(guarantee.rank_ell)
-    return SurrogateReachSet(
-        hull=hull,
-        basis=basis,
-        error_center=cs_q.center,
-        error_sigma=cs_q.tau * threshold,
-        lift_lb=lift_lb,
-        lift_ub=lift_ub,
-        guarantee=guarantee,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Persistence: basis container + raw hull points + JSON sidecar
 # ---------------------------------------------------------------------------
@@ -580,8 +506,11 @@ def load_surrogate(directory) -> SurrogateReachSet:
             f"{points_path}: {size} bytes, but hull_shape {t}x{N} needs {8 * t * N}"
         )
     points = np.fromfile(points_path, dtype="<f8").reshape(t, N)
-    g = sidecar["guarantee"]
-    guarantee = guarantee_confidence(g["epsilon"], g["rank_ell"], g["calib_size_m"])
+    try:
+        g = sidecar["guarantee"]
+        guarantee = guarantee_confidence(g["epsilon"], g["rank_ell"], g["calib_size_m"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: bad guarantee: {exc!r}") from exc
     return SurrogateReachSet(
         hull=HullModel.from_points(points, basis=basis),
         basis=basis,

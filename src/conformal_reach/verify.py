@@ -5,6 +5,12 @@ the only candidate winner; if that lower bound fails to clear every other
 class's upper bound the pixel is unknown, otherwise it is robust or
 non-robust depending on whether the candidate matches the unperturbed
 prediction. Ties at equality are conservatively unknown.
+
+Both pipelines live here and share one conformal step: fit center and
+scales on the residuals of one seeded stage, then score the residuals of
+the ``calib`` stage. The naive box calibrates the raw outputs (the residual
+of the surrogate g = 0); the surrogate pipeline calibrates q = f - g of the
+convex-hull surrogate in ``hull``.
 """
 
 from __future__ import annotations
@@ -13,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import (
-    HyperRectReachSet,
-    center_and_scales,
-    naive_reachset,
-    stream_calibration,
-)
+from .calibrate import center_and_scales, naive_reachset, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .hull import PipelineStageError, build_surrogate_reachset, stage_outputs
+from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
 from .model import MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
+from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "STATUS_NONROBUST",
     "PixelStatusMask",
     "ConservatismReport",
+    "PipelineStageError",
     "pixel_status",
     "run_naive_pipeline",
     "run_surrogate_pipeline",
@@ -43,6 +46,10 @@ STATUS_NONROBUST = 2
 
 # mask export convention: white robust, mid-gray non-robust, black unknown
 _PGM_LEVELS = {STATUS_ROBUST: 255, STATUS_NONROBUST: 128, STATUS_UNKNOWN: 0}
+
+
+class PipelineStageError(RuntimeError):
+    """A pipeline stage failed; the stage name leads the message."""
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,9 @@ def pixel_status(
 ) -> PixelStatusMask:
     """Label every pixel robust / non-robust / unknown from logit intervals.
 
-    ``y_lo``/``y_hi`` are (h, w, L) interval bounds (LogitTensor accepted),
-    ``baseline_mask`` the (h, w) 1-based prediction on the clean image.
+    ``y_lo``/``y_hi`` are (h, w, L) interval bounds, ``baseline_mask``
+    the (h, w) 1-based prediction on the clean image.
     """
-    if isinstance(y_lo, LogitTensor):
-        y_lo = y_lo.as_array()
-    if isinstance(y_hi, LogitTensor):
-        y_hi = y_hi.as_array()
     if y_lo.shape != y_hi.shape or y_lo.ndim != 3:
         raise ValueError(f"bound shapes disagree: {y_lo.shape} vs {y_hi.shape}")
     # NaN fails every comparison below, which would certify the pixel
@@ -128,20 +131,53 @@ def pixel_status(
     )
 
 
-def _logit_shape(model: MlpNetwork, spec: PerturbationSpec):
-    h, w = spec.base_image.height, spec.base_image.width
-    n = model.output_dim
+def _stage(name, fn):
+    """Run one pipeline stage; a failure is re-raised with its name first."""
+    try:
+        return fn()
+    except Exception as exc:
+        raise PipelineStageError(f"{name}: {exc}") from exc
+
+
+def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
+    """Center and scales of ``residual`` over the stage ``fit`` = (name,
+    stream, count), then the calibration set of ``calib_size`` residual
+    scores, each ``calib`` block scored as it arrives."""
+    name, stream, count = fit
+
+    def residuals(stage, k):
+        # map holds no block, so each is freed once scored
+        return map(residual, stage_outputs(model, spec, seed, stage, k))
+
+    cs = _stage(name, lambda: center_and_scales(np.vstack(list(residuals(stream, count)))))
+    calib = _stage(
+        "calibrate",
+        lambda: stream_calibration(residuals("calib", calib_size), cs, source),
+    )
+    return cs, calib
+
+
+def _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest):
+    """Shared driver: check the output shape before the first draw, take
+    (reachset, center_scale, calibration) from ``build(guarantee)``, then
+    label the pixels and complete ``manifest`` with the common keys."""
+    h, w, n = spec.base_image.height, spec.base_image.width, model.output_dim
     if n % (h * w) != 0:
-        raise ValueError(
-            f"output dim {n} is not a multiple of pixel count {h * w}"
-        )
-    return h, w, n // (h * w)
-
-
-def _baseline_mask(model: MlpNetwork, spec: PerturbationSpec):
-    h, w, L = _logit_shape(model, spec)
-    logits = infer(model, spec.base_image.data)
-    return predict_mask(LogitTensor(h, w, L, logits))
+        raise ValueError(f"output dim {n} is not a multiple of pixel count {h * w}")
+    shape = (h, w, n // (h * w))
+    guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
+    reachset, cs, calib = build(guarantee)
+    lo, hi = reachset.project_intervals()
+    baseline = predict_mask(LogitTensor(*shape, infer(model, spec.base_image.data)))
+    mask = pixel_status(lo.reshape(shape), hi.reshape(shape), baseline, guarantee)
+    manifest.update(
+        guarantee=guarantee.as_dict(),
+        rank_score=calib.rank_score(rank_ell),
+        tau_star=cs.tau_star,
+        degenerate_scales=cs.degenerate,
+        perturbation=spec_manifest(spec),
+    )
+    return reachset, mask, manifest
 
 
 def run_naive_pipeline(
@@ -158,36 +194,18 @@ def run_naive_pipeline(
     Returns (reachset, mask, manifest); the manifest records every seed and
     size needed to reproduce the run bit for bit.
     """
-    h, w, L = _logit_shape(model, spec)
-    guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
-
-    try:
-        train = stage_outputs(model, spec, seed, "train", train_size)
-        cs = center_and_scales(np.vstack(list(train)))
-    except Exception as exc:
-        raise PipelineStageError(f"train: {exc}") from exc
-    try:
-        calib_outputs = stage_outputs(model, spec, seed, "calib", calib_size)
-        calib = stream_calibration(calib_outputs, cs)
-    except Exception as exc:
-        raise PipelineStageError(f"calibrate: {exc}") from exc
-    reachset = naive_reachset(calib, cs, guarantee)
-    lo, hi = reachset.project_intervals()
-    mask = pixel_status(
-        lo.reshape(h, w, L), hi.reshape(h, w, L), _baseline_mask(model, spec), guarantee
+    manifest = dict(
+        pipeline="naive", seed=seed, train_size=train_size, calib_size=calib_size
     )
-    manifest = {
-        "pipeline": "naive",
-        "seed": seed,
-        "train_size": train_size,
-        "calib_size": calib_size,
-        "guarantee": guarantee.as_dict(),
-        "rank_score": calib.rank_score(rank_ell),
-        "tau_star": cs.tau_star,
-        "degenerate_scales": cs.degenerate,
-        "perturbation": spec_manifest(spec),
-    }
-    return reachset, mask, manifest
+
+    def build(guarantee):
+        cs, calib = _conformal_step(
+            model, spec, seed, lambda Y: Y, ("train", "train", train_size),
+            calib_size, "raw-outputs",
+        )
+        return naive_reachset(calib, cs, guarantee), cs, calib
+
+    return _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest)
 
 
 def run_surrogate_pipeline(
@@ -202,37 +220,49 @@ def run_surrogate_pipeline(
     seed: int = 0,
     norm: str = "l_inf",
 ):
-    """Hull-plus-inflation reachset; same contract as the naive pipeline."""
-    h, w, L = _logit_shape(model, spec)
-    guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
-    reachset = build_surrogate_reachset(
-        model,
-        spec,
-        train_size=train_size,
-        calib_size=calib_size,
-        aux_size=aux_size,
-        num_components=num_components,
-        guarantee=guarantee,
-        seed=seed,
-        norm=norm,
+    """Hull-plus-inflation reachset; same contract as the naive pipeline.
+
+    Stage order: train the basis and hull on ``train_size`` samples and
+    bound the lifted hull, fit the normalization of q = f - g on
+    ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
+    """
+    manifest = dict(
+        pipeline="surrogate", seed=seed, train_size=train_size, calib_size=calib_size,
+        aux_size=aux_size, num_components=num_components, norm=norm,
     )
-    lo, hi = reachset.project_intervals()
-    mask = pixel_status(
-        lo.reshape(h, w, L), hi.reshape(h, w, L), _baseline_mask(model, spec), guarantee
-    )
-    manifest = {
-        "pipeline": "surrogate",
-        "seed": seed,
-        "train_size": train_size,
-        "calib_size": calib_size,
-        "aux_size": aux_size,
-        "num_components": num_components,
-        "norm": norm,
-        "guarantee": guarantee.as_dict(),
-        "hull_degenerate": reachset.hull.degenerate,
-        "perturbation": spec_manifest(spec),
-    }
-    return reachset, mask, manifest
+
+    def train():
+        Y = np.vstack(list(stage_outputs(model, spec, seed, "train", train_size)))
+        basis = deflate(Y, num_components)
+        V = Y @ basis.matrix
+        lifted = V @ basis.matrix.T
+        hull = HullModel.from_points(V, basis=basis)
+        return basis, hull, lifted.min(axis=0), lifted.max(axis=0)
+
+    def build(guarantee):
+        basis, hull, lift_lb, lift_ub = _stage("train", train)
+        manifest["hull_degenerate"] = hull.degenerate
+
+        def residual(Y):
+            V_hat, _ = clip_batch(Y @ basis.matrix, hull, norm)
+            return Y - V_hat @ basis.matrix.T
+
+        cs, calib = _conformal_step(
+            model, spec, seed, residual, ("normalize", "aux", aux_size),
+            calib_size, "surrogate-errors",
+        )
+        reachset = SurrogateReachSet(
+            hull=hull,
+            basis=basis,
+            error_center=cs.center,
+            error_sigma=cs.tau * calib.rank_score(guarantee.rank_ell),
+            lift_lb=lift_lb,
+            lift_ub=lift_ub,
+            guarantee=guarantee,
+        )
+        return reachset, cs, calib
+
+    return _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest)
 
 
 def conservatism_audit(

@@ -7,7 +7,6 @@ from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import (
     HullModel,
-    build_surrogate_reachset,
     clip,
     clip_batch,
     load_surrogate,
@@ -17,6 +16,7 @@ from conformal_reach.hull import (
 from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.pca import deflate
 from conformal_reach.perturb import build_global_ball
+from conformal_reach.verify import PipelineStageError, run_surrogate_pipeline
 
 from oracles import enumerate_lp_minimum, grid_clip_residual
 
@@ -298,10 +298,10 @@ def small_surrogate(seed):
     """Surrogate reachset of a 3 -> 4 network under an l-inf ball."""
     net = random_mlp([3, 8, 4], np.random.default_rng(seed))
     spec = build_global_ball(ImageTensor(1, 1, 3, np.full(3, 0.5)), "linf", 0.3)
-    return build_surrogate_reachset(
+    return run_surrogate_pipeline(
         net, spec, train_size=80, calib_size=100, aux_size=50,
-        num_components=2, guarantee=guarantee_confidence(0.05, 95, 100), seed=15,
-    )
+        num_components=2, epsilon=0.05, rank_ell=95, seed=15,
+    )[0]
 
 
 class TestSurrogatePredict:
@@ -355,11 +355,10 @@ class TestSurrogateReachset:
         net = MlpNetwork((np.eye(2),), (np.zeros(2),))
         base = ImageTensor(1, 1, 2, np.array([0.5, 0.5]))
         spec = build_global_ball(base, "linf", 0.5)
-        g = guarantee_confidence(0.01, 1800, 2000)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=500, calib_size=2000, aux_size=300,
-            num_components=2, guarantee=g, seed=11,
-        )
+            num_components=2, epsilon=0.01, rank_ell=1800, seed=11,
+        )[0]
         lo, hi = sr.project_intervals()
         # sigma is bounded by the tiny aux-residual center offset, orders of
         # magnitude under the box scale
@@ -379,11 +378,10 @@ class TestSurrogateReachset:
         net = random_mlp([3, 12, 4], rng)
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.4)
-        g = guarantee_confidence(0.05, 470, 500)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=200, calib_size=500, aux_size=150,
-            num_components=2, guarantee=g, seed=12,
-        )
+            num_components=2, epsilon=0.05, rank_ell=470, seed=12,
+        )[0]
         lo, hi = sr.project_intervals()
         np.testing.assert_allclose(
             hi - lo, (sr.lift_ub - sr.lift_lb) + 2 * sr.error_sigma, rtol=1e-12
@@ -395,11 +393,10 @@ class TestSurrogateReachset:
         net = random_mlp([3, 10, 4], rng)
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.4)
-        g = guarantee_confidence(0.05, 290, 300)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=150, calib_size=300, aux_size=100,
-            num_components=2, guarantee=g, seed=13,
-        )
+            num_components=2, epsilon=0.05, rank_ell=290, seed=13,
+        )[0]
         lo, hi = sr.project_intervals()
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
@@ -418,11 +415,10 @@ class TestSurrogateReachset:
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.4)
         m, ell = 2000, 1980
-        g = guarantee_confidence(0.02, ell, m)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=400, calib_size=m, aux_size=200,
-            num_components=3, guarantee=g, seed=14,
-        )
+            num_components=3, epsilon=0.02, rank_ell=ell, seed=14,
+        )[0]
         lo, hi = sr.project_intervals()
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
@@ -437,14 +433,11 @@ class TestSurrogateReachset:
         net = MlpNetwork((np.eye(2),), (np.zeros(2),))
         base = ImageTensor(1, 1, 2, np.array([0.5, 0.5]))
         spec = build_global_ball(base, "linf", 0.5)
-        g = guarantee_confidence(0.01, 99, 100)
-        from conformal_reach.hull import PipelineStageError
-
         with pytest.raises(PipelineStageError, match="train"):
-            build_surrogate_reachset(
+            run_surrogate_pipeline(
                 net, spec, train_size=5, calib_size=100, aux_size=10,
                 num_components=10,  # impossible: N > min(n, t)
-                guarantee=g, seed=1,
+                epsilon=0.01, rank_ell=99, seed=1,
             )
 
     def test_persistence_round_trip(self, tmp_path):
@@ -452,11 +445,10 @@ class TestSurrogateReachset:
         net = random_mlp([3, 8, 4], rng)
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.3)
-        g = guarantee_confidence(0.05, 95, 100)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, guarantee=g, seed=15,
-        )
+            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
+        )[0]
         save_surrogate(sr, tmp_path / "sr")
         loaded = load_surrogate(tmp_path / "sr")
         np.testing.assert_array_equal(loaded.hull.points, sr.hull.points)
@@ -472,11 +464,10 @@ class TestSurrogateReachset:
         net = random_mlp([3, 8, 4], rng)
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.3)
-        g = guarantee_confidence(0.05, 95, 100)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, guarantee=g, seed=15,
-        )
+            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
+        )[0]
         save_surrogate(sr, tmp_path / "sr")
         sidecar_path = tmp_path / "sr" / "surrogate.json"
         good = json.loads(sidecar_path.read_text())
@@ -494,11 +485,10 @@ class TestSurrogateReachset:
         net = random_mlp([3, 8, 4], rng)
         base = ImageTensor(1, 1, 3, np.full(3, 0.5))
         spec = build_global_ball(base, "linf", 0.3)
-        g = guarantee_confidence(0.05, 95, 100)
-        sr = build_surrogate_reachset(
+        sr = run_surrogate_pipeline(
             net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, guarantee=g, seed=15,
-        )
+            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
+        )[0]
         save_surrogate(sr, tmp_path / "sr")
         sidecar_path = tmp_path / "sr" / "surrogate.json"
         good = json.loads(sidecar_path.read_text())
@@ -535,14 +525,19 @@ class TestSurrogateReachset:
 
     @pytest.mark.parametrize("field, value", [
         ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
+        ("epsilon", 1.5), ("epsilon", None),
     ])
     def test_load_rejects_non_integer_rank(self, tmp_path, field, value):
+        # None drops the field; every error names the sidecar it came from
         save_surrogate(small_surrogate(20), tmp_path / "sr")
         sidecar_path = tmp_path / "sr" / "surrogate.json"
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["guarantee"][field] = value
+        if value is None:
+            del sidecar["guarantee"][field]
         sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match="integer"):
+        reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "epsilon"}
+        with pytest.raises(ValueError, match=rf"surrogate\.json: bad guarantee: .*{reason[field]}"):
             load_surrogate(tmp_path / "sr")
 
     def test_rejects_non_finite_vectors(self):

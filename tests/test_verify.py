@@ -4,7 +4,7 @@ import pytest
 from conformal_reach import verify
 from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
-from conformal_reach.hull import PIPELINE_CHUNK, PipelineStageError, stage_outputs
+from conformal_reach.hull import PIPELINE_CHUNK, clip_batch, stage_outputs
 from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.perturb import (
     PerturbationSpec,
@@ -13,6 +13,7 @@ from conformal_reach.perturb import (
     build_global_ball,
 )
 from conformal_reach.verify import (
+    PipelineStageError,
     STATUS_NONROBUST,
     STATUS_ROBUST,
     STATUS_UNKNOWN,
@@ -26,6 +27,27 @@ from conformal_reach.verify import (
 from oracles import darkening_grid_rv, synthetic_ssn_4x4
 
 G = guarantee_confidence(0.05, 95, 100)
+
+
+def residual_blocks(model, spec, seed, stage, count, surrogate=None):
+    """The blocks a pipeline scores on one stage: the raw outputs for the
+    naive box, q = f - g for a surrogate reachset."""
+    for Y in stage_outputs(model, spec, seed, stage, count):
+        if surrogate is not None:
+            A = surrogate.basis.matrix
+            Y = Y - clip_batch(Y @ A, surrogate.hull)[0] @ A.T
+        yield Y
+
+
+def run_4x4(pipeline, **overrides):
+    """One seeded run of either pipeline on the 4x4 model."""
+    model, base = synthetic_ssn_4x4()
+    spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
+    args = dict(train_size=100, calib_size=200, epsilon=0.05, rank_ell=190, seed=8)
+    if pipeline == "naive":
+        return model, spec, run_naive_pipeline(model, spec, **dict(args, **overrides))
+    args.update(aux_size=80, num_components=4)
+    return model, spec, run_surrogate_pipeline(model, spec, **dict(args, **overrides))
 
 
 def bounds_1x1(intervals):
@@ -200,25 +222,6 @@ class TestNaivePipeline:
         np.testing.assert_array_equal(reachset.sigma, stacked.sigma)
         np.testing.assert_array_equal(mask.status, status)
 
-    def test_nan_calibration_output_fails_calibrate_stage(self, monkeypatch):
-        model, base = synthetic_ssn_4x4()
-        spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
-        real = verify.stage_outputs
-
-        def one_nan_in_calib(model, spec, seed, stage, count):
-            for Y in real(model, spec, seed, stage, count):
-                if stage == "calib":
-                    Y = Y.copy()
-                    Y[0, 0] = np.nan
-                yield Y
-
-        monkeypatch.setattr(verify, "stage_outputs", one_nan_in_calib)
-        with pytest.raises(PipelineStageError, match="^calibrate: .*finite"):
-            run_naive_pipeline(
-                model, spec, train_size=100, calib_size=200, epsilon=0.05,
-                rank_ell=190, seed=8,
-            )
-
 
 class TestSurrogatePipeline:
     def test_degenerate_box_reproduces_baseline(self):
@@ -271,6 +274,62 @@ class TestSurrogatePipeline:
         robust = mask.status == STATUS_ROBUST
         agree = classes[covered][:, robust] == mask.baseline_mask[None, robust]
         assert np.all(agree)
+
+    def test_streamed_calibration_matches_stacked(self):
+        # two calib blocks: scoring each on arrival equals scoring the stack
+        m, ell = PIPELINE_CHUNK + 808, PIPELINE_CHUNK + 700
+        model, spec, (reachset, _, manifest) = run_4x4(
+            "surrogate", calib_size=m, epsilon=0.02, rank_ell=ell,
+        )
+        blocks = list(residual_blocks(model, spec, 8, "calib", m, reachset))
+        assert [b.shape[0] for b in blocks] == [PIPELINE_CHUNK, 808]
+        cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 8, "aux", 80, reachset))))
+        calib = build_calibration(np.vstack(blocks), cs, source="surrogate-errors")
+        assert manifest["rank_score"] == calib.rank_score(ell)
+        np.testing.assert_array_equal(reachset.error_sigma, cs.tau * calib.rank_score(ell))
+
+
+# (pipeline, stage named in the error, sampling stream poisoned with a NaN)
+STAGES = [
+    ("naive", "train", "train"),
+    ("naive", "calibrate", "calib"),
+    ("surrogate", "train", "train"),
+    ("surrogate", "normalize", "aux"),
+    ("surrogate", "calibrate", "calib"),
+]
+
+
+@pytest.mark.parametrize("pipeline, stage, stream", STAGES)
+def test_stage_failure_names_stage(monkeypatch, pipeline, stage, stream):
+    real = verify.stage_outputs
+
+    def one_nan(model, spec, seed, name, count):
+        for Y in real(model, spec, seed, name, count):
+            if name == stream:
+                Y = Y.copy()
+                Y[0, 0] = np.nan
+            yield Y
+
+    monkeypatch.setattr(verify, "stage_outputs", one_nan)
+    with pytest.raises(PipelineStageError, match=f"^{stage}: .*finite"):
+        run_4x4(pipeline)
+
+
+@pytest.mark.parametrize("pipeline, fit_stream", [("naive", "train"), ("surrogate", "aux")])
+def test_manifest_scales_give_half_width(pipeline, fit_stream):
+    # the common manifest keys, and half-width = rank score * tau bit for bit
+    model, spec, (reachset, _, manifest) = run_4x4(pipeline)
+    surrogate = None if pipeline == "naive" else reachset
+    count = 100 if pipeline == "naive" else 80
+    cs = center_and_scales(
+        np.vstack(list(residual_blocks(model, spec, 8, fit_stream, count, surrogate)))
+    )
+    assert manifest["tau_star"] == cs.tau_star
+    assert manifest["degenerate_scales"] == cs.degenerate
+    half = reachset.sigma if surrogate is None else reachset.error_sigma
+    np.testing.assert_array_equal(half, manifest["rank_score"] * cs.tau)
+    for key in ("guarantee", "perturbation", "seed", "train_size", "calib_size"):
+        assert key in manifest
 
 
 class TestConservatismAudit:
