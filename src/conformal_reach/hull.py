@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .model import MlpNetwork, infer
+from .model import INFER_CHUNK, MlpNetwork, infer
 from .pca import ProjectionBasis, load_basis, save_basis
-from .perturb import PerturbationSpec, apply_batch, sample_lambdas
+from .perturb import PerturbationSpec, image_blocks, sample_lambdas
 from ._seeds import stage_rng
 
 __all__ = [
@@ -71,11 +71,22 @@ def stage_outputs(
 ):
     """Network outputs on ``count`` fresh samples of one pipeline stage,
     yielded in blocks of at most PIPELINE_CHUNK rows from the stage's
-    seeded stream."""
+    seeded stream.
+
+    Each block's coefficients are drawn at once; its images are then built
+    INFER_CHUNK rows at a time by ``image_blocks`` and inferred straight
+    into the block's output rows, so input memory grows with INFER_CHUNK x
+    n0, never with PIPELINE_CHUNK x n0."""
     rng = stage_rng(seed, stage)
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
-        yield infer(model, apply_batch(spec, sample_lambdas(spec, k, rng)))
+        lams = sample_lambdas(spec, k, rng)
+        Y = np.empty((k, model.output_dim))
+        for X, row in zip(image_blocks(spec, lams, INFER_CHUNK), range(0, k, INFER_CHUNK)):
+            infer(model, X, out=Y[row : row + INFER_CHUNK])
+        # the last image block may be a view of lams; neither outlives Y's consumer
+        del lams, X
+        yield Y
 
 
 class LpError(RuntimeError):

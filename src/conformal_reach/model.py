@@ -136,12 +136,15 @@ class LogitTensor:
         return self.data.reshape(self.height, self.width, self.classes)
 
 
-def infer(model: MlpNetwork, x: np.ndarray) -> np.ndarray:
+def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
     """Forward pass: ReLU on hidden layers, identity on the output layer.
 
     Accepts a single flat vector (n0,) or a batch (batch, n0); batched
     samples are processed in fixed chunks of ``INFER_CHUNK`` rows and each
     sample's result is independent of every other row in the batch.
+    ``out``, a (batch, n) float64 array (batch 1 for a single vector),
+    receives the outputs chunk by chunk in place of a new array; the bits
+    are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -151,20 +154,26 @@ def infer(model: MlpNetwork, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dim {x.shape[1]} != network input dim {model.input_dim}"
         )
-    out = np.empty((x.shape[0], model.output_dim))
+    shape = (x.shape[0], model.output_dim)
+    if out is None:
+        out = np.empty(shape)
+    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
     for start in range(0, x.shape[0], INFER_CHUNK):
-        out[start : start + INFER_CHUNK] = _forward(model, x[start : start + INFER_CHUNK])
+        _forward(model, x[start : start + INFER_CHUNK], out[start : start + INFER_CHUNK])
     return out[0] if single else out
 
 
-def _forward(model: MlpNetwork, x: np.ndarray) -> np.ndarray:
+def _forward(model: MlpNetwork, x: np.ndarray, out: np.ndarray) -> None:
+    """Outputs of the rows of ``x`` into ``out``; the last layer's product
+    is formed in ``out`` itself, so no (rows, n) temporary exists."""
     h = x
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
-        if k != last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
+    np.matmul(h, model.weights[-1].T, out=out)
+    out += model.biases[-1]
 
 
 def predict_mask(logits: LogitTensor) -> np.ndarray:

@@ -7,9 +7,12 @@ global l2 / l-inf balls whose noise basis is the identity and therefore
 never materialized. A darkening noise image has exactly one nonzero, so the
 set is stored as a signed selection, one (flat input index, value) pair per
 coefficient, and applied by scatter: memory and work grow with r, never
-with r * n0. Perturbed intensities are deliberately not clamped to [0, 1]:
-the darkening construction is in-range by design, and clamping would
-destroy the affine structure the surrogate model relies on.
+with r * n0. Images form in one place, ``image_blocks``, a fixed number of
+rows at a time in reused memory, so a stream of k images never holds a
+(k, n0) array; ``apply_batch`` is its one-block form. Perturbed
+intensities are deliberately not clamped to [0, 1]: the darkening
+construction is in-range by design, and clamping would destroy the affine
+structure the surrogate model relies on.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "apply_batch",
     "build_darkening",
     "build_global_ball",
+    "image_blocks",
     "sample_lambdas",
     "spec_manifest",
     "DEFAULT_INTENSITY_THRESHOLD",
@@ -116,18 +120,42 @@ class PerturbationSpec:
         return dense
 
 
-def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
-    """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images.
+def image_blocks(spec: PerturbationSpec, lams: np.ndarray, rows: int):
+    """Flat images of the (k, r) float64 coefficients ``lams``, yielded in
+    blocks of at most ``rows`` rows, in order; the only place images form.
 
     Each selected index gets base + lambda * value and every other index
     keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
-    product adds only exact zeros to the one nonzero term."""
+    product adds only exact zeros to the one nonzero term. A selection
+    fills one (min(rows, k), n0) buffer with the base once and rewrites
+    only its r selected columns per block. The implicit basis adds the
+    base into ``lams`` in place (IEEE addition commutes, so the bits equal
+    ``base + lams``), so ``lams`` is overwritten. Either way a block is
+    valid only until the next one is requested.
+    """
+    k = lams.shape[0]
     base = spec.base_image.data
     if spec.noise_index is None:
-        return base[None, :] + lams
-    idx = spec.noise_index
-    X = np.repeat(base[None, :], lams.shape[0], axis=0)
-    X[:, idx] = base[idx] + lams * spec.noise_value
+        for start in range(0, k, rows):
+            X = lams[start : start + rows]
+            X += base
+            yield X
+        return
+    idx, value = spec.noise_index, spec.noise_value
+    buf = np.repeat(base[None, :], min(rows, k), axis=0)
+    for start in range(0, k, rows):
+        block = lams[start : start + rows]
+        X = buf[: block.shape[0]]
+        X[:, idx] = base[idx] + block * value
+        yield X
+
+
+def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
+    """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images,
+    as one ``image_blocks`` block on a copy of ``lams``, which is left as
+    it was."""
+    lams = np.array(lams, dtype=np.float64)
+    (X,) = image_blocks(spec, lams, lams.shape[0])
     return X
 
 

@@ -15,6 +15,7 @@ convex-hull surrogate in ``hull``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,14 @@ def pixel_status(
     )
 
 
+def _check_sizes(**sizes):
+    """Each sample size must be a positive integer; numpy integers pass,
+    bool does not (the rule ``guarantee_confidence`` applies to m)."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _stage(name, fn):
     """Run one pipeline stage; a failure is re-raised with its name first."""
     try:
@@ -194,6 +203,7 @@ def run_naive_pipeline(
     Returns (reachset, mask, manifest); the manifest records every seed and
     size needed to reproduce the run bit for bit.
     """
+    _check_sizes(train_size=train_size)
     manifest = dict(
         pipeline="naive", seed=seed, train_size=train_size, calib_size=calib_size
     )
@@ -226,6 +236,7 @@ def run_surrogate_pipeline(
     bound the lifted hull, fit the normalization of q = f - g on
     ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
     """
+    _check_sizes(train_size=train_size, aux_size=aux_size)
     manifest = dict(
         pipeline="surrogate", seed=seed, train_size=train_size, calib_size=calib_size,
         aux_size=aux_size, num_components=num_components, norm=norm,

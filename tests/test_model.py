@@ -74,6 +74,26 @@ class TestInfer:
         with pytest.raises(ValueError, match="dim"):
             infer(identity_net(3), np.zeros(4))
 
+    def test_out_gives_the_same_bits(self):
+        rng = np.random.default_rng(2)
+        net = random_mlp([6, 17, 9, 4], rng)
+        xs = rng.uniform(-1, 1, size=(2500, 6))  # two full chunks and a partial one
+        out = np.full((2500, 4), np.nan)
+        assert infer(net, xs, out=out) is out
+        np.testing.assert_array_equal(out, infer(net, xs))
+        one = np.empty((1, 4))
+        np.testing.assert_array_equal(infer(net, xs[0], out=one), infer(net, xs[0]))
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((5, 3)), np.empty((4, 5)), np.empty(5 * 4), np.empty((5, 4), np.float32)],
+        ids=["rows", "columns", "flat", "float32"],
+    )
+    def test_out_of_wrong_shape_or_dtype(self, out):
+        net = random_mlp([6, 4], np.random.default_rng(3))
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            infer(net, np.zeros((5, 6)), out=out)
+
 
 class TestPredictMask:
     def test_single_pixel(self):

@@ -8,6 +8,7 @@ from conformal_reach.perturb import (
     apply_batch,
     build_darkening,
     build_global_ball,
+    image_blocks,
     sample_lambdas,
     spec_from_manifest,
     spec_manifest,
@@ -57,6 +58,27 @@ class TestApply:
             mix, out1, out2 = apply_batch(spec, np.stack([a * l1 + (1 - a) * l2, l1, l2]))
             combo = a * out1 + (1 - a) * out2
             np.testing.assert_allclose(mix, combo, rtol=1e-12, atol=1e-15)
+
+    def test_caller_lams_unchanged(self):
+        # the implicit basis forms its images in the coefficient array
+        spec = build_global_ball(bright_2x2(), "l2", 0.3)
+        lams = sample_lambdas(spec, 5, 4)
+        kept = lams.copy()
+        np.testing.assert_array_equal(apply_batch(spec, lams), spec.base_image.data + kept)
+        np.testing.assert_array_equal(lams, kept)
+
+    @pytest.mark.parametrize("ball", [False, True])
+    def test_blocks_stack_to_apply_batch(self, ball):
+        img = darkening_image(16, 16, 1, 120, seed=6)
+        if ball:
+            spec = build_global_ball(img, "linf", 0.1)
+        else:
+            spec = build_darkening(img, 0.05, rng_seed=7)
+        lams = sample_lambdas(spec, 23, 8)
+        # a block is reused by the next, so each is copied out
+        blocks = [X.copy() for X in image_blocks(spec, lams.copy(), 5)]
+        assert [X.shape[0] for X in blocks] == [5, 5, 5, 5, 3]
+        np.testing.assert_array_equal(np.vstack(blocks), apply_batch(spec, lams))
 
 
 class TestBuildDarkening:

@@ -315,6 +315,30 @@ def test_stage_failure_names_stage(monkeypatch, pipeline, stage, stream):
         run_4x4(pipeline)
 
 
+@pytest.mark.parametrize(
+    "pipeline, size",
+    [("naive", "train_size"), ("surrogate", "train_size"), ("surrogate", "aux_size")],
+)
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_bad_sample_size_rejected_before_any_draw(monkeypatch, pipeline, size, bad):
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    with pytest.raises(ValueError, match=f"^{size} must be a positive integer, got {bad!r}$"):
+        run_4x4(pipeline, **{size: bad})
+
+
+@pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
+def test_numpy_integer_sizes_accepted(pipeline):
+    sizes = dict(train_size=np.int64(100))
+    if pipeline == "surrogate":
+        sizes.update(aux_size=np.int32(80))
+    _, _, (_, mask, _) = run_4x4(pipeline, **sizes)
+    _, _, (_, ref, _) = run_4x4(pipeline)
+    np.testing.assert_array_equal(mask.status, ref.status)
+
+
 @pytest.mark.parametrize("pipeline, fit_stream", [("naive", "train"), ("surrogate", "aux")])
 def test_manifest_scales_give_half_width(pipeline, fit_stream):
     # the common manifest keys, and half-width = rank score * tau bit for bit
