@@ -70,23 +70,23 @@ def stage_outputs(
     model: MlpNetwork, spec: PerturbationSpec, seed: int, stage: str, count: int
 ):
     """Network outputs on ``count`` fresh samples of one pipeline stage,
-    yielded in blocks of at most PIPELINE_CHUNK rows from the stage's
-    seeded stream.
+    yielded in order in blocks of at most INFER_CHUNK rows from the
+    stage's seeded stream.
 
-    Each block's coefficients are drawn at once; its images are then built
-    INFER_CHUNK rows at a time by ``image_blocks`` and inferred straight
-    into the block's output rows, so input memory grows with INFER_CHUNK x
-    n0, never with PIPELINE_CHUNK x n0."""
+    Coefficients are drawn PIPELINE_CHUNK rows at a time; their images are
+    built INFER_CHUNK rows at a time by ``image_blocks`` and inferred into
+    one (min(INFER_CHUNK, count), n) buffer the stage owns, so memory grows
+    with INFER_CHUNK x (n0 + n), never with PIPELINE_CHUNK or count. Each
+    block is a view of that buffer, valid only until the next one is
+    requested: a consumer that keeps rows copies them."""
     rng = stage_rng(seed, stage)
+    buf = np.empty((min(INFER_CHUNK, count), model.output_dim))
     for start in range(0, count, PIPELINE_CHUNK):
-        k = min(PIPELINE_CHUNK, count - start)
-        lams = sample_lambdas(spec, k, rng)
-        Y = np.empty((k, model.output_dim))
-        for X, row in zip(image_blocks(spec, lams, INFER_CHUNK), range(0, k, INFER_CHUNK)):
-            infer(model, X, out=Y[row : row + INFER_CHUNK])
-        # the last image block may be a view of lams; neither outlives Y's consumer
+        lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - start), rng)
+        for X in image_blocks(spec, lams, INFER_CHUNK):
+            yield infer(model, X, out=buf[: X.shape[0]])
+        # the last image block may be a view of lams; free both before the next draw
         del lams, X
-        yield Y
 
 
 class LpError(RuntimeError):

@@ -9,7 +9,10 @@ set is stored as a signed selection, one (flat input index, value) pair per
 coefficient, and applied by scatter: memory and work grow with r, never
 with r * n0. Images form in one place, ``image_blocks``, a fixed number of
 rows at a time in reused memory, so a stream of k images never holds a
-(k, n0) array; ``apply_batch`` is its one-block form. Perturbed
+(k, n0) array; ``apply_batch`` is its one-block form. The pipelines'
+stream, ``hull.stage_outputs``, infers each such block into one reused
+output buffer in turn, so it holds neither a stage's images nor its
+outputs at once. Perturbed
 intensities are deliberately not clamped to [0, 1]: the darkening
 construction is in-range by design, and clamping would destroy the affine
 structure the surrogate model relies on.

@@ -83,11 +83,12 @@ class ConservatismReport:
     degenerate: bool = False  # certified widths unusable (inf/zero sum)
 
     def as_dict(self) -> dict:
+        """The scalar figures as plain Python values, ready for ``json.dumps``."""
         return {
-            "eps_hat": self.eps_hat,
-            "bound_ratio": self.bound_ratio,
-            "sample_count": self.sample_count,
-            "degenerate": self.degenerate,
+            "eps_hat": float(self.eps_hat),
+            "bound_ratio": float(self.bound_ratio),
+            "sample_count": int(self.sample_count),
+            "degenerate": bool(self.degenerate),
         }
 
 
@@ -148,6 +149,18 @@ def _stage(name, fn):
         raise PipelineStageError(f"{name}: {exc}") from exc
 
 
+def _stacked(blocks, count, n):
+    """The ``count`` rows of a stream of (k, n) blocks, copied in order into
+    one (count, n) array: a ``stage_outputs`` block lives only until the
+    next is requested."""
+    out = np.empty((count, n))
+    row = 0
+    for Y in blocks:
+        out[row : row + Y.shape[0]] = Y
+        row += Y.shape[0]
+    return out
+
+
 def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
     """Center and scales of ``residual`` over the stage ``fit`` = (name,
     stream, count), then the calibration set of ``calib_size`` residual
@@ -155,10 +168,13 @@ def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
     name, stream, count = fit
 
     def residuals(stage, k):
-        # map holds no block, so each is freed once scored
+        # each residual is formed in the stage's one reused output buffer
         return map(residual, stage_outputs(model, spec, seed, stage, k))
 
-    cs = _stage(name, lambda: center_and_scales(np.vstack(list(residuals(stream, count)))))
+    cs = _stage(
+        name,
+        lambda: center_and_scales(_stacked(residuals(stream, count), count, model.output_dim)),
+    )
     calib = _stage(
         "calibrate",
         lambda: stream_calibration(residuals("calib", calib_size), cs, source),
@@ -243,7 +259,10 @@ def run_surrogate_pipeline(
     )
 
     def train():
-        Y = np.vstack(list(stage_outputs(model, spec, seed, "train", train_size)))
+        Y = _stacked(
+            stage_outputs(model, spec, seed, "train", train_size),
+            train_size, model.output_dim,
+        )
         basis = deflate(Y, num_components)
         V = Y @ basis.matrix
         lifted = V @ basis.matrix.T
@@ -256,7 +275,8 @@ def run_surrogate_pipeline(
 
         def residual(Y):
             V_hat, _ = clip_batch(Y @ basis.matrix, hull, norm)
-            return Y - V_hat @ basis.matrix.T
+            Y -= V_hat @ basis.matrix.T
+            return Y
 
         cs, calib = _conformal_step(
             model, spec, seed, residual, ("normalize", "aux", aux_size),
@@ -287,19 +307,28 @@ def conservatism_audit(
     """Sample fresh adversarial inputs and compare certified to empirical
     bounds: eps_hat counts samples escaping [y_lo, y_hi] in any component,
     bound_ratio divides summed empirical widths by summed certified widths.
+
+    The bounds must hold one value per network output, none NaN, with
+    ``y_lo <= y_hi``; infinite bounds are allowed and flag the report
+    degenerate.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    _check_sizes(sample_count=sample_count)
+    n = model.output_dim
     y_lo = np.asarray(y_lo, dtype=np.float64).reshape(-1)
     y_hi = np.asarray(y_hi, dtype=np.float64).reshape(-1)
+    if y_lo.size != n or y_hi.size != n:
+        raise ValueError(f"bounds must hold {n} values each, got {y_lo.size} and {y_hi.size}")
+    if np.isnan(y_lo).any() or np.isnan(y_hi).any():
+        raise ValueError("bounds must not be NaN")
+    if np.any(y_lo > y_hi):
+        raise ValueError("y_lo must be <= y_hi componentwise")
     misses = 0
-    emp_lo = np.full(y_lo.shape, np.inf)
-    emp_hi = np.full(y_hi.shape, -np.inf)
+    emp_lo = np.full(n, np.inf)
+    emp_hi = np.full(n, -np.inf)
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
         misses += int(np.sum(np.any((Y < y_lo) | (Y > y_hi), axis=1)))
         emp_lo = np.minimum(emp_lo, Y.min(axis=0))
         emp_hi = np.maximum(emp_hi, Y.max(axis=0))
-        del Y  # free this block before the stream builds the next
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

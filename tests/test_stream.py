@@ -1,7 +1,8 @@
-"""The fused sampling stream: ``stage_outputs`` builds each INFER_CHUNK of
-images in reused memory and infers it straight into the block's outputs.
-It must give the bits of the unfused sample -> apply -> infer chain, and
-hold no (PIPELINE_CHUNK, n0) input array."""
+"""The fused sampling stream: ``stage_outputs`` draws coefficients one
+PIPELINE_CHUNK at a time, builds each INFER_CHUNK of images in reused
+memory and infers it into one reused output buffer. It must give the bits
+of the unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK,
+n0) input array and no (PIPELINE_CHUNK, n) output array."""
 
 import tracemalloc
 
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 
 from conformal_reach._seeds import stage_rng
-from conformal_reach.hull import PIPELINE_CHUNK, stage_outputs
+from conformal_reach.hull import PIPELINE_CHUNK, HullModel, clip_batch, stage_outputs
 from conformal_reach.model import INFER_CHUNK, ImageTensor, infer, random_mlp
+from conformal_reach.pca import deflate
 from conformal_reach.perturb import (
     apply_batch,
     build_darkening,
     build_global_ball,
     sample_lambdas,
 )
+from conformal_reach.verify import conservatism_audit, run_naive_pipeline
+
+from test_golden import ball_inputs, golden_inputs
 
 
 def _image(h, w, nc, seed):
@@ -34,39 +39,90 @@ SPECS = {
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 @pytest.mark.parametrize(
-    "count",
-    [INFER_CHUNK - 1, 2 * INFER_CHUNK + 300, PIPELINE_CHUNK + 1500],
+    "count, sizes",
+    [
+        (INFER_CHUNK - 1, [INFER_CHUNK - 1]),
+        (2 * INFER_CHUNK + 300, [INFER_CHUNK, INFER_CHUNK, 300]),
+        (PIPELINE_CHUNK + 1500, [INFER_CHUNK] * 9 + [1500 - INFER_CHUNK]),
+    ],
     ids=["below-infer-chunk", "partial-slice", "two-chunks"],
 )
-def test_matches_unfused_chain(kind, count):
+def test_matches_unfused_chain(kind, count, sizes):
     img = _image(6, 6, 3, seed=1)
     spec = SPECS[kind](img)
     model = random_mlp([img.size, 12, 9], np.random.default_rng(2))
     rng = stage_rng(11, "calib")
-    sizes = []
+    ref = np.vstack([
+        infer(model, apply_batch(spec, sample_lambdas(spec, min(PIPELINE_CHUNK, count - s), rng)))
+        for s in range(0, count, PIPELINE_CHUNK)
+    ])
+    blocks, last = [], None
     for Y in stage_outputs(model, spec, 11, "calib", count):
-        ref = infer(model, apply_batch(spec, sample_lambdas(spec, Y.shape[0], rng)))
-        np.testing.assert_array_equal(Y, ref)
-        sizes.append(Y.shape[0])
-    assert sizes == [min(PIPELINE_CHUNK, count - s) for s in range(0, count, PIPELINE_CHUNK)]
+        # every block is a view of the one buffer the stage owns
+        assert last is None or np.shares_memory(Y, last)
+        blocks.append(Y.copy())
+        last = Y
+    assert [b.shape[0] for b in blocks] == sizes
+    np.testing.assert_array_equal(np.vstack(blocks), ref)
 
 
 def test_memory_grows_with_infer_chunk():
     # Traced numpy buffers of one full PIPELINE_CHUNK of a darkening stream
-    # on a 32x32x1 image: at most two (INFER_CHUNK, n0) input blocks plus
-    # the (count, n) outputs. One (PIPELINE_CHUNK, n0) input matrix alone
-    # is 67 MB, about four times the budget.
+    # on a 32x32x1 image through a 1024-output model: at most two
+    # (INFER_CHUNK, n0 + n) blocks. One (PIPELINE_CHUNK, n) output block
+    # alone is 67 MB, twice the budget.
     img = _image(32, 32, 1, seed=3)
     spec = build_darkening(img, 0.02, rng_seed=4)
-    model = random_mlp([img.size, 32, 16], np.random.default_rng(5))
-    count = PIPELINE_CHUNK
-    budget = 2 * INFER_CHUNK * img.size * 8 + count * model.output_dim * 8
+    model = random_mlp([img.size, 32, 1024], np.random.default_rng(5))
+    budget = 2 * INFER_CHUNK * (img.size + model.output_dim) * 8
     tracemalloc.start()
     try:
-        for Y in stage_outputs(model, spec, 6, "train", count):
-            assert Y.shape == (count, model.output_dim)
-        del Y
+        for _ in stage_outputs(model, spec, 6, "train", PIPELINE_CHUNK):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+def test_pipeline_and_audit_memory_grow_with_infer_chunk():
+    # calib and audit streams longer than PIPELINE_CHUNK on a 16x16x1 image
+    # with 4 classes (n0 = 256, n = 1024): beyond the (t, n) train stack and
+    # the (t, n) deviations ``center_and_scales`` forms from it, the traced
+    # peak is at most two (INFER_CHUNK, n0 + n) blocks. One (PIPELINE_CHUNK,
+    # n) output block alone is 67 MB, more than twice the budget.
+    img = _image(16, 16, 1, seed=7)
+    spec = build_darkening(img, 0.1, rng_seed=8)
+    model = random_mlp([img.size, 32, 4 * img.size], np.random.default_rng(9))
+    n, t, m = model.output_dim, 300, PIPELINE_CHUNK + 808
+    budget = 2 * t * n * 8 + 2 * INFER_CHUNK * (img.size + n) * 8
+    tracemalloc.start()
+    try:
+        reachset, _, _ = run_naive_pipeline(
+            model, spec, train_size=t, calib_size=m, epsilon=0.05,
+            rank_ell=m - 10, seed=10,
+        )
+        report = conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.sample_count == m
+    assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+@pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["darkening", "l2-ball"])
+def test_clip_batch_on_infer_chunks_matches_whole(inputs, norm):
+    # the surrogate clips each INFER_CHUNK of residual rows apart, so LP
+    # rows share lockstep blocks with other neighbours than in one call on
+    # the whole, and every product runs on other row counts
+    model, spec = inputs()
+    train = np.vstack([Y.copy() for Y in stage_outputs(model, spec, 22, "train", 200)])
+    basis = deflate(train, 4)
+    hull = HullModel.from_points(train @ basis.matrix)
+    V = np.vstack([Y @ basis.matrix for Y in stage_outputs(model, spec, 22, "calib", 5000)])
+    assert 0 < hull.interior_mask(V).sum() < V.shape[0]
+    V_hat, residuals = clip_batch(V, hull, norm)
+    parts = [clip_batch(V[s : s + INFER_CHUNK], hull, norm) for s in range(0, 5000, INFER_CHUNK)]
+    np.testing.assert_array_equal(np.vstack([p[0] for p in parts]), V_hat)
+    np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), residuals)

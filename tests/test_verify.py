@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conformal_reach import verify
 from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import PIPELINE_CHUNK, clip_batch, stage_outputs
-from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
+from conformal_reach.model import INFER_CHUNK, ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.perturb import (
     PerturbationSpec,
     UNIFORM_BOX,
@@ -30,13 +32,15 @@ G = guarantee_confidence(0.05, 95, 100)
 
 
 def residual_blocks(model, spec, seed, stage, count, surrogate=None):
-    """The blocks a pipeline scores on one stage: the raw outputs for the
-    naive box, q = f - g for a surrogate reachset."""
+    """The blocks a pipeline scores on one stage, as new arrays that may be
+    kept: the raw outputs for the naive box, q = f - g for a surrogate
+    reachset."""
     for Y in stage_outputs(model, spec, seed, stage, count):
-        if surrogate is not None:
+        if surrogate is None:
+            yield Y.copy()
+        else:
             A = surrogate.basis.matrix
-            Y = Y - clip_batch(Y @ A, surrogate.hull)[0] @ A.T
-        yield Y
+            yield Y - clip_batch(Y @ A, surrogate.hull)[0] @ A.T
 
 
 def run_4x4(pipeline, **overrides):
@@ -200,7 +204,7 @@ class TestNaivePipeline:
         assert status_pgm_bytes(m1) == status_pgm_bytes(m2)
 
     def test_streamed_calibration_matches_stacked(self):
-        # two calib blocks: scoring each on arrival equals scoring the stack
+        # two sampling chunks: scoring each block on arrival equals scoring the stack
         model, base = synthetic_ssn_4x4()
         spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=5)
         m, ell = PIPELINE_CHUNK + 808, PIPELINE_CHUNK + 700
@@ -208,9 +212,9 @@ class TestNaivePipeline:
             model, spec, train_size=400, calib_size=m, epsilon=0.02,
             rank_ell=ell, seed=6,
         )
-        blocks = list(stage_outputs(model, spec, 6, "calib", m))
-        assert [b.shape[0] for b in blocks] == [PIPELINE_CHUNK, 808]
-        cs = center_and_scales(np.vstack(list(stage_outputs(model, spec, 6, "train", 400))))
+        blocks = list(residual_blocks(model, spec, 6, "calib", m))
+        assert [b.shape[0] for b in blocks] == [INFER_CHUNK] * 8 + [808]
+        cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 6, "train", 400))))
         calib = build_calibration(np.vstack(blocks), cs)
         g = guarantee_confidence(0.02, ell, m)
         stacked = naive_reachset(calib, cs, g)
@@ -276,13 +280,13 @@ class TestSurrogatePipeline:
         assert np.all(agree)
 
     def test_streamed_calibration_matches_stacked(self):
-        # two calib blocks: scoring each on arrival equals scoring the stack
+        # two sampling chunks: scoring each block on arrival equals scoring the stack
         m, ell = PIPELINE_CHUNK + 808, PIPELINE_CHUNK + 700
         model, spec, (reachset, _, manifest) = run_4x4(
             "surrogate", calib_size=m, epsilon=0.02, rank_ell=ell,
         )
         blocks = list(residual_blocks(model, spec, 8, "calib", m, reachset))
-        assert [b.shape[0] for b in blocks] == [PIPELINE_CHUNK, 808]
+        assert [b.shape[0] for b in blocks] == [INFER_CHUNK] * 8 + [808]
         cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 8, "aux", 80, reachset))))
         calib = build_calibration(np.vstack(blocks), cs, source="surrogate-errors")
         assert manifest["rank_score"] == calib.rank_score(ell)
@@ -408,6 +412,41 @@ class TestConservatismAudit:
             sample_count=1, seed=20,
         )
         assert r.eps_hat in (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, match",
+        [
+            ([np.nan] + [-1.0] * 5, [1.0] * 6, "NaN"),
+            ([-1.0] * 6, [1.0] * 5 + [np.nan], "NaN"),
+            ([-1.0], [1.0], "6 values each"),
+            ([-1.0] * 7, [1.0] * 7, "6 values each"),
+            ([1.0] * 6, [-1.0] * 6, "y_lo must be <= y_hi"),
+        ],
+        ids=["nan-lo", "nan-hi", "length-1", "too-long", "swapped"],
+    )
+    def test_bad_bounds_rejected(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            conservatism_audit(self.model, self.spec, lo, hi, sample_count=10, seed=16)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    def test_bad_sample_count_rejected(self, bad):
+        n = self.model.output_dim
+        with pytest.raises(ValueError, match=f"^sample_count must be a positive integer, got {bad!r}$"):
+            conservatism_audit(
+                self.model, self.spec, np.full(n, -1.0), np.full(n, 1.0),
+                sample_count=bad, seed=16,
+            )
+
+    @pytest.mark.parametrize("bound", [np.inf, 1.0])
+    def test_as_dict_is_json_ready(self, bound):
+        # degenerate and finite reports, with a numpy integer sample count
+        n = self.model.output_dim
+        report = conservatism_audit(
+            self.model, self.spec, np.full(n, -bound), np.full(n, bound),
+            sample_count=np.int64(50), seed=16,
+        )
+        assert json.loads(json.dumps(report.as_dict())) == report.as_dict()
+        assert report.as_dict()["degenerate"] is (bound == np.inf)
 
     def test_re_audit_same_seed_identical(self):
         n = self.model.output_dim
