@@ -6,7 +6,8 @@ the hull itself. A conformal hyper-rectangle over the residual q = f - g
 then inflates the hull (a Minkowski sum realized per component as interval
 addition), giving intervals on every logit with the full guarantee. The
 pipeline that fits and calibrates it is ``verify.run_surrogate_pipeline``;
-this module holds the hull, the clip LP, the inflated set and its files.
+this module holds the hull, the clip LP, the inflated set and its one .npz
+file (``save_surrogate`` / ``load_surrogate``).
 
 The projection is a small-row linear program (the hull may have thousands
 of generators but the reduced space has N dimensions). Its feasible basis
@@ -25,8 +26,7 @@ point.
 
 from __future__ import annotations
 
-import json
-import os
+import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .model import INFER_CHUNK, MlpNetwork, infer
-from .pca import ProjectionBasis, load_basis, save_basis
+from .pca import ProjectionBasis
 from .perturb import PerturbationSpec, image_blocks, sample_lambdas
 from ._seeds import stage_rng
 
@@ -58,7 +58,7 @@ _INTERIOR_MARGIN = 1e-9
 # refactorizations of their stacked basis inverses.
 _CLIP_BLOCK = 64
 _REFACTOR_EVERY = 16
-# A pivot this small next to its column's largest entry may be eta noise.
+# A pivot this small next to its column's largest entry may be noise.
 _SMALL_PIVOT = 1e-9
 
 # Sampling happens in fixed-size blocks so that a run is reproducible from
@@ -198,9 +198,9 @@ class _ClipProblem:
     rows; only the linear algebra is shared. The basis inverses are kept
     as a stacked (k, M, M) array that each pivot updates with a rank-one
     eta step instead of solving with the basis. They are refactorized from
-    A[:, basis] every _REFACTOR_EVERY pivots, and at once when a chosen
-    pivot is small enough to be eta noise (_SMALL_PIVOT), which would
-    otherwise make the basis singular. Rows leave the block when optimal;
+    A[:, basis] every _REFACTOR_EVERY pivots; the ratio test skips entries
+    below _SMALL_PIVOT of their column's largest, which may be eta noise
+    and would make the basis singular. Rows leave the block when optimal;
     each one's reported point is then solved afresh from its final basis.
     """
 
@@ -329,7 +329,10 @@ class _ClipProblem:
                     a[go] for a in (live, basis, b, Binv, xB, cB, q, stall, last_obj)
                 )
             d = (Binv @ self.columns[q][:, :, None])[:, :, 0]
-            positive = d > _PIVOT_TOL
+            # eta and rounding error can lift an exact zero of d over
+            # _PIVOT_TOL; a pivot on it makes the basis near singular
+            floor = np.maximum(_PIVOT_TOL, _SMALL_PIVOT * np.abs(d).max(axis=1))
+            positive = d > floor[:, None]
             if not positive.any(axis=1).all():
                 raise LpError("objective unbounded below")
             ratios = np.full(d.shape, np.inf)
@@ -338,11 +341,6 @@ class _ClipProblem:
             # leaving tie-break by lowest variable index (Bland-safe)
             p = np.argmin(np.where(ties, basis, np.iinfo(np.int64).max), axis=1)
             rows = np.arange(live.size)
-            if age and np.any(d[rows, p] < _SMALL_PIVOT * np.abs(d).max(axis=1)):
-                # eta error can lift an exact zero of d over _PIVOT_TOL;
-                # redo the pass with freshly factorized inverses
-                age = _REFACTOR_EVERY
-                continue
             obj = (cB * xB).sum(axis=1)
             stalled = obj >= last_obj - 1e-12 * (1.0 + np.abs(obj))
             stall = np.where(stalled, stall + 1, 0)
@@ -472,62 +470,65 @@ def surrogate_predict(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: basis container + raw hull points + JSON sidecar
+# Persistence: one .npz archive per reachset
 # ---------------------------------------------------------------------------
 
 
-# Version of the surrogate.json layout; a loader accepts only its own.
-SURROGATE_FORMAT = 1
+# Version of the archive layout; a loader accepts only its own.
+SURROGATE_FORMAT = 2
+_BASIS_FIELDS = ("matrix", "rayleigh", "iterations", "converged")
+_VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
+_GUARANTEE = ("epsilon", "rank_ell", "calib_size_m")
+_KEYS = (*_BASIS_FIELDS, "hull_points", *_VECTORS, *_GUARANTEE)
 
 
-def save_surrogate(sr: SurrogateReachSet, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    save_basis(sr.basis, os.path.join(directory, "basis.pca"))
-    np.ascontiguousarray(sr.hull.points, dtype="<f8").tofile(
-        os.path.join(directory, "hull_points.f64")
-    )
-    sidecar = {
-        "format": SURROGATE_FORMAT,
-        "hull_shape": list(sr.hull.points.shape),
-        "error_center": sr.error_center.tolist(),
-        "error_sigma": sr.error_sigma.tolist(),
-        "lift_lb": sr.lift_lb.tolist(),
-        "lift_ub": sr.lift_ub.tolist(),
-        "guarantee": sr.guarantee.as_dict(),
-    }
-    with open(os.path.join(directory, "surrogate.json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+def save_surrogate(sr: SurrogateReachSet, path) -> None:
+    """Write ``sr`` to one .npz archive at exactly ``path``: the format
+    version, every basis field, the hull points, the four n-vectors and
+    the guarantee triple (epsilon, ell, m)."""
+    arrays = {name: getattr(sr.basis, name) for name in _BASIS_FIELDS}
+    arrays.update({name: getattr(sr, name) for name in _VECTORS})
+    arrays.update({name: getattr(sr.guarantee, name) for name in _GUARANTEE})
+    # a file object, because np.savez appends ".npz" to a name without it
+    with open(path, "wb") as fh:
+        np.savez(fh, format=SURROGATE_FORMAT, hull_points=sr.hull.points, **arrays)
 
 
-def load_surrogate(directory) -> SurrogateReachSet:
-    sidecar_path = os.path.join(directory, "surrogate.json")
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format") != SURROGATE_FORMAT:
-        raise ValueError(
-            f"{sidecar_path}: format {sidecar.get('format')!r}, "
-            f"expected {SURROGATE_FORMAT}"
-        )
-    basis = load_basis(os.path.join(directory, "basis.pca"))
-    t, N = sidecar["hull_shape"]
-    points_path = os.path.join(directory, "hull_points.f64")
-    size = os.path.getsize(points_path)
-    if min(t, N) < 1 or size != 8 * t * N:
-        raise ValueError(
-            f"{points_path}: {size} bytes, but hull_shape {t}x{N} needs {8 * t * N}"
-        )
-    points = np.fromfile(points_path, dtype="<f8").reshape(t, N)
-    try:
-        g = sidecar["guarantee"]
-        guarantee = guarantee_confidence(g["epsilon"], g["rank_ell"], g["calib_size_m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar_path}: bad guarantee: {exc!r}") from exc
+def load_surrogate(path) -> SurrogateReachSet:
+    """Read a reachset that ``save_surrogate`` wrote, with every check a
+    reachset makes when built; a failure is a ValueError whose message
+    starts with ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                fields = {key: np.asarray(archive[key]) for key in archive.files}
+            return _surrogate_from(fields)
+        except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _surrogate_from(fields: dict) -> SurrogateReachSet:
+    version = fields["format"].tolist() if "format" in fields else None
+    if version != SURROGATE_FORMAT:
+        raise ValueError(f"format {version!r}, expected {SURROGATE_FORMAT}")
+    missing = [key for key in _KEYS if key not in fields]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    matrix = fields["matrix"]
+    if matrix.ndim != 2 or not 1 <= matrix.shape[1] <= matrix.shape[0]:
+        raise ValueError(f"basis matrix of shape {matrix.shape} violates 1 <= N <= n")
+    N = matrix.shape[1]
+    if any(fields[name].shape != (N,) for name in _BASIS_FIELDS[1:]):
+        raise ValueError(f"rayleigh, iterations and converged must hold N = {N} values each")
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(fields["rayleigh"]))):
+        raise ValueError("non-finite basis entries")
+    basis = ProjectionBasis(**{name: fields[name] for name in _BASIS_FIELDS})
     return SurrogateReachSet(
-        hull=HullModel.from_points(points, basis=basis),
+        hull=HullModel.from_points(fields["hull_points"], basis=basis),
         basis=basis,
-        error_center=np.array(sidecar["error_center"]),
-        error_sigma=np.array(sidecar["error_sigma"]),
-        lift_lb=np.array(sidecar["lift_lb"]),
-        lift_ub=np.array(sidecar["lift_ub"]),
-        guarantee=guarantee,
+        guarantee=guarantee_confidence(*(fields[name].tolist() for name in _GUARANTEE)),
+        **{name: fields[name] for name in _VECTORS},
     )

@@ -11,7 +11,8 @@ t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
 a itself is formed once per direction. Memory: one G per direction, no
 larger than the cloud when t <= n. No mean subtraction anywhere:
 downstream algebra projects raw logit vectors through A, so the basis must
-describe second moments about the origin, not the mean.
+describe second moments about the origin, not the mean. A basis is saved
+whole inside a surrogate reachset's archive (``hull.save_surrogate``).
 """
 
 from __future__ import annotations
@@ -20,19 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ProjectionBasis",
-    "deflate",
-    "save_basis",
-    "load_basis",
-]
+__all__ = ["ProjectionBasis", "deflate"]
 
 _INIT_FALLBACK_NORM = 1e-14
 _TINY = 1e-300
-
-
-class BasisFormatError(ValueError):
-    """Raised for malformed basis files."""
 
 
 @dataclass(frozen=True)
@@ -165,44 +157,3 @@ def _initial_direction(Z: np.ndarray, cols, n: int) -> np.ndarray:
         if norm >= 1e-8:
             return a / norm
     raise ValueError("could not construct an initial direction")
-
-
-# Basis container: ASCII header "PCA v1 <n> <N>", then the N columns one
-# after another (column-major), little-endian float64.
-
-
-def save_basis(basis: ProjectionBasis, path) -> None:
-    n, N = basis.matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(f"PCA v1 {n} {N}\n".encode("ascii"))
-        fh.write(np.asfortranarray(basis.matrix, dtype="<f8").tobytes(order="F"))
-        fh.write(np.ascontiguousarray(basis.rayleigh, dtype="<f8").tobytes())
-
-
-def load_basis(path) -> ProjectionBasis:
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != b"PCA" or parts[1] != b"v1":
-            raise BasisFormatError(f"malformed basis header in {path}")
-        try:
-            n, N = int(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise BasisFormatError(f"unparsable basis size in {path}") from exc
-        if not 1 <= N <= n:
-            raise BasisFormatError(
-                f"basis size n={n}, N={N} in {path} violates 1 <= N <= n"
-            )
-        payload = fh.read()
-    if len(payload) != (n * N + N) * 8:
-        raise BasisFormatError(f"truncated basis payload in {path}")
-    matrix = np.frombuffer(payload, dtype="<f8", count=n * N).reshape((n, N), order="F")
-    rayleigh = np.frombuffer(payload, dtype="<f8", count=N, offset=n * N * 8)
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rayleigh))):
-        raise BasisFormatError(f"non-finite basis entries in {path}")
-    return ProjectionBasis(
-        matrix=matrix.copy(),
-        rayleigh=rayleigh.copy(),
-        iterations=np.zeros(N, dtype=np.int64),
-        converged=np.ones(N, dtype=bool),
-    )

@@ -277,7 +277,10 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
 
 
 def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:
-    """JSON-ready description sufficient to rebuild the exact input set."""
+    """JSON-ready description sufficient to rebuild the exact input set.
+    A ball is rebuilt from its radius, so its n0-long coefficient box is
+    left out."""
+    box = spec.distribution not in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL)
     return {
         "base_image": base_image_path,
         "image_shape": [
@@ -293,8 +296,8 @@ def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:
         if spec.selected_pixels is not None
         else None,
         "selection_seed": spec.selection_seed,
-        "lambda_lower": spec.lambda_lower.tolist(),
-        "lambda_upper": spec.lambda_upper.tolist(),
+        "lambda_lower": spec.lambda_lower.tolist() if box else None,
+        "lambda_upper": spec.lambda_upper.tolist() if box else None,
     }
 
 

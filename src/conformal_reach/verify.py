@@ -253,6 +253,8 @@ def run_surrogate_pipeline(
     ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
     """
     _check_sizes(train_size=train_size, aux_size=aux_size)
+    if norm not in ("l_inf", "l_1"):
+        raise ValueError(f"norm must be 'l_inf' or 'l_1', got {norm!r}")
     manifest = dict(
         pipeline="surrogate", seed=seed, train_size=train_size, calib_size=calib_size,
         aux_size=aux_size, num_components=num_components, norm=norm,

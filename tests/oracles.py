@@ -1,7 +1,9 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Everything here is deliberately naive: grids, exhaustive enumeration and
-dense eigendecompositions, kept free of the code paths they check.
+dense eigendecompositions, kept free of the code paths they check. The
+inputs the tests share (a hand-built 4x4 model, benchmark instances) and
+a file rewriter are built here too.
 """
 
 from itertools import combinations
@@ -108,6 +110,38 @@ def synthetic_ssn_4x4():
         b[r[(winner + 2) % 3]] += -1.0
     model = MlpNetwork((W,), (b,))
     return model, ImageTensor.from_array(base)
+
+
+def dark16_instance(instance_seed: int):
+    """(image, model, spec) of one surrogate-dark16-n10 benchmark instance,
+    rebuilt from its instance seed by the benchmark's recipe: a dim 16x16
+    grey image with 120 bright pixels, a 256-256-768 network and a 5%
+    darkening. The pipeline of that instance runs with the same seed."""
+    from conformal_reach.model import ImageTensor, random_mlp
+    from conformal_reach.perturb import build_darkening
+
+    rng = np.random.default_rng(instance_seed)
+    arr = rng.uniform(0.0, 0.55, size=(16, 16, 1))
+    flat = arr.reshape(256, 1)
+    bright = rng.choice(256, size=120, replace=False)
+    flat[bright] = rng.uniform(0.65, 1.0, size=(120, 1))
+    image = ImageTensor.from_array(arr)
+    model = random_mlp([256, 256, 768], rng)
+    return image, model, build_darkening(image, 0.05, rng_seed=instance_seed)
+
+
+def rewrite_npz(path, **changes):
+    """Rewrite the .npz archive at ``path`` with the given arrays replaced
+    or added; a value of None drops that key."""
+    with np.load(path) as archive:
+        fields = dict(archive)
+    for key, value in changes.items():
+        if value is None:
+            fields.pop(key)
+        else:
+            fields[key] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **fields)
 
 
 def darkening_grid_rv(model, spec, h, w, L, grid_n=101):

@@ -1,4 +1,6 @@
-import json
+import os
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import (
+    _CLIP_BLOCK,
     HullModel,
     clip,
     clip_batch,
     load_surrogate,
     save_surrogate,
+    stage_outputs,
     surrogate_predict,
 )
 from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
@@ -18,7 +22,7 @@ from conformal_reach.pca import deflate
 from conformal_reach.perturb import build_global_ball
 from conformal_reach.verify import PipelineStageError, run_surrogate_pipeline
 
-from oracles import enumerate_lp_minimum, grid_clip_residual
+from oracles import dark16_instance, enumerate_lp_minimum, grid_clip_residual, rewrite_npz
 
 
 def make_hull(points):
@@ -209,8 +213,6 @@ class TestLockstep:
 
     @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
     def test_batch_matches_rows_over_several_blocks(self, norm, passes):
-        from conformal_reach.hull import _CLIP_BLOCK
-
         rng = np.random.default_rng(30)
         pts = rng.normal(size=(60, 6))
         pts = np.vstack([pts, pts[:20]])  # repeated generators
@@ -248,29 +250,18 @@ class TestLockstep:
             _, _, res = clip(V[i], hull, "l_1")
             assert residuals[i] == pytest.approx(res, abs=1e-9)
 
-    def test_eta_noise_pivot_is_refactorized(self, monkeypatch):
-        # The surrogate-dark16-n10 benchmark instance of seed 3, built from
-        # the package. Refactorized only every 32 pivots, the eta-updated
-        # inverses of this block lift an exact zero of a pivot column to
-        # ~1e-11, just over the pivot tolerance; pivoting on it made the
-        # basis singular and reported row 49 (query 561) inside the hull,
+    def test_eta_updates_match_fresh_inverses(self, monkeypatch):
+        # The surrogate-dark16-n10 benchmark instance of seed 3. With the
+        # inverses refactorized only every 32 pivots, eta updates once
+        # lifted an exact zero of a pivot column of this block to ~1e-11,
+        # just over the pivot tolerance; the pivot on it made the basis
+        # singular and reported row 49 (query 561) inside the hull,
         # residual 0 against 4.787e-4. The block must match one solved
         # with a fresh inverse at every pivot.
         from conformal_reach import hull as hull_module
-        from conformal_reach.hull import stage_outputs
-        from conformal_reach.perturb import build_darkening
 
-        rng = np.random.default_rng(3)
-        arr = rng.uniform(0.0, 0.55, size=(16, 16, 1))
-        flat = arr.reshape(256, 1)
-        bright = rng.choice(256, size=120, replace=False)
-        flat[bright] = rng.uniform(0.65, 1.0, size=(120, 1))
-        model = random_mlp([256, 256, 768], rng)
-        spec = build_darkening(ImageTensor.from_array(arr), 0.05, rng_seed=3)
-        Y = next(stage_outputs(model, spec, 3, "train", 1000))
-        basis = deflate(Y, 10)
-        hull = HullModel.from_points(Y @ basis.matrix)
-        V = next(stage_outputs(model, spec, 3, "calib", 600))[512:576] @ basis.matrix
+        hull, C = dark16_clip_case(3, calib_size=600)
+        V = C[512:576]
         assert not hull.interior_mask(V).any()  # one block of 64 LPs
 
         monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
@@ -280,6 +271,22 @@ class TestLockstep:
         assert res_ref[49] == pytest.approx(4.787e-4, rel=1e-3)
         np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
+
+    def test_ill_conditioned_basis_is_not_made_singular(self):
+        # surrogate-dark16-n10 at workload seed 9529, instance 0: at
+        # iteration 80 of `calib` row 974 the basis condition number is
+        # 1.8e9, and a pivot on d = 1.05e-10 (max|d| = 5.0e4) left the
+        # final basis singular: "LpError: singular basis at iteration 81"
+        hull, C = dark16_clip_case(2780284557)
+        check_row_in_block_and_alone(hull, C, 974)
+
+    def test_noise_pivot_does_not_leave_the_hull(self):
+        # surrogate-dark16-n10 at workload seed 8, instance 1: `calib` row
+        # 437 was reported at residual 4.6e-17 while the point returned lay
+        # 0.487 (l-inf) from the query, on weights summing to 1.0207,
+        # outside the hull
+        hull, C = dark16_clip_case(3990686019)
+        check_row_in_block_and_alone(hull, C, 437)
 
     @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
     def test_row_result_does_not_depend_on_neighbours(self, norm):
@@ -292,6 +299,51 @@ class TestLockstep:
         V_hat_p, residuals_p = clip_batch(V[perm], hull, norm)
         np.testing.assert_allclose(residuals_p, residuals[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(V_hat_p, V_hat[perm], rtol=0, atol=1e-12)
+
+
+def dark16_clip_case(instance_seed, calib_size=2000):
+    """Hull and reduced first `calib` block of a surrogate-dark16-n10
+    instance, formed as its pipeline forms them (N = 10)."""
+    _, model, spec = dark16_instance(instance_seed)
+    Y = next(stage_outputs(model, spec, instance_seed, "train", 1000))
+    basis = deflate(Y, 10)
+    hull = HullModel.from_points(Y @ basis.matrix)
+    C = next(stage_outputs(model, spec, instance_seed, "calib", calib_size))
+    return hull, C @ basis.matrix
+
+
+def check_row_in_block_and_alone(hull, V, row):
+    """Clip the l-inf lockstep block the pipeline puts ``row`` of V in, and
+    the row on its own: every result attains the residual it reports, and
+    the weights of the lone solve lie on the simplex."""
+    start = row - row % _CLIP_BLOCK
+    assert not hull.interior_mask(V[: start + _CLIP_BLOCK]).any()
+    block = V[start : start + _CLIP_BLOCK]
+    scale = 1.0 + np.abs(hull.points).max() + np.abs(block).max()
+    V_hat, residuals = clip_batch(block, hull)
+    attained = np.abs(V_hat - block).max(axis=1)
+    np.testing.assert_allclose(attained, residuals, rtol=0, atol=1e-9 * scale)
+    v_hat, alpha, residual = clip(V[row], hull)
+    assert abs(np.abs(v_hat - V[row]).max() - residual) <= 1e-9 * scale
+    assert np.all(alpha >= 0.0)
+    assert abs(alpha.sum() - 1.0) <= 1e-9
+
+
+BASIS_FIELDS = ("matrix", "rayleigh", "iterations", "converged")
+VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
+
+
+@pytest.fixture(scope="module")
+def reachset():
+    return small_surrogate(20)
+
+
+@pytest.fixture
+def saved(tmp_path, reachset):
+    """Path of ``reachset`` saved by ``save_surrogate``."""
+    path = tmp_path / "reach.npz"
+    save_surrogate(reachset, path)
+    return path
 
 
 def small_surrogate(seed):
@@ -441,104 +493,89 @@ class TestSurrogateReachset:
             )
 
     def test_persistence_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        net = random_mlp([3, 8, 4], rng)
-        base = ImageTensor(1, 1, 3, np.full(3, 0.5))
-        spec = build_global_ball(base, "linf", 0.3)
-        sr = run_surrogate_pipeline(
-            net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
-        )[0]
-        save_surrogate(sr, tmp_path / "sr")
-        loaded = load_surrogate(tmp_path / "sr")
-        np.testing.assert_array_equal(loaded.hull.points, sr.hull.points)
-        np.testing.assert_array_equal(loaded.basis.matrix, sr.basis.matrix)
-        np.testing.assert_array_equal(loaded.error_sigma, sr.error_sigma)
-        lo1, hi1 = sr.project_intervals()
-        lo2, hi2 = loaded.project_intervals()
-        np.testing.assert_array_equal(lo1, lo2)
-        np.testing.assert_array_equal(hi1, hi2)
-
-    def test_load_rejects_inconsistent_sidecar(self, tmp_path):
-        rng = np.random.default_rng(16)
-        net = random_mlp([3, 8, 4], rng)
-        base = ImageTensor(1, 1, 3, np.full(3, 0.5))
-        spec = build_global_ball(base, "linf", 0.3)
-        sr = run_surrogate_pipeline(
-            net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
-        )[0]
-        save_surrogate(sr, tmp_path / "sr")
-        sidecar_path = tmp_path / "sr" / "surrogate.json"
-        good = json.loads(sidecar_path.read_text())
-        t, N = good["hull_shape"]
-        # the same hull bytes read as a dim-1 hull against the 2-column basis
-        flat = dict(good, hull_shape=[t * N, 1])
-        short = dict(good, error_sigma=good["error_sigma"][:1])
-        for bad in (flat, short):
-            sidecar_path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError):
-                load_surrogate(tmp_path / "sr")
-
-    def test_load_rejects_hull_file_of_wrong_size(self, tmp_path):
-        rng = np.random.default_rng(17)
-        net = random_mlp([3, 8, 4], rng)
-        base = ImageTensor(1, 1, 3, np.full(3, 0.5))
-        spec = build_global_ball(base, "linf", 0.3)
-        sr = run_surrogate_pipeline(
-            net, spec, train_size=80, calib_size=100, aux_size=50,
-            num_components=2, epsilon=0.05, rank_ell=95, seed=15,
-        )[0]
-        save_surrogate(sr, tmp_path / "sr")
-        sidecar_path = tmp_path / "sr" / "surrogate.json"
-        good = json.loads(sidecar_path.read_text())
-        t, N = good["hull_shape"]
-        sidecar_path.write_text(json.dumps(dict(good, hull_shape=[t + 1, N])))
-        with pytest.raises(ValueError, match=r"hull_points\.f64: .* needs"):
-            load_surrogate(tmp_path / "sr")
-        sidecar_path.write_text(json.dumps(good))
-        points_path = tmp_path / "sr" / "hull_points.f64"
-        points_path.write_bytes(points_path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match=r"hull_points\.f64: .* needs"):
-            load_surrogate(tmp_path / "sr")
-
-    def test_sidecar_format_round_trip(self, tmp_path):
-        sr = small_surrogate(18)
-        save_surrogate(sr, tmp_path / "sr")
-        sidecar = json.loads((tmp_path / "sr" / "surrogate.json").read_text())
-        assert sidecar["format"] == 1
-        loaded = load_surrogate(tmp_path / "sr")
+        sr = small_surrogate(10)
+        path = tmp_path / "reach"
+        save_surrogate(sr, path)
+        assert os.listdir(tmp_path) == ["reach"]  # one file, at exactly the path
+        with np.load(path) as archive:
+            assert archive["format"] == 2
+        loaded = load_surrogate(path)
+        assert sr.basis.iterations.min() >= 1  # the ascent's own counts come back
+        pairs = [(getattr(loaded.basis, f), getattr(sr.basis, f)) for f in BASIS_FIELDS]
+        pairs += [(getattr(loaded, v), getattr(sr, v)) for v in VECTORS]
+        pairs.append((loaded.hull.points, sr.hull.points))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert loaded.guarantee == sr.guarantee
         np.testing.assert_array_equal(loaded.project_intervals(), sr.project_intervals())
 
-    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
-    def test_load_rejects_missing_or_wrong_format(self, tmp_path, version):
-        save_surrogate(small_surrogate(19), tmp_path / "sr")
-        sidecar_path = tmp_path / "sr" / "surrogate.json"
-        sidecar = json.loads(sidecar_path.read_text())
-        if version is None:
-            del sidecar["format"]
+    @pytest.mark.parametrize("version", [None, 0, 1, "2"])
+    def test_load_rejects_missing_or_wrong_format(self, saved, version):
+        rewrite_npz(saved, format=version)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: format"):
+            load_surrogate(saved)
+
+    @pytest.mark.parametrize("key", [*BASIS_FIELDS, "hull_points", *VECTORS, "rank_ell"])
+    def test_load_rejects_missing_key(self, saved, key):
+        rewrite_npz(saved, **{key: None})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: missing {key}$"):
+            load_surrogate(saved)
+
+    @pytest.mark.parametrize("shape", ["one column", "three columns", "flat"])
+    def test_load_rejects_hull_of_wrong_width(self, saved, reachset, shape):
+        points = reachset.hull.points
+        bad = {
+            "one column": points[:, :1],
+            "three columns": np.hstack([points, points[:, :1]]),
+            "flat": points.ravel(),
+        }[shape]
+        rewrite_npz(saved, hull_points=bad)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: hull"):
+            load_surrogate(saved)
+
+    @pytest.mark.parametrize("name", VECTORS)
+    @pytest.mark.parametrize("fault", ["short", "long", "nan", "inf"])
+    def test_load_rejects_bad_vector(self, saved, reachset, name, fault):
+        vector = getattr(reachset, name)
+        if fault == "short":
+            vector = vector[:-1]
+        elif fault == "long":
+            vector = np.append(vector, 0.0)
         else:
-            sidecar["format"] = version
-        sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match=r"surrogate\.json: format"):
-            load_surrogate(tmp_path / "sr")
+            vector = vector.copy()
+            vector[1] = np.nan if fault == "nan" else np.inf
+        rewrite_npz(saved, **{name: vector})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: {name} must"):
+            load_surrogate(saved)
 
     @pytest.mark.parametrize("field, value", [
         ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
         ("epsilon", 1.5), ("epsilon", None),
     ])
-    def test_load_rejects_non_integer_rank(self, tmp_path, field, value):
-        # None drops the field; every error names the sidecar it came from
-        save_surrogate(small_surrogate(20), tmp_path / "sr")
-        sidecar_path = tmp_path / "sr" / "surrogate.json"
-        sidecar = json.loads(sidecar_path.read_text())
-        sidecar["guarantee"][field] = value
-        if value is None:
-            del sidecar["guarantee"][field]
-        sidecar_path.write_text(json.dumps(sidecar))
+    def test_load_rejects_non_integer_rank(self, saved, field, value):
+        # None drops the field; every error names the file it came from
+        rewrite_npz(saved, **{field: value})
         reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "epsilon"}
-        with pytest.raises(ValueError, match=rf"surrogate\.json: bad guarantee: .*{reason[field]}"):
-            load_surrogate(tmp_path / "sr")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: .*{reason[field]}"):
+            load_surrogate(saved)
+
+    @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other zip"])
+    def test_load_rejects_file_that_is_not_npz(self, saved, content):
+        if content == "text":
+            saved.write_text("format = 2\n")
+        elif content == "empty":
+            saved.write_bytes(b"")
+        elif content == "npy":
+            with open(saved, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif content == "truncated":
+            saved.write_bytes(saved.read_bytes()[:-30])
+        else:
+            with zipfile.ZipFile(saved, "w") as archive:
+                archive.writestr("format.npy", "2")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: "):
+            load_surrogate(saved)
 
     def test_rejects_non_finite_vectors(self):
         from conformal_reach.hull import SurrogateReachSet

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -196,15 +198,21 @@ def test_manifest_round_trip():
     np.testing.assert_array_equal(rebuilt.lambda_upper, spec.lambda_upper)
     assert rebuilt.selected_pixels == spec.selected_pixels
 
-    ball = build_global_ball(img, "l2", 0.25)
-    man2 = spec_manifest(ball, "base.pgm")
-    rebuilt2 = spec_from_manifest(man2, img)
-    assert rebuilt2.distribution == ball.distribution
-    assert rebuilt2.radius == ball.radius
-    # identical sampling after reconstruction
-    np.testing.assert_array_equal(
-        sample_lambdas(rebuilt2, 7, 18), sample_lambdas(ball, 7, 18)
-    )
+    for norm in ("l2", "linf"):
+        ball = build_global_ball(img, norm, 0.25)
+        man2 = spec_manifest(ball, "base.pgm")
+        # a ball is rebuilt from its radius: no per-coefficient list is written
+        assert not any(isinstance(v, list) and len(v) == ball.dim for v in man2.values())
+        assert man2["lambda_lower"] is None and man2["lambda_upper"] is None
+        rebuilt2 = spec_from_manifest(json.loads(json.dumps(man2)), img)
+        assert rebuilt2.distribution == ball.distribution
+        assert rebuilt2.radius == ball.radius
+        np.testing.assert_array_equal(rebuilt2.lambda_lower, ball.lambda_lower)
+        np.testing.assert_array_equal(rebuilt2.lambda_upper, ball.lambda_upper)
+        # identical sampling after reconstruction
+        np.testing.assert_array_equal(
+            sample_lambdas(rebuilt2, 7, 18), sample_lambdas(ball, 7, 18)
+        )
 
 
 def darkening_image(h, w, nc, bright, seed):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conformal_reach.guarantees import beta_cdf
-from conformal_reach.hull import HullModel, clip
+from conformal_reach.hull import HullModel, clip, clip_batch
 
 # Fixed example sequence, no example database: a run reproduces exactly.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -42,6 +42,22 @@ def test_clip_invariants(case, norm):
     np.testing.assert_allclose(v_hat, points.T @ alpha, rtol=0, atol=1e-12 * scale)
     # the residual is the attained norm distance
     assert abs(residual - distance(v - v_hat, norm)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(hull_and_point(), norms, st.data())
+def test_clip_batch_rows_attain_their_residuals(case, norm, data):
+    # the hull's points, points near them and far ones, through the
+    # interior test and the lockstep LP alike
+    points, v = case
+    picks = data.draw(arrays(np.int64, (6,), elements=st.integers(0, points.shape[0] - 1)))
+    shifts = data.draw(arrays(np.float64, (6, points.shape[1]), elements=st.floats(-1.0, 1.0)))
+    V = np.vstack([v, points[picks], points[picks] + shifts])
+    V_hat, residuals = clip_batch(V, HullModel.from_points(points), norm)
+    scale = 1.0 + np.abs(points).max() + np.abs(V).max()
+    for row in range(V.shape[0]):
+        attained = distance(V[row] - V_hat[row], norm)
+        assert abs(attained - residuals[row]) <= 1e-9 * scale
 
 
 @PROPERTY

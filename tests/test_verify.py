@@ -333,6 +333,16 @@ def test_bad_sample_size_rejected_before_any_draw(monkeypatch, pipeline, size, b
         run_4x4(pipeline, **{size: bad})
 
 
+@pytest.mark.parametrize("norm", ["l2", "linf", None])
+def test_bad_norm_rejected_before_any_draw(monkeypatch, norm):
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    with pytest.raises(ValueError, match=f"^norm must be 'l_inf' or 'l_1', got {norm!r}$"):
+        run_4x4("surrogate", norm=norm)
+
+
 @pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
 def test_numpy_integer_sizes_accepted(pipeline):
     sizes = dict(train_size=np.int64(100))
