@@ -497,8 +497,6 @@ class TestSurrogateReachset:
         path = tmp_path / "reach"
         save_surrogate(sr, path)
         assert os.listdir(tmp_path) == ["reach"]  # one file, at exactly the path
-        with np.load(path) as archive:
-            assert archive["format"] == 2
         loaded = load_surrogate(path)
         assert sr.basis.iterations.min() >= 1  # the ascent's own counts come back
         pairs = [(getattr(loaded.basis, f), getattr(sr.basis, f)) for f in BASIS_FIELDS]
@@ -509,6 +507,12 @@ class TestSurrogateReachset:
             np.testing.assert_array_equal(got, want)
         assert loaded.guarantee == sr.guarantee
         np.testing.assert_array_equal(loaded.project_intervals(), sr.project_intervals())
+
+    def test_archive_format_round_trip(self, saved, reachset):
+        with np.load(saved) as archive:
+            assert archive["format"] == 2
+        loaded = load_surrogate(saved)
+        np.testing.assert_array_equal(loaded.project_intervals(), reachset.project_intervals())
 
     @pytest.mark.parametrize("version", [None, 0, 1, "2"])
     def test_load_rejects_missing_or_wrong_format(self, saved, version):
