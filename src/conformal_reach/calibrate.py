@@ -20,7 +20,6 @@ __all__ = [
     "CalibrationSet",
     "HyperRectReachSet",
     "center_and_scales",
-    "nonconformity",
     "nonconformity_batch",
     "build_calibration",
     "stream_calibration",
@@ -128,16 +127,8 @@ def center_and_scales(train_outputs: np.ndarray) -> CenterScale:
     return CenterScale(center=c, tau=tau, tau_star=tau_star, degenerate=degenerate)
 
 
-def nonconformity(y: np.ndarray, cs: CenterScale) -> float:
-    """max_k |y(k) - c(k)| / tau_k for a single output vector."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != cs.center.shape:
-        raise ValueError(f"shape {y.shape} disagrees with center {cs.center.shape}")
-    return float(np.max(np.abs(y - cs.center) / cs.tau))
-
-
 def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
-    """Scores for a (k, n) batch of outputs.
+    """Scores max_j |y(j) - c(j)| / tau_j of the rows y of a (k, n) batch.
 
     Deviations are formed in place, one reused block of rows at a time,
     so scoring holds O(n) beyond its input; each row's score is the same
@@ -185,8 +176,9 @@ def naive_reachset(
 ) -> HyperRectReachSet:
     """Hyper-rectangle with half-widths sigma_k = tau_k * (rank-ell score).
 
-    Membership equivalence: nonconformity(y) <= rank score iff y lies in
-    the box, which is what makes the scalar guarantee transfer.
+    Membership equivalence: the score of y (``nonconformity_batch``) is
+    <= the rank score iff y lies in the box, which is what makes the
+    scalar guarantee transfer.
     """
     if guarantee.calib_size_m != calib.size:
         raise ValueError(

@@ -16,12 +16,12 @@ dense phase-2 revised simplex from that basis, with no phase 1: Dantzig
 pricing, switching to Bland's anti-cycling rule under stalling. Queries
 are solved in blocks, in lockstep: each row keeps its own basis and pivot
 rules, while the pricing and the basis-inverse updates run on the whole
-block at once (see ``_ClipProblem``); a single point is a block of one.
-The clipping hot loop skips the LP whenever a point certifies as interior via
-barycentric coordinates against a greedily chosen inscribed simplex of
-hull points; the certificate is exact containment in a sub-hull, so it
-never loosens results, and the hull itself always keeps every training
-point.
+block at once (see ``_ClipProblem``). ``clip_batch`` is the one entry
+point: it forms each clipped point from its row's weights on the simplex.
+It skips the LP whenever a point certifies as interior via barycentric
+coordinates against a greedily chosen inscribed simplex of hull points;
+the certificate is exact containment in a sub-hull, so it never loosens
+results, and the hull itself always keeps every training point.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "LpError",
     "HullModel",
     "SurrogateReachSet",
-    "clip",
     "clip_batch",
     "surrogate_predict",
     "stage_outputs",
@@ -361,31 +360,15 @@ class _ClipProblem:
         return final, xB, (self.c[final] * xB).sum(axis=1)
 
 
-def clip(v: np.ndarray, hull: HullModel, norm: str = "l_inf"):
-    """Project one reduced point onto the hull.
-
-    Returns (v_hat, alpha, residual): the projection, its convex
-    coefficients over the hull points, and the attained norm distance.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (hull.dim,):
-        raise ValueError(f"point must have shape ({hull.dim},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"point must be finite, got {v}")
-    basis, xB, residual = _ClipProblem(hull, norm).solve_block(v[None, :])
-    alpha = np.zeros(hull.size)
-    is_alpha = basis[0] < hull.size
-    alpha[basis[0, is_alpha]] = xB[0, is_alpha]
-    v_hat = hull.points.T @ alpha
-    return v_hat, alpha, float(residual[0])
-
-
 def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
-    """Project (k, N) points; returns (V_hat, residuals) without alphas.
+    """Project (k, N) points onto the hull; returns (V_hat, residuals).
 
     Interior points certified by the inscribed simplex keep their exact
     coordinates with residual zero; the remainder go through the LP in
-    blocks of _CLIP_BLOCK rows, in input order.
+    blocks of _CLIP_BLOCK rows, in input order. Each LP row's point is
+    formed from its basic weights (the solve clips them at 0) divided by
+    their sum, so it is a convex combination of hull points even where
+    rounding in the final solve moves the weights off the simplex.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[1] != hull.dim:
@@ -402,6 +385,7 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
         basis, xB, residuals[rows] = problem.solve_block(V[rows])
         # basic alpha columns weigh their hull points; the others weigh 0
         weights = np.where(basis < hull.size, xB, 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
         points = hull.points[np.minimum(basis, hull.size - 1)]
         out[rows] = np.einsum("km,kmn->kn", weights, points)
     return out, residuals

@@ -126,12 +126,6 @@ class LogitTensor:
                 f"data length {self.data.shape} != h*w*L = {expected}"
             )
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "LogitTensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        h, w, L = arr.shape
-        return cls(h, w, L, arr.reshape(-1).copy())
-
     def as_array(self) -> np.ndarray:
         return self.data.reshape(self.height, self.width, self.classes)
 

@@ -1,13 +1,13 @@
 """Adversarial perturbation sets and their samplers.
 
 A perturbation set is a base image plus noise directions with a coefficient
-box: adversarial images are x + sum_i lambda(i) * noise_i. Three builders
-are provided: the darkening adversary (dim bright pixels channel-wise), and
-global l2 / l-inf balls whose noise basis is the identity and therefore
-never materialized. A darkening noise image has exactly one nonzero, so the
-set is stored as a signed selection, one (flat input index, value) pair per
-coefficient, and applied by scatter: memory and work grow with r, never
-with r * n0. Images form in one place, ``image_blocks``, a fixed number of
+box: adversarial images are x + sum_i lambda(i) * noise_i. Two builders
+are provided: ``build_darkening``, the darkening adversary (dim bright
+pixels channel-wise), and ``build_global_ball``, a global l2 or l-inf ball
+whose noise basis is the identity and therefore never materialized. A
+darkening noise image has exactly one nonzero, so the set is stored as a
+signed selection, one (flat input index, value) pair per coefficient, and
+applied by scatter: memory and work grow with r, never with r * n0. Images form in one place, ``image_blocks``, a fixed number of
 rows at a time in reused memory, so a stream of k images never holds a
 (k, n0) array; ``apply_batch`` is its one-block form. The pipelines'
 stream, ``hull.stage_outputs``, infers each such block into one reused
@@ -35,6 +35,7 @@ __all__ = [
     "image_blocks",
     "sample_lambdas",
     "spec_manifest",
+    "spec_from_manifest",
     "DEFAULT_INTENSITY_THRESHOLD",
 ]
 
@@ -53,9 +54,9 @@ class PerturbationSpec:
     where it equals ``noise_value[i]``; indices are distinct, so image k of
     a batch is x plus ``lambda_k[i] * noise_value[i]`` at ``noise_index[i]``.
     Both are ``None`` for the implicit identity basis of a global ball
-    (r = n0). Bounds are the componentwise coefficient box; for balls the
-    box is the enclosing [-e, e] cube and membership additionally requires
-    the norm constraint.
+    (r = n0). Bounds are the componentwise coefficient box, finite; for
+    balls the box is the enclosing [-e, e] cube of the radius-e ball the
+    coefficients are drawn from.
     """
 
     base_image: ImageTensor
@@ -73,6 +74,11 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.lambda_lower.shape != self.lambda_upper.shape:
             raise ValueError("lambda bound shapes differ")
+        if self.radius is not None and not np.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius!r}")
+        for name in ("lambda_lower", "lambda_upper"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.lambda_lower > self.lambda_upper):
             raise ValueError("lambda_lower must be <= lambda_upper componentwise")
         idx, val = self.noise_index, self.noise_value
@@ -99,18 +105,6 @@ class PerturbationSpec:
     def dim(self) -> int:
         """Number of perturbation coefficients r."""
         return self.lambda_lower.shape[0]
-
-    def contains(self, lam: np.ndarray, atol: float = 0.0) -> bool:
-        """Membership predicate of the coefficient set (box or ball)."""
-        lam = np.asarray(lam, dtype=np.float64)
-        if self.distribution == UNIFORM_L2_BALL:
-            return bool(np.linalg.norm(lam) <= self.radius + atol)
-        if self.distribution == UNIFORM_LINF_BALL:
-            return bool(np.max(np.abs(lam)) <= self.radius + atol)
-        return bool(
-            np.all(lam >= self.lambda_lower - atol)
-            and np.all(lam <= self.lambda_upper + atol)
-        )
 
     @property
     def noise_matrix(self) -> Optional[np.ndarray]:
@@ -257,14 +251,10 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
 
 
 def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
-    """(count, r) i.i.d. coefficient draws from the spec's distribution.
-
-    ``rng`` is an integer seed or a numpy Generator.
-    """
+    """(count, r) i.i.d. coefficient draws from the spec's distribution,
+    taken from the numpy Generator ``rng``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     r = spec.dim
     if spec.distribution == UNIFORM_BOX or spec.distribution == UNIFORM_LINF_BALL:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))

@@ -134,8 +134,9 @@ def pixel_status(
 
 
 def _check_sizes(**sizes):
-    """Each sample size must be a positive integer; numpy integers pass,
-    bool does not (the rule ``guarantee_confidence`` applies to m)."""
+    """Each size (a sample count, or the number of components) must be a
+    positive integer; numpy integers pass, bool does not (the rule
+    ``guarantee_confidence`` applies to m)."""
     for name, value in sizes.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -252,7 +253,13 @@ def run_surrogate_pipeline(
     bound the lifted hull, fit the normalization of q = f - g on
     ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
     """
-    _check_sizes(train_size=train_size, aux_size=aux_size)
+    _check_sizes(train_size=train_size, aux_size=aux_size, num_components=num_components)
+    limit = min(model.output_dim, train_size)
+    if num_components > limit:
+        raise ValueError(
+            f"num_components must be at most min(output_dim, train_size) = {limit}, "
+            f"got {num_components!r}"
+        )
     if norm not in ("l_inf", "l_1"):
         raise ValueError(f"norm must be 'l_inf' or 'l_1', got {norm!r}")
     manifest = dict(

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: grids, exhaustive enumeration and
 dense eigendecompositions, kept free of the code paths they check. The
-inputs the tests share (a hand-built 4x4 model, benchmark instances) and
-a file rewriter are built here too.
+inputs the tests share (a hand-built 4x4 model, benchmark instances), a
+file rewriter and a reader of the clip LP's weights are built here too.
 """
 
 from itertools import combinations
@@ -51,6 +51,25 @@ def grid_clip_residual(points: np.ndarray, v: np.ndarray, resolution: int) -> fl
         res = np.max(np.abs(cand - v), axis=1)
         best = min(best, float(res.min()))
     return best
+
+
+def box_score(y: np.ndarray, center: np.ndarray, tau: np.ndarray) -> float:
+    """Nonconformity of one output: max_k |y(k) - c(k)| / tau_k."""
+    return float(np.max(np.abs(y - center) / tau))
+
+
+def clip_weights(hull, V, norm="l_inf"):
+    """Convex weights (k, t) over the hull points and residuals (k,) of the
+    clip LP for the rows of V, read from the final basis and basic solution
+    of ``_ClipProblem.solve_block``. Not an oracle: it reads the solver the
+    clip tests check, for the weights ``clip_batch`` does not return."""
+    from conformal_reach.hull import _ClipProblem
+
+    basis, xB, residuals = _ClipProblem(hull, norm).solve_block(np.atleast_2d(V))
+    alpha = np.zeros((basis.shape[0], hull.size))
+    rows, pos = np.nonzero(basis < hull.size)
+    alpha[rows, basis[rows, pos]] = xB[rows, pos]
+    return alpha, residuals
 
 
 def synthetic_ssn_4x4():

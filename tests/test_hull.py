@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import zipfile
@@ -10,7 +11,6 @@ from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import (
     _CLIP_BLOCK,
     HullModel,
-    clip,
     clip_batch,
     load_surrogate,
     save_surrogate,
@@ -22,11 +22,23 @@ from conformal_reach.pca import deflate
 from conformal_reach.perturb import build_global_ball
 from conformal_reach.verify import PipelineStageError, run_surrogate_pipeline
 
-from oracles import dark16_instance, enumerate_lp_minimum, grid_clip_residual, rewrite_npz
+from oracles import (
+    clip_weights,
+    dark16_instance,
+    enumerate_lp_minimum,
+    grid_clip_residual,
+    rewrite_npz,
+)
 
 
 def make_hull(points):
     return HullModel.from_points(np.asarray(points, dtype=float))
+
+
+def clip_row(v, hull, norm="l_inf"):
+    """``clip_batch`` on the one row v: its point and residual."""
+    V_hat, residuals = clip_batch(np.asarray(v, dtype=float)[None, :], hull, norm)
+    return V_hat[0], residuals[0]
 
 
 def clip_lp_rows(points, v, norm):
@@ -54,7 +66,7 @@ def clip_lp_rows(points, v, norm):
 class TestClip:
     def test_hull_point_is_fixed(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        v_hat, alpha, residual = clip(np.array([1.0, 0.0]), hull)
+        v_hat, residual = clip_row([1.0, 0.0], hull)
         assert residual <= 1e-7
         np.testing.assert_allclose(v_hat, [1.0, 0.0], atol=1e-8)
 
@@ -65,7 +77,8 @@ class TestClip:
         # dense grid over alpha confirms the same minimum
         hull = make_hull([[0.0, 0.0], [1.0, 0.0]])
         v = np.array([0.5, 1.0])
-        v_hat, alpha, residual = clip(v, hull)
+        v_hat, residual = clip_row(v, hull)
+        (alpha,), _ = clip_weights(hull, v)
         assert residual == pytest.approx(1.0, abs=1e-9)
         assert v_hat[1] == pytest.approx(0.0, abs=1e-9)
         assert -1e-9 <= v_hat[0] <= 1 + 1e-9
@@ -77,9 +90,12 @@ class TestClip:
     def test_interior_point(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         v = np.array([0.2, 0.3])
-        v_hat, alpha, residual = clip(v, hull)
+        v_hat, residual = clip_row(v, hull)
         assert residual <= 1e-7
         np.testing.assert_allclose(v_hat, v, atol=1e-7)
+        # the LP's own weights, which the interior test lets clip_batch skip
+        (alpha,), (lp_residual,) = clip_weights(hull, v)
+        assert lp_residual <= 1e-7
         assert np.all(alpha >= -1e-9)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(hull.points.T @ alpha, v, atol=1e-7)
@@ -92,7 +108,7 @@ class TestClip:
             pts = rng.uniform(-1, 1, size=(t, N))
             v = rng.uniform(-1.5, 1.5, size=N)
             hull = make_hull(pts)
-            _, _, residual = clip(v, hull)
+            _, residual = clip_row(v, hull)
             oracle = grid_clip_residual(pts, v, 1000)
             assert abs(residual - oracle) <= 2e-3
             assert residual <= oracle + 1e-9  # grid can only overestimate
@@ -108,7 +124,8 @@ class TestClip:
             v = rng.uniform(-1.5, 1.5, size=N)
             hull = make_hull(pts)
             for norm in ("l_inf", "l_1"):
-                _, alpha, residual = clip(v, hull, norm)
+                _, residual = clip_row(v, hull, norm)
+                (alpha,), _ = clip_weights(hull, v, norm)
                 oracle = enumerate_lp_minimum(*clip_lp_rows(pts, v, norm))
                 assert residual == pytest.approx(oracle, abs=1e-9)
                 assert np.all(alpha >= 0.0)
@@ -117,7 +134,7 @@ class TestClip:
     def test_l1_norm_variant(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0]])
         v = np.array([0.5, 1.0])
-        v_hat, _, residual = clip(v, hull, norm="l_1")
+        v_hat, residual = clip_row(v, hull, norm="l_1")
         assert residual == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(v_hat, [0.5, 0.0], atol=1e-8)
         # oracle: l1 distance over fine alpha grid
@@ -133,7 +150,7 @@ class TestClip:
         V = rng.normal(size=(60, 3)) * 1.5
         V_hat, residuals = clip_batch(V, hull)
         for i in range(0, 60, 7):
-            v_hat, _, res = clip(V[i], hull)
+            v_hat, res = clip_row(V[i], hull)
             assert abs(residuals[i] - res) <= 1e-8
             np.testing.assert_allclose(V_hat[i], v_hat, atol=1e-7)
 
@@ -148,16 +165,15 @@ class TestClip:
         np.testing.assert_array_equal(V_hat[inside], V[inside])
         assert np.all(residuals[inside] == 0.0)
         # certified-interior points must truly have zero LP residual
-        for i in np.nonzero(inside)[0][:20]:
-            _, _, res = clip(V[i], hull)
-            assert res <= 1e-7
+        _, lp_residuals = clip_weights(hull, V[inside][:20])
+        assert np.all(lp_residuals <= 1e-7)
 
 
 class TestClipValidation:
     def test_rejects_non_finite_points(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
-            clip(np.array([np.nan, 0.5]), hull)
+        with pytest.raises(ValueError, match="finite; row 0"):
+            clip_batch(np.array([[np.nan, 0.5]]), hull)
         V = np.array([[0.2, 0.2], [2.0, 2.0], [np.inf, 0.0]])
         for norm in ("l_inf", "l_1"):
             with pytest.raises(ValueError, match="finite; row 2"):
@@ -165,8 +181,6 @@ class TestClipValidation:
 
     def test_rejects_wrong_width(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="shape"):
-            clip(np.zeros(3), hull)
         for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 2, 1))):
             with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
                 clip_batch(bad, hull)
@@ -194,7 +208,7 @@ def mixed_queries(points, rng, count):
 
 class TestLockstep:
     """clip_batch solves blocks of rows in lockstep; each row's result must
-    be the one a block of one (clip) gives."""
+    be the one a block of that row alone gives."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -229,7 +243,7 @@ class TestLockstep:
             assert live[begin + 1] < live[begin]
             assert end - begin >= 8
         for i in range(V.shape[0]):
-            v_hat, alpha, res = clip(V[i], hull, norm)
+            v_hat, res = clip_row(V[i], hull, norm)
             assert residuals[i] == pytest.approx(res, abs=1e-9)
             np.testing.assert_allclose(V_hat[i], v_hat, rtol=0, atol=1e-9)
 
@@ -247,30 +261,38 @@ class TestLockstep:
         assert np.all(residuals <= 1e-9)
         np.testing.assert_allclose(V_hat, V, rtol=0, atol=1e-9)
         for i in range(0, V.shape[0], 5):
-            _, _, res = clip(V[i], hull, "l_1")
+            _, res = clip_row(V[i], hull, "l_1")
             assert residuals[i] == pytest.approx(res, abs=1e-9)
 
     def test_eta_updates_match_fresh_inverses(self, monkeypatch):
-        # The surrogate-dark16-n10 benchmark instance of seed 3. With the
-        # inverses refactorized only every 32 pivots, eta updates once
-        # lifted an exact zero of a pivot column of this block to ~1e-11,
-        # just over the pivot tolerance; the pivot on it made the basis
-        # singular and reported row 49 (query 561) inside the hull,
-        # residual 0 against 4.787e-4. The block must match one solved
-        # with a fresh inverse at every pivot.
+        # Blocks of surrogate-dark16-n10 benchmark instances, each of which
+        # must match the block solved with a fresh inverse at every pivot:
+        # - instance seed 3, l_1, refactorized every 32 pivots: eta updates
+        #   once lifted an exact zero of a pivot column to ~1e-11, just over
+        #   the pivot tolerance; the pivot on it made the basis singular
+        #   and reported query 561 inside the hull, residual 0 against
+        #   4.787e-4;
+        # - instance seed 3990686019, l_inf, at the module's own interval:
+        #   without the small-pivot floor a pivot on eta noise moves the
+        #   point of query 437 by 0.011.
         from conformal_reach import hull as hull_module
 
-        hull, C = dark16_clip_case(3, calib_size=600)
-        V = C[512:576]
-        assert not hull.interior_mask(V).any()  # one block of 64 LPs
-
-        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
-        V_ref, res_ref = clip_batch(V, hull, "l_1")
-        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 32)
-        V_hat, residuals = clip_batch(V, hull, "l_1")
-        assert res_ref[49] == pytest.approx(4.787e-4, rel=1e-3)
-        np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
+        cases = [
+            (3, 600, 561, "l_1", 32, 4.787e-4),
+            (3990686019, 2000, 437, "l_inf", hull_module._REFACTOR_EVERY, 0.0),
+        ]
+        for instance_seed, calib_size, row, norm, every, residual in cases:
+            hull, C = dark16_clip_case(instance_seed, calib_size)
+            start = row - row % _CLIP_BLOCK
+            V = C[start : start + _CLIP_BLOCK]
+            assert not hull.interior_mask(V).any()  # one block of 64 LPs
+            monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
+            V_ref, res_ref = clip_batch(V, hull, norm)
+            monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", every)
+            V_hat, residuals = clip_batch(V, hull, norm)
+            assert res_ref[row - start] == pytest.approx(residual, rel=1e-3, abs=1e-12)
+            np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
 
     def test_ill_conditioned_basis_is_not_made_singular(self):
         # surrogate-dark16-n10 at workload seed 9529, instance 0: at
@@ -288,6 +310,24 @@ class TestLockstep:
         hull, C = dark16_clip_case(3990686019)
         check_row_in_block_and_alone(hull, C, 437)
 
+    def test_point_is_formed_from_weights_on_the_simplex(self):
+        # surrogate-dark16-n10 instance seed 2780284557, `calib` row 974:
+        # the final solve's weights sum to 1 + 4.0e-10 from a basis of
+        # condition number 1.5e8, and the point formed from them lay
+        # 1.04e-8 (l-inf) from a query whose residual is 0
+        hull, C = dark16_clip_case(2780284557)
+        row = 974
+        (alpha,), _ = clip_weights(hull, C[row])
+        assert abs(alpha.sum() - 1.0) > 1e-10  # the case still arises
+        start = row - row % _CLIP_BLOCK
+        for V, i in ((C[start : start + _CLIP_BLOCK], row - start), (C[row : row + 1], 0)):
+            V_hat, residuals = clip_batch(V, hull)
+            np.testing.assert_allclose(
+                V_hat[i], hull.points.T @ (alpha / alpha.sum()), rtol=0, atol=1e-12
+            )
+            attained = np.abs(V_hat - V).max(axis=1)
+            np.testing.assert_allclose(attained, residuals, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
     def test_row_result_does_not_depend_on_neighbours(self, norm):
         rng = np.random.default_rng(32)
@@ -301,9 +341,11 @@ class TestLockstep:
         np.testing.assert_allclose(V_hat_p, V_hat[perm], rtol=0, atol=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def dark16_clip_case(instance_seed, calib_size=2000):
     """Hull and reduced first `calib` block of a surrogate-dark16-n10
-    instance, formed as its pipeline forms them (N = 10)."""
+    instance, formed as its pipeline forms them (N = 10); shared by the
+    tests, which only read it."""
     _, model, spec = dark16_instance(instance_seed)
     Y = next(stage_outputs(model, spec, instance_seed, "train", 1000))
     basis = deflate(Y, 10)
@@ -323,8 +365,9 @@ def check_row_in_block_and_alone(hull, V, row):
     V_hat, residuals = clip_batch(block, hull)
     attained = np.abs(V_hat - block).max(axis=1)
     np.testing.assert_allclose(attained, residuals, rtol=0, atol=1e-9 * scale)
-    v_hat, alpha, residual = clip(V[row], hull)
+    v_hat, residual = clip_row(V[row], hull)
     assert abs(np.abs(v_hat - V[row]).max() - residual) <= 1e-9 * scale
+    (alpha,), _ = clip_weights(hull, V[row])
     assert np.all(alpha >= 0.0)
     assert abs(alpha.sum() - 1.0) <= 1e-9
 
@@ -379,7 +422,7 @@ class TestSurrogatePredict:
         hull = HullModel.from_points(Y @ basis.matrix, basis=basis)
         x = rng.uniform(size=3) * 3.0  # likely outside training range
         g = surrogate_predict(net, basis, hull, x)
-        v_hat, _, _ = clip(infer(net, x) @ basis.matrix, hull)
+        v_hat, _ = clip_row(infer(net, x) @ basis.matrix, hull)
         np.testing.assert_allclose(g @ basis.matrix, v_hat, atol=1e-9)
 
     def test_prediction_inside_lift_bounds(self):
@@ -453,7 +496,7 @@ class TestSurrogateReachset:
         from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
 
-        lams = sample_lambdas(spec, 2000, 99)
+        lams = sample_lambdas(spec, 2000, np.random.default_rng(99))
         Y = infer(net, apply_batch(spec, lams))
         G = surrogate_predict(net, sr.basis, sr.hull, apply_batch(spec, lams))
         q = Y - G
@@ -476,20 +519,20 @@ class TestSurrogateReachset:
         from conformal_reach.perturb import apply_batch, sample_lambdas
         from scipy.stats import beta as scipy_beta
 
-        lams = sample_lambdas(spec, 50_000, 123)
+        lams = sample_lambdas(spec, 50_000, np.random.default_rng(123))
         Y = infer(net, apply_batch(spec, lams))
         miss = float(np.mean(~np.all((Y >= lo) & (Y <= hi), axis=1)))
         assert miss <= scipy_beta.ppf(0.999, m + 1 - ell, ell)
 
     def test_stage_failure_names_stage(self):
-        net = MlpNetwork((np.eye(2),), (np.zeros(2),))
+        # an infinite output makes the training cloud non-finite
+        net = MlpNetwork((np.eye(2),), (np.array([np.inf, 0.0]),))
         base = ImageTensor(1, 1, 2, np.array([0.5, 0.5]))
         spec = build_global_ball(base, "linf", 0.5)
-        with pytest.raises(PipelineStageError, match="train"):
+        with pytest.raises(PipelineStageError, match="^train: "):
             run_surrogate_pipeline(
                 net, spec, train_size=5, calib_size=100, aux_size=10,
-                num_components=10,  # impossible: N > min(n, t)
-                epsilon=0.01, rank_ell=99, seed=1,
+                num_components=2, epsilon=0.01, rank_ell=99, seed=1,
             )
 
     def test_persistence_round_trip(self, tmp_path):

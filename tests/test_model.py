@@ -95,26 +95,32 @@ class TestInfer:
             infer(net, np.zeros((5, 6)), out=out)
 
 
+def logit_tensor(arr):
+    """LogitTensor of an (h, w, L) array."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return LogitTensor(*arr.shape, arr.reshape(-1))
+
+
 class TestPredictMask:
     def test_single_pixel(self):
-        logits = LogitTensor.from_array(np.array([[[0.1, 0.9, 0.3]]]))
+        logits = logit_tensor(np.array([[[0.1, 0.9, 0.3]]]))
         np.testing.assert_array_equal(predict_mask(logits), [[2]])
 
     def test_tie_breaks_to_lowest_class(self):
-        logits = LogitTensor.from_array(np.full((2, 2, 4), 1.25))
+        logits = logit_tensor(np.full((2, 2, 4), 1.25))
         np.testing.assert_array_equal(predict_mask(logits), np.ones((2, 2)))
 
     def test_two_pixels(self):
-        logits = LogitTensor.from_array(np.array([[[3.0, -1.0]], [[-2.0, 5.0]]]))
+        logits = logit_tensor(np.array([[[3.0, -1.0]], [[-2.0, 5.0]]]))
         np.testing.assert_array_equal(predict_mask(logits), [[1], [2]])
 
     def test_argmax_invariant_to_per_pixel_shift(self):
         rng = np.random.default_rng(2)
         arr = rng.normal(size=(4, 5, 6))
-        base = predict_mask(LogitTensor.from_array(arr))
+        base = predict_mask(logit_tensor(arr))
         shifted = arr + rng.normal(size=(4, 5, 1))  # one constant per pixel
         np.testing.assert_array_equal(
-            predict_mask(LogitTensor.from_array(shifted)), base
+            predict_mask(logit_tensor(shifted)), base
         )
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -25,3 +26,71 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"conformal_reach.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+ROOT = PYPROJECT.parent
+PACKAGE = ROOT / "src" / "conformal_reach"
+# Where a public name must have a caller: the package and the benchmark,
+# not counting the benchmark's own tests.
+CALLERS = [
+    *PACKAGE.glob("*.py"),
+    *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
+]
+# Public names kept without a caller: the reachset's own prediction and
+# archive, a spec's rebuild from its manifest, and the file formats the
+# planned command-line interface reads and writes (see ROADMAP.md).
+KEPT = (
+    "surrogate_predict",
+    "save_surrogate",
+    "load_surrogate",
+    "spec_from_manifest",
+    "save_model",
+    "load_model",
+    "read_image",
+    "write_image",
+    "read_f64",
+    "write_f64",
+    "status_pgm_bytes",
+)
+
+
+def _reads(path):
+    """(name, top-level definition it occurs in) for each name that ``path``
+    reads: bare, or as an attribute of a package module (``verify.name``)."""
+    tree = ast.parse(path.read_text())
+    modules = {"conformal_reach"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "conformal_reach")
+        for alias in node.names
+    }
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                if ast.unparse(node.value).split(".")[0] in modules:
+                    yield node.attr, owner
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_have_callers(name):
+    own = PACKAGE / f"{name}.py"
+    read = {
+        read
+        for path in CALLERS
+        for read, owner in _reads(path)
+        if not (path == own and owner == read)
+    }
+    module = importlib.import_module(f"conformal_reach.{name}")
+    unused = [n for n in getattr(module, "__all__", ()) if n not in read and n not in KEPT]
+    assert not unused, f"{name}.__all__ lists names only tests use: {unused}"
+
+
+def test_kept_names_are_public():
+    public = set()
+    for name in MODULES:
+        module = importlib.import_module(f"conformal_reach.{name}")
+        public.update(getattr(module, "__all__", ()))
+    assert set(KEPT) <= public, sorted(set(KEPT) - public)

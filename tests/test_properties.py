@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conformal_reach.guarantees import beta_cdf
-from conformal_reach.hull import HullModel, clip, clip_batch
+from conformal_reach.hull import HullModel, clip_batch
+
+from oracles import clip_weights
 
 # Fixed example sequence, no example database: a run reproduces exactly.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -33,15 +35,17 @@ def distance(u, norm):
 def test_clip_invariants(case, norm):
     points, v = case
     hull = HullModel.from_points(points)
-    v_hat, alpha, residual = clip(v, hull, norm)
+    (alpha,), (lp_residual,) = clip_weights(hull, v, norm)
+    (v_hat,), (residual,) = clip_batch(v[None, :], hull, norm)
     scale = 1.0 + np.abs(points).max() + np.abs(v).max()
     assert residual >= 0.0
-    # alpha lies on the simplex and reproduces v_hat
+    # the LP's weights lie on the simplex and reproduce v_hat
     assert np.all(alpha >= 0.0)
     assert abs(alpha.sum() - 1.0) <= 1e-9
     np.testing.assert_allclose(v_hat, points.T @ alpha, rtol=0, atol=1e-12 * scale)
     # the residual is the attained norm distance
     assert abs(residual - distance(v - v_hat, norm)) <= 1e-9 * scale
+    assert abs(lp_residual - residual) <= 1e-9 * scale
 
 
 @PROPERTY
@@ -65,7 +69,7 @@ def test_clip_batch_rows_attain_their_residuals(case, norm, data):
 def test_hull_points_are_fixed(case, norm, data):
     points, _ = case
     i = data.draw(st.integers(0, points.shape[0] - 1))
-    _, _, residual = clip(points[i], HullModel.from_points(points), norm)
+    _, (residual,) = clip_batch(points[i : i + 1], HullModel.from_points(points), norm)
     assert residual <= 1e-9
 
 

@@ -271,7 +271,7 @@ class TestSurrogatePipeline:
             num_components=4, epsilon=0.02, rank_ell=392, seed=14,
         )
         lo, hi = reachset.project_intervals()
-        lams = sample_lambdas(spec, 10_000, 77)
+        lams = sample_lambdas(spec, 10_000, np.random.default_rng(77))
         Y = infer(model, apply_batch(spec, lams))
         covered = np.all((Y >= lo) & (Y <= hi), axis=1)
         classes = np.argmax(Y.reshape(-1, 4, 4, 3), axis=3) + 1
@@ -321,7 +321,12 @@ def test_stage_failure_names_stage(monkeypatch, pipeline, stage, stream):
 
 @pytest.mark.parametrize(
     "pipeline, size",
-    [("naive", "train_size"), ("surrogate", "train_size"), ("surrogate", "aux_size")],
+    [
+        ("naive", "train_size"),
+        ("surrogate", "train_size"),
+        ("surrogate", "aux_size"),
+        ("surrogate", "num_components"),
+    ],
 )
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
 def test_bad_sample_size_rejected_before_any_draw(monkeypatch, pipeline, size, bad):
@@ -331,6 +336,25 @@ def test_bad_sample_size_rejected_before_any_draw(monkeypatch, pipeline, size, b
     monkeypatch.setattr(verify, "stage_outputs", no_draw)
     with pytest.raises(ValueError, match=f"^{size} must be a positive integer, got {bad!r}$"):
         run_4x4(pipeline, **{size: bad})
+
+
+@pytest.mark.parametrize(
+    "train_size, num_components, limit", [(100, 100, 48), (100, 49, 48), (3, 4, 3)]
+)
+def test_too_many_components_rejected_before_any_draw(
+    monkeypatch, train_size, num_components, limit
+):
+    # the 4x4 model has 48 outputs
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    with pytest.raises(
+        ValueError,
+        match=rf"^num_components must be at most min\(output_dim, train_size\) = {limit}, "
+        rf"got {num_components}$",
+    ):
+        run_4x4("surrogate", train_size=train_size, num_components=num_components)
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf", None])
