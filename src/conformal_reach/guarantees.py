@@ -91,10 +91,11 @@ def guarantee_confidence(
             f"rank must satisfy 1 <= ell <= m, got ell={rank_ell!r}, m={calib_size_m!r}"
         )
     miscoverage = beta_cdf(1.0 - epsilon, rank_ell, calib_size_m + 1 - rank_ell)
+    # plain Python numbers, so ``as_dict`` is ready for ``json.dumps``
     return GuaranteeSpec(
-        epsilon=epsilon,
-        rank_ell=rank_ell,
-        calib_size_m=calib_size_m,
+        epsilon=float(epsilon),
+        rank_ell=int(rank_ell),
+        calib_size_m=int(calib_size_m),
         coverage_delta1=1.0 - epsilon,
         confidence_delta2=1.0 - miscoverage,
         confidence_miscoverage=miscoverage,

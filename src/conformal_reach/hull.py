@@ -9,12 +9,13 @@ pipeline that fits and calibrates it is ``verify.run_surrogate_pipeline``;
 this module holds the hull, the clip LP, the inflated set and its one .npz
 file (``save_surrogate`` / ``load_surrogate``).
 
-The projection is a small-row linear program (the hull may have thousands
-of generators but the reduced space has N dimensions). Its feasible basis
-can be written down at the nearest hull point, so the solver here is a
-dense phase-2 revised simplex from that basis, with no phase 1: Dantzig
-pricing, switching to Bland's anti-cycling rule under stalling. Queries
-are solved in blocks, in lockstep: each row keeps its own basis and pivot
+The projection finds the hull point nearest in l-inf norm. It is a
+small-row linear program (the hull may have thousands of generators but
+the reduced space has N dimensions). Its feasible basis can be written
+down at the nearest hull point, so the solver here is a dense phase-2
+revised simplex from that basis, with no phase 1: Dantzig pricing,
+switching to Bland's anti-cycling rule under stalling. Queries are
+solved in blocks, in lockstep: each row keeps its own basis and pivot
 rules, while the pricing and the basis-inverse updates run on the whole
 block at once (see ``_ClipProblem``). ``clip_batch`` is the one entry
 point: it forms each clipped point from its row's weights on the simplex.
@@ -178,17 +179,16 @@ def _inscribed_simplex(points: np.ndarray):
 class _ClipProblem:
     """Prebuilt standard-form arrays for projecting points onto one hull.
 
-    Standard form for the l-inf variant (P is N x t, columns = hull points):
+    Standard form (P is N x t, columns = hull points):
 
         [ P   -1  I  0 ] [alpha]   [ v]
         [-P   -1  0  I ] [  s  ] = [-v]
         [1^T   0  0  0 ] [slack]   [ 1]
 
-    with everything nonnegative; minimize s. The l1 variant replaces the
-    single epigraph variable by N of them. Only the right-hand side
-    depends on the query point, and a feasible basis can be written down
-    directly from the nearest hull point, so each solve starts in phase 2
-    a few pivots from optimal.
+    with everything nonnegative; minimize the l-inf epigraph variable s,
+    column t. Only the right-hand side depends on the query point, and a
+    feasible basis can be written down directly from the nearest hull
+    point, so each solve starts in phase 2 a few pivots from optimal.
 
     ``solve_block`` runs the primal revised simplex on a block of queries
     in lockstep, one row each. Every row follows its own pivot rules
@@ -203,83 +203,62 @@ class _ClipProblem:
     each one's reported point is then solved afresh from its final basis.
     """
 
-    def __init__(self, hull: HullModel, norm: str):
+    def __init__(self, hull: HullModel):
         P = hull.points.T.copy()
         N, t = P.shape
         self.P = P
         self.N, self.t = N, t
-        self.norm = norm
-        if norm == "l_inf":
-            n_epi = 1
-            epi_block = -np.ones((2 * N, 1))
-        elif norm == "l_1":
-            n_epi = N
-            epi_block = -np.vstack([np.eye(N), np.eye(N)])
-        else:
-            raise ValueError(f"norm must be 'l_inf' or 'l_1', got {norm!r}")
         M = 2 * N + 1
-        cols = t + n_epi + 2 * N
+        cols = t + 1 + 2 * N
         A = np.zeros((M, cols))
         A[:N, :t] = P
         A[N : 2 * N, :t] = -P
-        A[: 2 * N, t : t + n_epi] = epi_block
-        A[: 2 * N, t + n_epi :] = np.eye(2 * N)
+        A[: 2 * N, t] = -1.0
+        A[: 2 * N, t + 1 :] = np.eye(2 * N)
         A[2 * N, :t] = 1.0
         c = np.zeros(cols)
-        c[t : t + n_epi] = 1.0
+        c[t] = 1.0
         self.columns = A.T.copy()  # row j is column j of A
         self.c = c
-        self.n_epi = n_epi
         self.max_iters = 50 * (cols + M) + 200
 
     def initial_basis(self, V: np.ndarray) -> np.ndarray:
         """Feasible bases (k, M) at the hull vertex nearest to each row of V."""
-        P, t, N, n_epi = self.P, self.t, self.N, self.n_epi
+        P, t, N = self.P, self.t, self.N
         k = V.shape[0]
-        # distance to every hull point, one coordinate at a time into two
-        # (k, t) buffers, so the block never holds a (k, N, t) array
+        # l-inf distance to every hull point, one coordinate at a time into
+        # two (k, t) buffers, so the block never holds a (k, N, t) array
         dist = np.abs(V[:, :1] - P[0])
         gap = np.empty_like(dist)
         for i in range(1, N):
             np.subtract(V[:, i : i + 1], P[i], out=gap)
             np.abs(gap, out=gap)
-            if self.norm == "l_inf":
-                np.maximum(dist, gap, out=dist)
-            else:
-                dist += gap
+            np.maximum(dist, gap, out=dist)
         j0 = np.argmin(dist, axis=1)
         r = V - P[:, j0].T
-        if self.norm == "l_inf":
-            i0 = np.argmax(np.abs(r), axis=1)
-            binding = r[np.arange(k), i0] <= 0
-            # the inf-norm row that binds contributes no slack to the basis
-            keep = np.ones((k, 2 * N), dtype=bool)
-            keep[np.arange(k), np.where(binding, i0, N + i0)] = False
-        else:
-            # all epigraph vars basic; per coordinate, the binding side's slack leaves
-            keep = np.hstack([r > 0, r <= 0])
-        slacks = t + n_epi + np.nonzero(keep)[1].reshape(k, -1)
-        epi = np.broadcast_to(np.arange(t, t + n_epi), (k, n_epi))
-        return np.hstack([j0[:, None], epi, slacks])
+        i0 = np.argmax(np.abs(r), axis=1)
+        binding = r[np.arange(k), i0] <= 0
+        # the inf-norm row that binds contributes no slack to the basis
+        keep = np.ones((k, 2 * N), dtype=bool)
+        keep[np.arange(k), np.where(binding, i0, N + i0)] = False
+        slacks = t + 1 + np.nonzero(keep)[1].reshape(k, -1)
+        return np.hstack([j0[:, None], np.full((k, 1), t), slacks])
 
     def entering(self, y: np.ndarray, basis: np.ndarray, bland: np.ndarray):
         """Entering column of each row under duals y (k, M), and each row's
         least reduced cost c - y A. Dantzig pricing takes the most negative
         column; rows flagged in ``bland`` take the first negative one."""
-        N, t, n_epi = self.N, self.t, self.n_epi
+        N, t = self.N, self.t
         k = y.shape[0]
         # alpha columns (P; -P; 1^T) have cost 0 and are priced apart from
         # the epigraph and slack columns, so no (k, cols) array is formed
         red_a = (y[:, N : 2 * N] - y[:, :N]) @ self.P
         red_a -= y[:, 2 * N :]
-        red_s = np.empty((k, n_epi + 2 * N))
-        # epigraph columns have cost 1 and -1 in the rows they bound
-        if self.norm == "l_inf":
-            red_s[:, 0] = 1.0 + y[:, : 2 * N].sum(axis=1)
-        else:
-            red_s[:, :N] = 1.0 + y[:, :N] + y[:, N : 2 * N]
+        red_s = np.empty((k, 1 + 2 * N))
+        # the epigraph column has cost 1 and -1 in every row it bounds
+        red_s[:, 0] = 1.0 + y[:, : 2 * N].sum(axis=1)
         # slack columns are the identity
-        red_s[:, n_epi:] = -y[:, : 2 * N]
+        red_s[:, 1:] = -y[:, : 2 * N]
         # basic columns price at exactly zero
         row, pos = np.nonzero(basis < t)
         red_a[row, basis[row, pos]] = 0.0
@@ -361,7 +340,8 @@ class _ClipProblem:
 
 
 def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
-    """Project (k, N) points onto the hull; returns (V_hat, residuals).
+    """Project (k, N) points onto the hull in l-inf norm; returns (V_hat,
+    residuals).
 
     Interior points certified by the inscribed simplex keep their exact
     coordinates with residual zero; the remainder go through the LP in
@@ -369,14 +349,20 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     formed from its basic weights (the solve clips them at 0) divided by
     their sum, so it is a convex combination of hull points even where
     rounding in the final solve moves the weights off the simplex.
+
+    ``norm`` is only checked: the LP has the one l-inf form, and anything
+    but "l_inf" raises ValueError. It stays because the benchmark's replay
+    still passes it.
     """
+    if norm != "l_inf":
+        raise ValueError(f"norm must be 'l_inf', got {norm!r}")
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[1] != hull.dim:
         raise ValueError(f"points must have shape (k, {hull.dim}), got {V.shape}")
     bad = np.nonzero(~np.all(np.isfinite(V), axis=1))[0]
     if bad.size:
         raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
-    problem = _ClipProblem(hull, norm)
+    problem = _ClipProblem(hull)
     out = V.copy()
     residuals = np.zeros(V.shape[0])
     todo = np.nonzero(~hull.interior_mask(V))[0]
@@ -440,7 +426,6 @@ def surrogate_predict(
     basis: ProjectionBasis,
     hull: HullModel,
     x: np.ndarray,
-    norm: str = "l_inf",
 ) -> np.ndarray:
     """g(x) = A clip(A^T f(x)): reduce the logits, project onto the hull,
     lift back. Accepts (n0,) or (k, n0)."""
@@ -448,7 +433,7 @@ def surrogate_predict(
     single = y.ndim == 1
     Y = y[None, :] if single else y
     V = Y @ basis.matrix
-    V_hat, _ = clip_batch(V, hull, norm)
+    V_hat, _ = clip_batch(V, hull)
     G = V_hat @ basis.matrix.T
     return G[0] if single else G
 

@@ -133,13 +133,15 @@ def pixel_status(
     )
 
 
-def _check_sizes(**sizes):
-    """Each size (a sample count, or the number of components) must be a
-    positive integer; numpy integers pass, bool does not (the rule
-    ``guarantee_confidence`` applies to m)."""
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _check_sizes(seed, **sizes):
+    """The seed must be a non-negative integer and each size (a sample
+    count, or the number of components) a positive one; numpy integers
+    pass, bool does not (the rule ``guarantee_confidence`` applies to m)."""
+    bounds = [("seed", seed, 0)] + [(name, value, 1) for name, value in sizes.items()]
+    for name, value, low in bounds:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            kind = "positive" if low else "non-negative"
+            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _stage(name, fn):
@@ -197,6 +199,7 @@ def _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest):
     baseline = predict_mask(LogitTensor(*shape, infer(model, spec.base_image.data)))
     mask = pixel_status(lo.reshape(shape), hi.reshape(shape), baseline, guarantee)
     manifest.update(
+        calib_size=guarantee.calib_size_m,
         guarantee=guarantee.as_dict(),
         rank_score=calib.rank_score(rank_ell),
         tau_star=cs.tau_star,
@@ -220,10 +223,8 @@ def run_naive_pipeline(
     Returns (reachset, mask, manifest); the manifest records every seed and
     size needed to reproduce the run bit for bit.
     """
-    _check_sizes(train_size=train_size)
-    manifest = dict(
-        pipeline="naive", seed=seed, train_size=train_size, calib_size=calib_size
-    )
+    _check_sizes(seed, train_size=train_size)
+    manifest = dict(pipeline="naive", seed=int(seed), train_size=int(train_size))
 
     def build(guarantee):
         cs, calib = _conformal_step(
@@ -245,7 +246,6 @@ def run_surrogate_pipeline(
     epsilon: float,
     rank_ell: int,
     seed: int = 0,
-    norm: str = "l_inf",
 ):
     """Hull-plus-inflation reachset; same contract as the naive pipeline.
 
@@ -253,18 +253,16 @@ def run_surrogate_pipeline(
     bound the lifted hull, fit the normalization of q = f - g on
     ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
     """
-    _check_sizes(train_size=train_size, aux_size=aux_size, num_components=num_components)
+    _check_sizes(seed, train_size=train_size, aux_size=aux_size, num_components=num_components)
     limit = min(model.output_dim, train_size)
     if num_components > limit:
         raise ValueError(
             f"num_components must be at most min(output_dim, train_size) = {limit}, "
             f"got {num_components!r}"
         )
-    if norm not in ("l_inf", "l_1"):
-        raise ValueError(f"norm must be 'l_inf' or 'l_1', got {norm!r}")
     manifest = dict(
-        pipeline="surrogate", seed=seed, train_size=train_size, calib_size=calib_size,
-        aux_size=aux_size, num_components=num_components, norm=norm,
+        pipeline="surrogate", seed=int(seed), train_size=int(train_size),
+        aux_size=int(aux_size), num_components=int(num_components),
     )
 
     def train():
@@ -283,7 +281,7 @@ def run_surrogate_pipeline(
         manifest["hull_degenerate"] = hull.degenerate
 
         def residual(Y):
-            V_hat, _ = clip_batch(Y @ basis.matrix, hull, norm)
+            V_hat, _ = clip_batch(Y @ basis.matrix, hull)
             Y -= V_hat @ basis.matrix.T
             return Y
 
@@ -321,7 +319,7 @@ def conservatism_audit(
     ``y_lo <= y_hi``; infinite bounds are allowed and flag the report
     degenerate.
     """
-    _check_sizes(sample_count=sample_count)
+    _check_sizes(seed, sample_count=sample_count)
     n = model.output_dim
     y_lo = np.asarray(y_lo, dtype=np.float64).reshape(-1)
     y_hi = np.asarray(y_hi, dtype=np.float64).reshape(-1)

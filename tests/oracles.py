@@ -58,14 +58,14 @@ def box_score(y: np.ndarray, center: np.ndarray, tau: np.ndarray) -> float:
     return float(np.max(np.abs(y - center) / tau))
 
 
-def clip_weights(hull, V, norm="l_inf"):
+def clip_weights(hull, V):
     """Convex weights (k, t) over the hull points and residuals (k,) of the
     clip LP for the rows of V, read from the final basis and basic solution
     of ``_ClipProblem.solve_block``. Not an oracle: it reads the solver the
     clip tests check, for the weights ``clip_batch`` does not return."""
     from conformal_reach.hull import _ClipProblem
 
-    basis, xB, residuals = _ClipProblem(hull, norm).solve_block(np.atleast_2d(V))
+    basis, xB, residuals = _ClipProblem(hull).solve_block(np.atleast_2d(V))
     alpha = np.zeros((basis.shape[0], hull.size))
     rows, pos = np.nonzero(basis < hull.size)
     alpha[rows, basis[rows, pos]] = xB[rows, pos]

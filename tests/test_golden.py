@@ -55,15 +55,11 @@ CASES = {
     )),
     "surrogate-linf": ("surrogate", golden_inputs, dict(
         train_size=200, calib_size=400, aux_size=150, num_components=4,
-        epsilon=0.05, rank_ell=390, seed=22, norm="l_inf",
-    )),
-    "surrogate-l1": ("surrogate", golden_inputs, dict(
-        train_size=200, calib_size=400, aux_size=150, num_components=4,
-        epsilon=0.05, rank_ell=390, seed=23, norm="l_1",
+        epsilon=0.05, rank_ell=390, seed=22,
     )),
     "surrogate-ball-t-lt-n": ("surrogate", ball_inputs, dict(
         train_size=100, calib_size=400, aux_size=100, num_components=4,
-        epsilon=0.05, rank_ell=390, seed=24, norm="l_inf",
+        epsilon=0.05, rank_ell=390, seed=24,
     )),
 }
 

@@ -35,31 +35,29 @@ def make_hull(points):
     return HullModel.from_points(np.asarray(points, dtype=float))
 
 
-def clip_row(v, hull, norm="l_inf"):
+def clip_row(v, hull):
     """``clip_batch`` on the one row v: its point and residual."""
-    V_hat, residuals = clip_batch(np.asarray(v, dtype=float)[None, :], hull, norm)
+    V_hat, residuals = clip_batch(np.asarray(v, dtype=float)[None, :], hull)
     return V_hat[0], residuals[0]
 
 
-def clip_lp_rows(points, v, norm):
+def clip_lp_rows(points, v):
     """The clip LP written from its definition for ``enumerate_lp_minimum``.
 
-    Variables x = (alpha, s) >= 0 minimize sum(s) subject to
-    |v - P alpha| <= s coordinatewise (one shared s for l_inf, one per
-    coordinate for l_1) and sum(alpha) = 1, the equality as two rows.
+    Variables x = (alpha, s) >= 0 minimize s subject to |v - P alpha| <= s
+    coordinatewise and sum(alpha) = 1, the equality as two rows.
     """
     t, N = points.shape
-    epi = np.ones((N, 1)) if norm == "l_inf" else np.eye(N)
+    epi = np.ones((N, 1))
     ones = np.ones((1, t))
-    no_epi = np.zeros((1, epi.shape[1]))
     a_ub = np.vstack([
         np.hstack([points.T, -epi]),
         np.hstack([-points.T, -epi]),
-        np.hstack([ones, no_epi]),
-        np.hstack([-ones, no_epi]),
+        np.hstack([ones, [[0.0]]]),
+        np.hstack([-ones, [[0.0]]]),
     ])
     b_ub = np.concatenate([v, -v, [1.0, -1.0]])
-    c = np.concatenate([np.zeros(t), np.ones(epi.shape[1])])
+    c = np.concatenate([np.zeros(t), [1.0]])
     return c, a_ub, b_ub
 
 
@@ -123,25 +121,12 @@ class TestClip:
                 pts[-1] = pts[0]  # repeated generator
             v = rng.uniform(-1.5, 1.5, size=N)
             hull = make_hull(pts)
-            for norm in ("l_inf", "l_1"):
-                _, residual = clip_row(v, hull, norm)
-                (alpha,), _ = clip_weights(hull, v, norm)
-                oracle = enumerate_lp_minimum(*clip_lp_rows(pts, v, norm))
-                assert residual == pytest.approx(oracle, abs=1e-9)
-                assert np.all(alpha >= 0.0)
-                assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_l1_norm_variant(self):
-        hull = make_hull([[0.0, 0.0], [1.0, 0.0]])
-        v = np.array([0.5, 1.0])
-        v_hat, residual = clip_row(v, hull, norm="l_1")
-        assert residual == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(v_hat, [0.5, 0.0], atol=1e-8)
-        # oracle: l1 distance over fine alpha grid
-        alphas = np.linspace(0, 1, 2001)[:, None]
-        cand = alphas @ hull.points[1:2] + (1 - alphas) @ hull.points[0:1]
-        l1 = np.abs(cand - v).sum(axis=1).min()
-        assert residual == pytest.approx(float(l1), abs=2e-3)
+            _, residual = clip_row(v, hull)
+            (alpha,), _ = clip_weights(hull, v)
+            oracle = enumerate_lp_minimum(*clip_lp_rows(pts, v))
+            assert residual == pytest.approx(oracle, abs=1e-9)
+            assert np.all(alpha >= 0.0)
+            assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(2)
@@ -174,10 +159,14 @@ class TestClipValidation:
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite; row 0"):
             clip_batch(np.array([[np.nan, 0.5]]), hull)
-        V = np.array([[0.2, 0.2], [2.0, 2.0], [np.inf, 0.0]])
-        for norm in ("l_inf", "l_1"):
-            with pytest.raises(ValueError, match="finite; row 2"):
-                clip_batch(V, hull, norm)
+        with pytest.raises(ValueError, match="finite; row 2"):
+            clip_batch(np.array([[0.2, 0.2], [2.0, 2.0], [np.inf, 0.0]]), hull)
+
+    @pytest.mark.parametrize("norm", ["l_1", "linf", None])
+    def test_rejects_norm_other_than_l_inf(self, norm):
+        hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^norm must be 'l_inf', got {norm!r}$"):
+            clip_batch(np.array([[0.2, 0.2]]), hull, norm)
 
     def test_rejects_wrong_width(self):
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -225,7 +214,7 @@ class TestLockstep:
         monkeypatch.setattr(hull_module._ClipProblem, "entering", spy)
         return log
 
-    @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+    @pytest.mark.parametrize("norm", ["l_inf"])
     def test_batch_matches_rows_over_several_blocks(self, norm, passes):
         rng = np.random.default_rng(30)
         pts = rng.normal(size=(60, 6))
@@ -243,56 +232,49 @@ class TestLockstep:
             assert live[begin + 1] < live[begin]
             assert end - begin >= 8
         for i in range(V.shape[0]):
-            v_hat, res = clip_row(V[i], hull, norm)
+            v_hat, res = clip_row(V[i], hull)
             assert residuals[i] == pytest.approx(res, abs=1e-9)
             np.testing.assert_allclose(V_hat[i], v_hat, rtol=0, atol=1e-9)
 
     def test_degenerate_lps_reach_blands_rule(self, passes):
-        # queries at the generators of a hull whose points repeat: every
-        # pivot is degenerate, and some rows stall long enough to switch to
-        # Bland's rule
-        rng = np.random.default_rng(1)
-        pts = rng.normal(size=(20, 7))
-        pts = np.vstack([pts, pts, pts[:8]])
+        # queries at midpoints of pairs of generators of a hull whose
+        # points all repeat: pivots are degenerate, and some rows stall
+        # long enough to switch to Bland's rule
+        rng = np.random.default_rng(192)
+        N, t = rng.integers(3, 9), rng.integers(10, 60)  # 7, 42
+        pts = rng.normal(size=(t, N))
+        pts = np.vstack([pts, pts])
         hull = make_hull(pts)
-        V = pts[rng.integers(0, pts.shape[0], size=150)]
-        V_hat, residuals = clip_batch(V, hull, "l_1")
+        V = (pts[rng.integers(0, 2 * t, 100)] + pts[rng.integers(0, 2 * t, 100)]) / 2
+        V_hat, residuals = clip_batch(V, hull)
         assert sum(bland for _, bland in passes) > 0
         assert np.all(residuals <= 1e-9)
         np.testing.assert_allclose(V_hat, V, rtol=0, atol=1e-9)
         for i in range(0, V.shape[0], 5):
-            _, res = clip_row(V[i], hull, "l_1")
+            _, res = clip_row(V[i], hull)
             assert residuals[i] == pytest.approx(res, abs=1e-9)
 
     def test_eta_updates_match_fresh_inverses(self, monkeypatch):
-        # Blocks of surrogate-dark16-n10 benchmark instances, each of which
-        # must match the block solved with a fresh inverse at every pivot:
-        # - instance seed 3, l_1, refactorized every 32 pivots: eta updates
-        #   once lifted an exact zero of a pivot column to ~1e-11, just over
-        #   the pivot tolerance; the pivot on it made the basis singular
-        #   and reported query 561 inside the hull, residual 0 against
-        #   4.787e-4;
-        # - instance seed 3990686019, l_inf, at the module's own interval:
-        #   without the small-pivot floor a pivot on eta noise moves the
-        #   point of query 437 by 0.011.
+        # The block of surrogate-dark16-n10 instance seed 3990686019 that
+        # holds `calib` row 437, at the module's own refactorization
+        # interval, must match the block solved with a fresh inverse at
+        # every pivot: without the small-pivot floor a pivot on eta noise
+        # moves the point of query 437 by 0.011.
         from conformal_reach import hull as hull_module
 
-        cases = [
-            (3, 600, 561, "l_1", 32, 4.787e-4),
-            (3990686019, 2000, 437, "l_inf", hull_module._REFACTOR_EVERY, 0.0),
-        ]
-        for instance_seed, calib_size, row, norm, every, residual in cases:
-            hull, C = dark16_clip_case(instance_seed, calib_size)
-            start = row - row % _CLIP_BLOCK
-            V = C[start : start + _CLIP_BLOCK]
-            assert not hull.interior_mask(V).any()  # one block of 64 LPs
-            monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
-            V_ref, res_ref = clip_batch(V, hull, norm)
-            monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", every)
-            V_hat, residuals = clip_batch(V, hull, norm)
-            assert res_ref[row - start] == pytest.approx(residual, rel=1e-3, abs=1e-12)
-            np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
+        hull, C = dark16_clip_case(3990686019)
+        row = 437
+        start = row - row % _CLIP_BLOCK
+        V = C[start : start + _CLIP_BLOCK]
+        assert not hull.interior_mask(V).any()  # one block of 64 LPs
+        every = hull_module._REFACTOR_EVERY
+        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
+        V_ref, res_ref = clip_batch(V, hull)
+        monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", every)
+        V_hat, residuals = clip_batch(V, hull)
+        assert res_ref[row - start] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
 
     def test_ill_conditioned_basis_is_not_made_singular(self):
         # surrogate-dark16-n10 at workload seed 9529, instance 0: at
@@ -328,7 +310,7 @@ class TestLockstep:
             attained = np.abs(V_hat - V).max(axis=1)
             np.testing.assert_allclose(attained, residuals, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+    @pytest.mark.parametrize("norm", ["l_inf"])
     def test_row_result_does_not_depend_on_neighbours(self, norm):
         rng = np.random.default_rng(32)
         pts = rng.normal(size=(60, 5))
@@ -342,7 +324,7 @@ class TestLockstep:
 
 
 @functools.lru_cache(maxsize=None)
-def dark16_clip_case(instance_seed, calib_size=2000):
+def dark16_clip_case(instance_seed):
     """Hull and reduced first `calib` block of a surrogate-dark16-n10
     instance, formed as its pipeline forms them (N = 10); shared by the
     tests, which only read it."""
@@ -350,7 +332,7 @@ def dark16_clip_case(instance_seed, calib_size=2000):
     Y = next(stage_outputs(model, spec, instance_seed, "train", 1000))
     basis = deflate(Y, 10)
     hull = HullModel.from_points(Y @ basis.matrix)
-    C = next(stage_outputs(model, spec, instance_seed, "calib", calib_size))
+    C = next(stage_outputs(model, spec, instance_seed, "calib", 2000))
     return hull, C @ basis.matrix
 
 

@@ -14,7 +14,6 @@ from oracles import clip_weights
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-norms = st.sampled_from(["l_inf", "l_1"])
 
 
 @st.composite
@@ -26,50 +25,50 @@ def hull_and_point(draw):
     return points, v
 
 
-def distance(u, norm):
-    return float(np.max(np.abs(u)) if norm == "l_inf" else np.sum(np.abs(u)))
+def distance(u):
+    return float(np.max(np.abs(u)))
 
 
 @PROPERTY
-@given(hull_and_point(), norms)
-def test_clip_invariants(case, norm):
+@given(hull_and_point())
+def test_clip_invariants(case):
     points, v = case
     hull = HullModel.from_points(points)
-    (alpha,), (lp_residual,) = clip_weights(hull, v, norm)
-    (v_hat,), (residual,) = clip_batch(v[None, :], hull, norm)
+    (alpha,), (lp_residual,) = clip_weights(hull, v)
+    (v_hat,), (residual,) = clip_batch(v[None, :], hull)
     scale = 1.0 + np.abs(points).max() + np.abs(v).max()
     assert residual >= 0.0
     # the LP's weights lie on the simplex and reproduce v_hat
     assert np.all(alpha >= 0.0)
     assert abs(alpha.sum() - 1.0) <= 1e-9
     np.testing.assert_allclose(v_hat, points.T @ alpha, rtol=0, atol=1e-12 * scale)
-    # the residual is the attained norm distance
-    assert abs(residual - distance(v - v_hat, norm)) <= 1e-9 * scale
+    # the residual is the attained l-inf distance
+    assert abs(residual - distance(v - v_hat)) <= 1e-9 * scale
     assert abs(lp_residual - residual) <= 1e-9 * scale
 
 
 @PROPERTY
-@given(hull_and_point(), norms, st.data())
-def test_clip_batch_rows_attain_their_residuals(case, norm, data):
+@given(hull_and_point(), st.data())
+def test_clip_batch_rows_attain_their_residuals(case, data):
     # the hull's points, points near them and far ones, through the
     # interior test and the lockstep LP alike
     points, v = case
     picks = data.draw(arrays(np.int64, (6,), elements=st.integers(0, points.shape[0] - 1)))
     shifts = data.draw(arrays(np.float64, (6, points.shape[1]), elements=st.floats(-1.0, 1.0)))
     V = np.vstack([v, points[picks], points[picks] + shifts])
-    V_hat, residuals = clip_batch(V, HullModel.from_points(points), norm)
+    V_hat, residuals = clip_batch(V, HullModel.from_points(points))
     scale = 1.0 + np.abs(points).max() + np.abs(V).max()
     for row in range(V.shape[0]):
-        attained = distance(V[row] - V_hat[row], norm)
+        attained = distance(V[row] - V_hat[row])
         assert abs(attained - residuals[row]) <= 1e-9 * scale
 
 
 @PROPERTY
-@given(hull_and_point(), norms, st.data())
-def test_hull_points_are_fixed(case, norm, data):
+@given(hull_and_point(), st.data())
+def test_hull_points_are_fixed(case, data):
     points, _ = case
     i = data.draw(st.integers(0, points.shape[0] - 1))
-    _, (residual,) = clip_batch(points[i : i + 1], HullModel.from_points(points), norm)
+    _, (residual,) = clip_batch(points[i : i + 1], HullModel.from_points(points))
     assert residual <= 1e-9
 
 

@@ -110,7 +110,7 @@ def test_pipeline_and_audit_memory_grow_with_infer_chunk():
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("norm", ["l_inf", "l_1"])
+@pytest.mark.parametrize("norm", ["l_inf"])
 @pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["darkening", "l2-ball"])
 def test_clip_batch_on_infer_chunks_matches_whole(inputs, norm):
     # the surrogate clips each INFER_CHUNK of residual rows apart, so LP

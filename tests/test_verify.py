@@ -357,24 +357,39 @@ def test_too_many_components_rejected_before_any_draw(
         run_4x4("surrogate", train_size=train_size, num_components=num_components)
 
 
-@pytest.mark.parametrize("norm", ["l2", "linf", None])
-def test_bad_norm_rejected_before_any_draw(monkeypatch, norm):
+@pytest.mark.parametrize("call", ["naive", "surrogate", "audit"])
+@pytest.mark.parametrize("bad", [-1, 2.5, "7", True])
+def test_bad_seed_rejected_before_any_draw(monkeypatch, call, bad):
     def no_draw(*args):
         raise AssertionError("a stage was drawn")
 
     monkeypatch.setattr(verify, "stage_outputs", no_draw)
-    with pytest.raises(ValueError, match=f"^norm must be 'l_inf' or 'l_1', got {norm!r}$"):
-        run_4x4("surrogate", norm=norm)
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {bad!r}$"):
+        if call == "audit":
+            model, base = synthetic_ssn_4x4()
+            spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
+            n = model.output_dim
+            conservatism_audit(model, spec, np.zeros(n), np.ones(n), 10, seed=bad)
+        else:
+            run_4x4(call, seed=bad)
 
 
 @pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
 def test_numpy_integer_sizes_accepted(pipeline):
-    sizes = dict(train_size=np.int64(100))
+    # numpy integers give the same run, and a manifest of plain Python
+    # numbers that ``json.dumps`` takes
+    sizes = dict(
+        train_size=np.int64(100), calib_size=np.int64(200), rank_ell=np.int64(190),
+        seed=np.int64(8),
+    )
     if pipeline == "surrogate":
-        sizes.update(aux_size=np.int32(80))
-    _, _, (_, mask, _) = run_4x4(pipeline, **sizes)
-    _, _, (_, ref, _) = run_4x4(pipeline)
+        sizes.update(aux_size=np.int32(80), num_components=np.int64(4))
+    _, _, (_, mask, manifest) = run_4x4(pipeline, **sizes)
+    _, _, (_, ref, ref_manifest) = run_4x4(pipeline)
     np.testing.assert_array_equal(mask.status, ref.status)
+    assert json.loads(json.dumps(manifest)) == manifest == ref_manifest
+    for key in sizes:
+        assert type(manifest.get(key, manifest["guarantee"].get(key))) is int, key
 
 
 @pytest.mark.parametrize("pipeline, fit_stream", [("naive", "train"), ("surrogate", "aux")])
