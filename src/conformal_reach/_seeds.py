@@ -5,6 +5,8 @@ the entropy plus spawn key."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Stage codes and the trailing 0 of the spawn key are part of every
@@ -21,3 +23,12 @@ def stage_rng(root_seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(root_seed, spawn_key=(STAGES[stage], 0))
     )
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """A seed, sample count or rank must be an integer >= ``low``; numpy
+    integers pass, bool does not (the rule ``guarantee_confidence`` applies
+    to m). A ValueError names the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        kind = "positive" if low else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")

@@ -1,10 +1,12 @@
 """Conformal calibration on vector-valued outputs.
 
 Training outputs give a center (their mean) and per-coordinate
-normalization factors; nonconformity of an output is the max normalized
-coordinate deviation from the center. Sorting the calibration scores and
-reading off rank ell turns those factors into a hyper-rectangular reachset
-whose membership test is exactly "score <= threshold".
+normalization factors, both running statistics of one in-order pass over
+(k, n) blocks, so the (t, n) outputs are never held at once; nonconformity
+of an output is the max normalized coordinate deviation from the center.
+Sorting the calibration scores and reading off rank ell turns those
+factors into a hyper-rectangular reachset whose membership test is exactly
+"score <= threshold".
 """
 
 from __future__ import annotations
@@ -105,25 +107,56 @@ class HyperRectReachSet:
         return self.center - self.sigma, self.center + self.sigma
 
 
-def center_and_scales(train_outputs: np.ndarray) -> CenterScale:
-    """Center and normalization factors from t training outputs (t, n).
+def center_and_scales(train_outputs) -> CenterScale:
+    """Center and normalization factors of t training outputs, read once,
+    in order, as an iterable of (k, n) blocks; one (t, n) array is one block.
 
-    tau* is 1e-5 times the mean absolute deviation over the whole cloud;
-    tau_k is the larger of tau* and the max absolute deviation seen in
-    coordinate k.
+    The center is a running sum, one row at a time, divided by t, which is
+    ``y.mean(axis=0)`` bit for bit when n > 1 (numpy sums a lone column
+    pairwise instead); the max absolute deviation of coordinate
+    k is max(hi_k - c_k, c_k - lo_k) from its running min lo_k and max hi_k,
+    which is ``|y - c|.max(axis=0)`` bit for bit because rounding is
+    monotone. tau* is 1e-5 times the mean of those max deviations, never
+    below 1e-5 times the mean absolute deviation; tau_k is the larger of
+    tau* and the max deviation of coordinate k. Any such positive scale,
+    fixed before calibration, keeps the guarantee.
     """
-    y = np.asarray(train_outputs, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] < 1:
-        raise ValueError("train_outputs must be a non-empty (t, n) array")
-    c = y.mean(axis=0)
-    dev = y - c
-    np.abs(dev, out=dev)
-    tau_star = 1e-5 * dev.sum() / (y.shape[0] * y.shape[1])
+    blocks = [train_outputs] if isinstance(train_outputs, np.ndarray) else train_outputs
+    total = lo = hi = None
+    t = i = 0
+    # NaN and inf pass through the sum quietly and fail as a non-finite center
+    with np.errstate(invalid="ignore", over="ignore"):
+        for Y in blocks:
+            Y = np.asarray(Y, dtype=np.float64)
+            if Y.ndim != 2:
+                raise ValueError(f"train block {i} must be a (k, n) array, got shape {Y.shape}")
+            if Y.shape[0] < 1:
+                raise ValueError(f"train block {i} has no rows")
+            if total is None:
+                total, lo, hi = Y[0].copy(), Y[0].copy(), Y[0].copy()
+            elif Y.shape[1] != total.shape[0]:
+                raise ValueError(
+                    f"train block {i} has width {Y.shape[1]}, block 0 has {total.shape[0]}"
+                )
+            np.minimum(lo, Y.min(axis=0), out=lo)
+            np.maximum(hi, Y.max(axis=0), out=hi)
+            for row in range(1 if t == 0 else 0, Y.shape[0]):
+                total += Y[row]
+            t += Y.shape[0]
+            i += 1
+            del Y  # free this block before the stream builds the next
+    if total is None:
+        raise ValueError("train_outputs holds no block")
+    c = total / t
+    if not np.all(np.isfinite(c)):
+        raise ValueError("center must be finite: a training output is NaN or infinite")
+    max_dev = np.maximum(hi - c, c - lo)
+    tau_star = 1e-5 * float(max_dev.mean())
     degenerate = False
     if tau_star < TAU_ABSOLUTE_FLOOR:
         tau_star = TAU_ABSOLUTE_FLOOR
         degenerate = True
-    tau = np.maximum(tau_star, dev.max(axis=0))
+    tau = np.maximum(tau_star, max_dev)
     return CenterScale(center=c, tau=tau, tau_star=tau_star, degenerate=degenerate)
 
 

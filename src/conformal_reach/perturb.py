@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ImageTensor
+from ._seeds import check_integer
 
 __all__ = [
     "PerturbationSpec",
@@ -173,6 +174,7 @@ def build_darkening(
     coefficient 1 blacks the channel out (full darkening) while the lower
     bound dims it by exactly ``min_darkening``.
     """
+    check_integer("rng_seed", rng_seed, 0)
     if not (0.0 < pixel_fraction <= 1.0):
         raise ValueError(f"pixel_fraction must lie in (0, 1], got {pixel_fraction!r}")
     if min_darkening <= 0:
@@ -202,7 +204,7 @@ def build_darkening(
         lambda_upper=np.ones(values.size),
         intensity_threshold=intensity_threshold,
         min_darkening=min_darkening,
-        selection_seed=rng_seed,
+        selection_seed=int(rng_seed),
     )
 
 

@@ -8,14 +8,15 @@ prediction. Ties at equality are conservatively unknown.
 
 Both pipelines live here and share one conformal step: fit center and
 scales on the residuals of one seeded stage, then score the residuals of
-the ``calib`` stage. The naive box calibrates the raw outputs (the residual
-of the surrogate g = 0); the surrogate pipeline calibrates q = f - g of the
-convex-hull surrogate in ``hull``.
+the ``calib`` stage, each stage read block by block in one pass without
+holding its (count, n) outputs. The naive box calibrates the raw outputs
+(the residual of the surrogate g = 0); the surrogate pipeline calibrates
+q = f - g of the convex-hull surrogate in ``hull``, whose basis and hull
+are the one place a stage's outputs are held whole (the ``train`` cloud).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
 from .model import MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest
+from ._seeds import check_integer
 
 __all__ = [
     "STATUS_UNKNOWN",
@@ -135,13 +137,10 @@ def pixel_status(
 
 def _check_sizes(seed, **sizes):
     """The seed must be a non-negative integer and each size (a sample
-    count, or the number of components) a positive one; numpy integers
-    pass, bool does not (the rule ``guarantee_confidence`` applies to m)."""
-    bounds = [("seed", seed, 0)] + [(name, value, 1) for name, value in sizes.items()]
-    for name, value, low in bounds:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            kind = "positive" if low else "non-negative"
-            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    count, or the number of components) a positive one."""
+    check_integer("seed", seed, 0)
+    for name, value in sizes.items():
+        check_integer(name, value, 1)
 
 
 def _stage(name, fn):
@@ -152,22 +151,10 @@ def _stage(name, fn):
         raise PipelineStageError(f"{name}: {exc}") from exc
 
 
-def _stacked(blocks, count, n):
-    """The ``count`` rows of a stream of (k, n) blocks, copied in order into
-    one (count, n) array: a ``stage_outputs`` block lives only until the
-    next is requested."""
-    out = np.empty((count, n))
-    row = 0
-    for Y in blocks:
-        out[row : row + Y.shape[0]] = Y
-        row += Y.shape[0]
-    return out
-
-
 def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
     """Center and scales of ``residual`` over the stage ``fit`` = (name,
     stream, count), then the calibration set of ``calib_size`` residual
-    scores, each ``calib`` block scored as it arrives."""
+    scores; both read each block as it arrives and keep none of them."""
     name, stream, count = fit
 
     def residuals(stage, k):
@@ -176,7 +163,7 @@ def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
 
     cs = _stage(
         name,
-        lambda: center_and_scales(_stacked(residuals(stream, count), count, model.output_dim)),
+        lambda: center_and_scales(residuals(stream, count)),
     )
     calib = _stage(
         "calibrate",
@@ -266,10 +253,14 @@ def run_surrogate_pipeline(
     )
 
     def train():
-        Y = _stacked(
-            stage_outputs(model, spec, seed, "train", train_size),
-            train_size, model.output_dim,
-        )
+        # deflation reads the whole cloud: copy each block out of the
+        # stage's reused output buffer
+        Y = np.empty((train_size, model.output_dim))
+        row = 0
+        for block in stage_outputs(model, spec, seed, "train", train_size):
+            Y[row : row + block.shape[0]] = block
+            row += block.shape[0]
+        del block  # frees the stage's output buffer before deflation
         basis = deflate(Y, num_components)
         V = Y @ basis.matrix
         lifted = V @ basis.matrix.T

@@ -58,6 +58,14 @@ def box_score(y: np.ndarray, center: np.ndarray, tau: np.ndarray) -> float:
     return float(np.max(np.abs(y - center) / tau))
 
 
+def center_deviations(y: np.ndarray):
+    """Center, per-coordinate max absolute deviation and mean absolute
+    deviation of the whole stacked (t, n) cloud, in three plain passes."""
+    c = y.mean(axis=0)
+    dev = np.abs(y - c)
+    return c, dev.max(axis=0), float(dev.mean())
+
+
 def clip_weights(hull, V):
     """Convex weights (k, t) over the hull points and residuals (k,) of the
     clip LP for the rows of V, read from the final basis and basic solution

@@ -9,13 +9,28 @@ from conformal_reach.calibrate import (
     nonconformity_batch,
 )
 from conformal_reach.guarantees import guarantee_confidence
+from conformal_reach.model import INFER_CHUNK
 
-from oracles import box_score
+from oracles import box_score, center_deviations
 
 
 def score(y, cs):
     """``nonconformity_batch`` of the one output y."""
     return nonconformity_batch(np.asarray(y)[None, :], cs)[0]
+
+
+def reused_blocks(y, sizes):
+    """The rows of y in blocks of ``sizes`` rows, each a view of one reused
+    buffer, the way ``stage_outputs`` yields a stage's outputs."""
+    buf = np.empty((max(sizes), y.shape[1]))
+    start = 0
+    for k in sizes:
+        buf[:k] = y[start : start + k]
+        yield buf[:k]
+        start += k
+
+
+ONE_PASS_T = 2 * INFER_CHUNK + 300
 
 
 class TestCenterAndScales:
@@ -42,6 +57,59 @@ class TestCenterAndScales:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             center_and_scales(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            None,
+            [INFER_CHUNK, INFER_CHUNK, 300],
+            [1, 7, 1000, ONE_PASS_T - 1008],
+            [1] * ONE_PASS_T,
+        ],
+        ids=["one-array", "infer-chunks", "uneven", "one-row"],
+    )
+    def test_one_pass_equals_stacked_oracle(self, sizes):
+        # offsets far above the spread make every row's rounding count
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=(ONE_PASS_T, 7)) * rng.uniform(0.1, 1e3, size=7)
+        y += rng.normal(size=7) * 1e4
+        cs = center_and_scales(y if sizes is None else reused_blocks(y, sizes))
+        c, max_dev, _ = center_deviations(y)
+        np.testing.assert_array_equal(cs.center, c)
+        assert cs.tau_star == 1e-5 * max_dev.mean()
+        np.testing.assert_array_equal(cs.tau, np.maximum(cs.tau_star, max_dev))
+
+    def test_tau_star_is_mean_of_max_deviations(self):
+        # c = [1, 2]; |y - c| is 1, 1, 1, 3 and 2, 2, 2, 6: the mean absolute
+        # deviation 2.25 gave tau* 2.25e-5, the max deviations [3, 6] give 4.5e-5
+        y = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 8.0]])
+        cs = center_and_scales([y[:1], y[1:]])
+        assert center_deviations(y)[2] == 2.25
+        assert cs.tau_star == pytest.approx(4.5e-5, rel=1e-15)
+        np.testing.assert_array_equal(cs.tau, [3.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "blocks, match",
+        [
+            ([], "holds no block"),
+            ([np.ones((2, 3)), np.empty((0, 3))], "train block 1 has no rows"),
+            ([np.ones(3)], r"train block 0 must be a \(k, n\) array"),
+            ([np.ones((2, 3)), np.ones((2, 4))], "train block 1 has width 4, block 0 has 3"),
+        ],
+        ids=["no-block", "zero-rows", "one-dim", "widths-differ"],
+    )
+    def test_rejects_bad_blocks(self, blocks, match):
+        with pytest.raises(ValueError, match=match):
+            center_and_scales(iter(blocks))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[np.nan, 0.0]], [[np.inf, 0.0]], [[-np.inf, 0.0]], [[np.inf, 0.0], [-np.inf, 0.0]]],
+        ids=["nan", "inf", "-inf", "inf-minus-inf"],
+    )
+    def test_non_finite_output_fails_as_center(self, bad):
+        with pytest.raises(ValueError, match="center must be finite"):
+            center_and_scales([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array(bad)])
 
 
 class TestNonconformity:

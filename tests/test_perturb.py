@@ -110,6 +110,18 @@ class TestBuildDarkening:
         with pytest.raises(ValueError, match="no eligible pixel"):
             build_darkening(img, 0.5, rng_seed=8)
 
+    def test_numpy_seed_is_stored_as_int(self):
+        spec = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=np.int64(7))
+        assert type(spec.selection_seed) is int
+        assert json.loads(json.dumps(spec_manifest(spec, "base.pgm")))["selection_seed"] == 7
+        plain = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=7)
+        assert spec.selected_pixels == plain.selected_pixels
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^rng_seed must be a non-negative integer"):
+            build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=seed)
+
     def test_untouched_pixels_stay_base(self):
         rng = np.random.default_rng(9)
         arr = rng.uniform(0.0, 1.0, size=(5, 4, 3))

@@ -1,14 +1,16 @@
-"""Property tests: clip invariants on random hulls, beta_cdf monotonicity."""
+"""Property tests: clip invariants on random hulls, beta_cdf monotonicity,
+and the one-pass center and scales against the stacked cloud."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conformal_reach.calibrate import TAU_ABSOLUTE_FLOOR, center_and_scales
 from conformal_reach.guarantees import beta_cdf
 from conformal_reach.hull import HullModel, clip_batch
 
-from oracles import clip_weights
+from oracles import center_deviations, clip_weights
 
 # Fixed example sequence, no example database: a run reproduces exactly.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -82,3 +84,28 @@ def test_hull_points_are_fixed(case, data):
 def test_beta_cdf_is_monotonic(x1, x2, a, b):
     lo, hi = min(x1, x2), max(x1, x2)
     assert beta_cdf(lo, a, b) <= beta_cdf(hi, a, b)
+
+
+@st.composite
+def cloud_and_blocks(draw):
+    # n >= 2: numpy's mean sums a lone column pairwise, not row by row
+    t = draw(st.integers(1, 12))
+    y = draw(arrays(np.float64, (t, draw(st.integers(2, 5))), elements=coordinate))
+    cuts = draw(st.lists(st.integers(1, t - 1), unique=True)) if t > 1 else []
+    return y, np.split(y, sorted(cuts))
+
+
+@PROPERTY
+@given(cloud_and_blocks())
+def test_one_pass_tau_keeps_the_stacked_scales(case):
+    y, blocks = case
+    cs = center_and_scales(iter(blocks))
+    c, max_dev, mean_abs_dev = center_deviations(y)
+    np.testing.assert_array_equal(cs.center, c)
+    # the stacked cloud's tau* was 1e-5 * mean|y - c|; the slack covers the
+    # rounding of two means over different counts
+    old_tau_star = max(1e-5 * mean_abs_dev, TAU_ABSOLUTE_FLOOR)
+    assert cs.tau_star >= old_tau_star * (1.0 - 1e-12)
+    # wherever no max deviation falls below the new tau*, tau is the old one
+    kept = max_dev >= cs.tau_star
+    np.testing.assert_array_equal(cs.tau[kept], np.maximum(old_tau_star, max_dev)[kept])

@@ -86,16 +86,17 @@ def test_memory_grows_with_infer_chunk():
 
 
 def test_pipeline_and_audit_memory_grow_with_infer_chunk():
-    # calib and audit streams longer than PIPELINE_CHUNK on a 16x16x1 image
-    # with 4 classes (n0 = 256, n = 1024): beyond the (t, n) train stack and
-    # the (t, n) deviations ``center_and_scales`` forms from it, the traced
-    # peak is at most two (INFER_CHUNK, n0 + n) blocks. One (PIPELINE_CHUNK,
-    # n) output block alone is 67 MB, more than twice the budget.
+    # train, calib and audit streams longer than INFER_CHUNK on a 16x16x1
+    # image with 4 classes (n0 = 256, n = 1024): the traced peak is at most
+    # two (INFER_CHUNK, n0 + n) blocks. The (t, n) train outputs alone are
+    # 32 MiB and one (PIPELINE_CHUNK, n) output block is 67 MB, both over
+    # the 20 MiB budget.
     img = _image(16, 16, 1, seed=7)
     spec = build_darkening(img, 0.1, rng_seed=8)
     model = random_mlp([img.size, 32, 4 * img.size], np.random.default_rng(9))
-    n, t, m = model.output_dim, 300, PIPELINE_CHUNK + 808
-    budget = 2 * t * n * 8 + 2 * INFER_CHUNK * (img.size + n) * 8
+    n, t, m = model.output_dim, 4 * INFER_CHUNK, PIPELINE_CHUNK + 808
+    budget = 2 * INFER_CHUNK * (img.size + n) * 8
+    assert t * n * 8 > budget
     tracemalloc.start()
     try:
         reachset, _, _ = run_naive_pipeline(
