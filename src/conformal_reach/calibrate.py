@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guarantees import GuaranteeSpec
+from .model import _ROW_BLOCK
 
 __all__ = [
     "CenterScale",
@@ -32,11 +33,6 @@ __all__ = [
 # all-identical training cloud makes tau* itself zero; this absolute floor
 # keeps the division defined in that degenerate case.
 TAU_ABSOLUTE_FLOOR = 1e-12
-
-# Rows whose deviations are formed at once when scoring: a (64, n) block
-# stays in cache for n up to about 16k, so the elementwise passes over it
-# do not go out to memory. Scores do not depend on it.
-_SCORE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -170,14 +166,14 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     k = ys.shape[0]
     scores = np.empty(k)
-    buf = np.empty((min(k, _SCORE_ROWS),) + ys.shape[1:])
-    for start in range(0, k, _SCORE_ROWS):
-        block = ys[start : start + _SCORE_ROWS]
+    buf = np.empty((min(k, _ROW_BLOCK),) + ys.shape[1:])
+    for start in range(0, k, _ROW_BLOCK):
+        block = ys[start : start + _ROW_BLOCK]
         dev = buf[: block.shape[0]]
         np.subtract(block, cs.center, out=dev)
         np.abs(dev, out=dev)
         np.divide(dev, cs.tau, out=dev)
-        np.max(dev, axis=1, out=scores[start : start + _SCORE_ROWS])
+        np.max(dev, axis=1, out=scores[start : start + _ROW_BLOCK])
     return scores
 
 

@@ -75,14 +75,21 @@ def stage_outputs(
 
     Coefficients are drawn PIPELINE_CHUNK rows at a time; their images are
     built INFER_CHUNK rows at a time by ``image_blocks`` and inferred into
-    one (min(INFER_CHUNK, count), n) buffer the stage owns, so memory grows
-    with INFER_CHUNK x (n0 + n), never with PIPELINE_CHUNK or count. Each
-    block is a view of that buffer, valid only until the next one is
-    requested: a consumer that keeps rows copies them."""
+    one (min(INFER_CHUNK, count), n) buffer the stage owns. The stream
+    holds the (min(PIPELINE_CHUNK, count), r) draw, one image block (for a
+    global ball, a view of the draw), that output buffer and O(row block x
+    (r + n)) more. A ball has r = n0, so there the draw is the largest of
+    them. Each block is a view of the output buffer, valid only until the
+    next one is requested: a consumer that keeps rows copies them."""
     rng = stage_rng(seed, stage)
-    buf = np.empty((min(INFER_CHUNK, count), model.output_dim))
+    buf = None
     for start in range(0, count, PIPELINE_CHUNK):
         lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - start), rng)
+        if buf is None:
+            # taken after the first draw, so that a ball's (k, n0) draw can
+            # reuse memory the previous stage freed; taken first, the buffer
+            # often left the draw none, and peak RSS hung on heap layout
+            buf = np.empty((min(INFER_CHUNK, count), model.output_dim))
         for X in image_blocks(spec, lams, INFER_CHUNK):
             yield infer(model, X, out=buf[: X.shape[0]])
         # the last image block may be a view of lams; free both before the next draw

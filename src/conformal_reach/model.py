@@ -35,6 +35,12 @@ __all__ = [
 # then never depend on thread or batch-partition choices.
 INFER_CHUNK = 1024
 
+# Rows whose elementwise temporaries (scores, row norms, miss tests,
+# lifted points) are formed at once: a (64, n) block stays in cache for n
+# up to about 16k, and beside a stream's draw and output buffer only
+# O(64 x (r + n)) more is held. No output depends on it.
+_ROW_BLOCK = 64
+
 
 class ModelFormatError(ValueError):
     """Raised for malformed, inconsistent, or truncated model files."""

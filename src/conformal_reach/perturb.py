@@ -7,15 +7,19 @@ pixels channel-wise), and ``build_global_ball``, a global l2 or l-inf ball
 whose noise basis is the identity and therefore never materialized. A
 darkening noise image has exactly one nonzero, so the set is stored as a
 signed selection, one (flat input index, value) pair per coefficient, and
-applied by scatter: memory and work grow with r, never with r * n0. Images form in one place, ``image_blocks``, a fixed number of
-rows at a time in reused memory, so a stream of k images never holds a
-(k, n0) array; ``apply_batch`` is its one-block form. The pipelines'
-stream, ``hull.stage_outputs``, infers each such block into one reused
-output buffer in turn, so it holds neither a stage's images nor its
-outputs at once. Perturbed
-intensities are deliberately not clamped to [0, 1]: the darkening
-construction is in-range by design, and clamping would destroy the affine
-structure the surrogate model relies on.
+applied by scatter: no (r, n0) noise matrix is ever formed.
+
+Images form in one place, ``image_blocks``, a fixed number of rows at a
+time in reused memory, so a stream of k images never holds a (k, n0)
+array; ``apply_batch`` is its one-block form. The pipelines' stream,
+``hull.stage_outputs``, draws (k, r) coefficients at a time with
+``sample_lambdas`` and infers each image block of them into one reused
+output buffer. It holds that draw, one image block (for a ball, a view of
+the draw), one output buffer and O(row block x (r + n)) more. A ball has
+r = n0, so there the draw is a (k, n0) array. Perturbed intensities are
+deliberately not clamped to [0, 1]: the darkening construction is
+in-range by design, and clamping would destroy the affine structure the
+surrogate model relies on.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ImageTensor
+from .model import _ROW_BLOCK, ImageTensor
 from ._seeds import check_integer
 
 __all__ = [
@@ -261,10 +265,16 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     if spec.distribution == UNIFORM_BOX or spec.distribution == UNIFORM_LINF_BALL:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
     if spec.distribution == UNIFORM_L2_BALL:
+        # normalized and scaled in place, row norms one row block at a
+        # time (each row's norm has the same bits however rows are
+        # blocked), so no second (count, r) array forms beside the draw
         g = rng.standard_normal((count, r))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for start in range(0, count, _ROW_BLOCK):
+            block = g[start : start + _ROW_BLOCK]
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
         radii = spec.radius * rng.random(count) ** (1.0 / r)
-        return g * radii[:, None]
+        g *= radii[:, None]
+        return g
     raise ValueError(f"unknown distribution {spec.distribution!r}")
 
 
@@ -297,9 +307,10 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
     """Rebuild a spec from its manifest plus the base image it references.
 
     The manifest's image shape must be the base image's, and a darkening
-    manifest must select distinct pixels inside the image and give one
-    coefficient bound per selected (pixel, channel); otherwise a ValueError
-    names the offending field.
+    manifest must select distinct pixels inside the image, give one
+    coefficient bound per selected (pixel, channel) and a non-negative
+    integer ``selection_seed``; otherwise a ValueError names the offending
+    field.
     """
     shape = [base_image.height, base_image.width, base_image.channels]
     if list(manifest["image_shape"]) != shape:
@@ -311,6 +322,7 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
     if dist in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL):
         norm = "l2" if dist == UNIFORM_L2_BALL else "linf"
         return build_global_ball(base_image, norm, manifest["radius"])
+    check_integer("selection_seed", manifest["selection_seed"], 0)
     h, w = shape[:2]
     pixels = np.asarray(manifest["selected_pixels"], dtype=np.int64)
     if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] != 2:
@@ -342,5 +354,5 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
         **bounds,
         intensity_threshold=manifest["intensity_threshold"],
         min_darkening=manifest["min_darkening"],
-        selection_seed=manifest["selection_seed"],
+        selection_seed=int(manifest["selection_seed"]),
     )

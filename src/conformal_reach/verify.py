@@ -24,7 +24,7 @@ import numpy as np
 from .calibrate import center_and_scales, naive_reachset, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
-from .model import MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
+from .model import _ROW_BLOCK, MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest
 from ._seeds import check_integer
@@ -151,6 +151,20 @@ def _stage(name, fn):
         raise PipelineStageError(f"{name}: {exc}") from exc
 
 
+def _lifted_blocks(V, A):
+    """(rows, ``V[rows] @ A.T``) for the row blocks of V in order, each
+    product formed in one reused buffer and valid until the next. A lone
+    leftover row joins the block before it: numpy runs a one-row product
+    as a matrix-vector call, whose bits can differ from the matrix
+    product's, so every row has the bits of ``V @ A.T``."""
+    k = V.shape[0]
+    buf = np.empty((min(k, _ROW_BLOCK + 1), A.shape[0]))
+    start = 0
+    for stop in [*range(_ROW_BLOCK, k - 1, _ROW_BLOCK), k]:
+        yield slice(start, stop), np.matmul(V[start:stop], A.T, out=buf[: stop - start])
+        start = stop
+
+
 def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
     """Center and scales of ``residual`` over the stage ``fit`` = (name,
     stream, count), then the calibration set of ``calib_size`` residual
@@ -263,9 +277,14 @@ def run_surrogate_pipeline(
         del block  # frees the stage's output buffer before deflation
         basis = deflate(Y, num_components)
         V = Y @ basis.matrix
-        lifted = V @ basis.matrix.T
         hull = HullModel.from_points(V, basis=basis)
-        return basis, hull, lifted.min(axis=0), lifted.max(axis=0)
+        # bounds of the lifted cloud V @ A.T, one row block at a time
+        lift_lb = np.full(model.output_dim, np.inf)
+        lift_ub = np.full(model.output_dim, -np.inf)
+        for _, lifted in _lifted_blocks(V, basis.matrix):
+            np.minimum(lift_lb, lifted.min(axis=0), out=lift_lb)
+            np.maximum(lift_ub, lifted.max(axis=0), out=lift_ub)
+        return basis, hull, lift_lb, lift_ub
 
     def build(guarantee):
         basis, hull, lift_lb, lift_ub = _stage("train", train)
@@ -273,7 +292,8 @@ def run_surrogate_pipeline(
 
         def residual(Y):
             V_hat, _ = clip_batch(Y @ basis.matrix, hull)
-            Y -= V_hat @ basis.matrix.T
+            for rows, lifted in _lifted_blocks(V_hat, basis.matrix):
+                Y[rows] -= lifted
             return Y
 
         cs, calib = _conformal_step(
@@ -324,9 +344,11 @@ def conservatism_audit(
     emp_lo = np.full(n, np.inf)
     emp_hi = np.full(n, -np.inf)
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
-        misses += int(np.sum(np.any((Y < y_lo) | (Y > y_hi), axis=1)))
-        emp_lo = np.minimum(emp_lo, Y.min(axis=0))
-        emp_hi = np.maximum(emp_hi, Y.max(axis=0))
+        for start in range(0, Y.shape[0], _ROW_BLOCK):
+            block = Y[start : start + _ROW_BLOCK]
+            misses += int(np.sum(np.any((block < y_lo) | (block > y_hi), axis=1)))
+        np.minimum(emp_lo, Y.min(axis=0), out=emp_lo)
+        np.maximum(emp_hi, Y.max(axis=0), out=emp_hi)
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

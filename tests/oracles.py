@@ -207,6 +207,15 @@ def dense_darkening_matrix(image, pixels) -> np.ndarray:
     return np.array(rows)
 
 
+def l2_ball_draw(radius: float, count: int, r: int, rng) -> np.ndarray:
+    """(count, r) uniform draws from the radius ball in R^r, in whole-array
+    form: Gaussian directions over their row norms, times radius * U^(1/r),
+    with the sampler's RNG calls in the sampler's order."""
+    g = rng.standard_normal((count, r))
+    radii = radius * rng.random(count) ** (1.0 / r)
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * radii[:, None]
+
+
 def enumerate_lp_minimum(c, a_ub, b_ub) -> float:
     """Exhaustive vertex enumeration for min c'x, a_ub x <= b_ub, x >= 0.
 

@@ -388,6 +388,18 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match="^image_shape"):
             spec_from_manifest(ball, other)
 
+    @pytest.mark.parametrize("seed", [-1, "seven", 2.5, True])
+    def test_rejects_bad_selection_seed(self, seed):
+        man, img = self.manifest()
+        with pytest.raises(ValueError, match=r"^selection_seed must be a non-negative integer"):
+            spec_from_manifest(dict(man, selection_seed=seed), img)
+
+    def test_numpy_selection_seed_round_trips(self):
+        man, img = self.manifest()
+        spec = spec_from_manifest(dict(man, selection_seed=np.int64(25)), img)
+        assert type(spec.selection_seed) is int
+        assert json.loads(json.dumps(spec_manifest(spec, "base.pgm"))) == man
+
     def test_rejects_duplicate_pixel(self):
         man, img = self.manifest()
         with pytest.raises(ValueError, match=r"selected_pixels: pixel \(1, 1\) .* more than once"):

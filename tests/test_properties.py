@@ -1,5 +1,6 @@
 """Property tests: clip invariants on random hulls, beta_cdf monotonicity,
-and the one-pass center and scales against the stacked cloud."""
+the one-pass center and scales against the stacked cloud, and the l2-ball
+sampler against its whole-array form."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 from conformal_reach.calibrate import TAU_ABSOLUTE_FLOOR, center_and_scales
 from conformal_reach.guarantees import beta_cdf
 from conformal_reach.hull import HullModel, clip_batch
+from conformal_reach.model import _ROW_BLOCK, ImageTensor
+from conformal_reach.perturb import build_global_ball, sample_lambdas
 
-from oracles import center_deviations, clip_weights
+from oracles import center_deviations, clip_weights, l2_ball_draw
 
 # Fixed example sequence, no example database: a run reproduces exactly.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -109,3 +112,21 @@ def test_one_pass_tau_keeps_the_stacked_scales(case):
     # wherever no max deviation falls below the new tau*, tau is the old one
     kept = max_dev >= cs.tau_star
     np.testing.assert_array_equal(cs.tau[kept], np.maximum(old_tau_star, max_dev)[kept])
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.sampled_from([1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+        st.integers(1, 4 * _ROW_BLOCK),
+    ),
+    st.integers(1, 3000),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_l2_draws_equal_the_whole_array_form(count, r, radius, seed):
+    # rows are normalized in blocks and scaled in place, with the same bits
+    spec = build_global_ball(ImageTensor.from_array(np.zeros((1, r))), "l2", radius)
+    got = sample_lambdas(spec, count, np.random.default_rng(seed))
+    want = l2_ball_draw(radius, count, r, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)

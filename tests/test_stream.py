@@ -2,7 +2,10 @@
 PIPELINE_CHUNK at a time, builds each INFER_CHUNK of images in reused
 memory and infers it into one reused output buffer. It must give the bits
 of the unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK,
-n0) input array and no (PIPELINE_CHUNK, n) output array."""
+n0) input array and no (PIPELINE_CHUNK, n) output array. Its consumers
+(the l2 sampler, the surrogate's residual and lift bounds, the audit) work
+in row blocks beside the draw and the output buffer, with the bits of
+their whole-array forms."""
 
 import tracemalloc
 
@@ -10,8 +13,9 @@ import numpy as np
 import pytest
 
 from conformal_reach._seeds import stage_rng
+from conformal_reach.calibrate import center_and_scales, stream_calibration
 from conformal_reach.hull import PIPELINE_CHUNK, HullModel, clip_batch, stage_outputs
-from conformal_reach.model import INFER_CHUNK, ImageTensor, infer, random_mlp
+from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, infer, random_mlp
 from conformal_reach.pca import deflate
 from conformal_reach.perturb import (
     apply_batch,
@@ -19,7 +23,11 @@ from conformal_reach.perturb import (
     build_global_ball,
     sample_lambdas,
 )
-from conformal_reach.verify import conservatism_audit, run_naive_pipeline
+from conformal_reach.verify import (
+    conservatism_audit,
+    run_naive_pipeline,
+    run_surrogate_pipeline,
+)
 
 from test_golden import ball_inputs, golden_inputs
 
@@ -66,6 +74,17 @@ def test_matches_unfused_chain(kind, count, sizes):
     np.testing.assert_array_equal(np.vstack(blocks), ref)
 
 
+def traced_peak(fn):
+    """Peak traced bytes while ``fn()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 def test_memory_grows_with_infer_chunk():
     # Traced numpy buffers of one full PIPELINE_CHUNK of a darkening stream
     # on a 32x32x1 image through a 1024-output model: at most two
@@ -75,13 +94,7 @@ def test_memory_grows_with_infer_chunk():
     spec = build_darkening(img, 0.02, rng_seed=4)
     model = random_mlp([img.size, 32, 1024], np.random.default_rng(5))
     budget = 2 * INFER_CHUNK * (img.size + model.output_dim) * 8
-    tracemalloc.start()
-    try:
-        for _ in stage_outputs(model, spec, 6, "train", PIPELINE_CHUNK):
-            pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 6, "train", PIPELINE_CHUNK)))
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
 
 
@@ -97,18 +110,84 @@ def test_pipeline_and_audit_memory_grow_with_infer_chunk():
     n, t, m = model.output_dim, 4 * INFER_CHUNK, PIPELINE_CHUNK + 808
     budget = 2 * INFER_CHUNK * (img.size + n) * 8
     assert t * n * 8 > budget
-    tracemalloc.start()
-    try:
+
+    def certify_and_audit():
         reachset, _, _ = run_naive_pipeline(
             model, spec, train_size=t, calib_size=m, epsilon=0.05,
             rank_ell=m - 10, seed=10,
         )
-        report = conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=11)
+
+    peak, report = traced_peak(certify_and_audit)
     assert report.sample_count == m
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+def test_l2_draw_holds_one_draw():
+    # the rows are normalized and scaled in place: beside the (count, r)
+    # draw only O(_ROW_BLOCK x r) is traced, where the whole-array form
+    # held a second draw-sized array
+    r, count = 768, 1000
+    spec = build_global_ball(ImageTensor.from_array(np.full((16, 16, 3), 0.5)), "l2", 0.3)
+    budget = (count + 4 * _ROW_BLOCK) * r * 8
+    assert 2 * count * r * 8 > budget
+    peak, _ = traced_peak(lambda: sample_lambdas(spec, count, np.random.default_rng(1)))
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
+def test_surrogate_pipeline_and_audit_hold_draw_and_output_buffer():
+    # l2 ball on a 16x16x3 image (r = n0 = 768) through a 4-class model
+    # (n = 1024), with calib and audit streams of m = 3000 rows. The
+    # budget is the largest draw D, one (INFER_CHUNK, n) output buffer B,
+    # the train stage's cloud, deflation copy and outer product plus its
+    # t x t Gram (T), and a slack of four (_ROW_BLOCK, r + n) blocks: 31.5
+    # MiB. One more draw-sized or (INFER_CHUNK, n) array is over it.
+    img = _image(16, 16, 3, seed=12)
+    spec = build_global_ball(img, "l2", 0.3)
+    model = random_mlp([img.size, 16, 4 * 256], np.random.default_rng(13))
+    n0, n, t, m = img.size, model.output_dim, 100, 3000
+    D, B = m * n0 * 8, INFER_CHUNK * n * 8
+    T = 3 * t * n * 8 + t * t * 8
+    budget = D + B + T + 4 * _ROW_BLOCK * (n0 + n) * 8
+    assert D + 2 * B > budget
+
+    def certify_and_audit():
+        reachset, _, _ = run_surrogate_pipeline(
+            model, spec, train_size=t, calib_size=m, aux_size=t, num_components=3,
+            epsilon=0.05, rank_ell=m - 10, seed=14,
+        )
+        return conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=15)
+
+    peak, report = traced_peak(certify_and_audit)
+    assert report.sample_count == m
+    assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["darkening", "l2-ball"])
+def test_blocked_residual_and_lift_match_whole_arrays(inputs):
+    # every stage leaves one row after its last full row block (65, 129 and
+    # INFER_CHUNK + 65 rows): numpy multiplies a lone row by another BLAS
+    # call than a block of rows, which can round differently
+    model, spec = inputs()
+    t, aux, m, ell, seed = _ROW_BLOCK + 1, INFER_CHUNK + _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 120, 23
+    reachset, _, _ = run_surrogate_pipeline(
+        model, spec, train_size=t, calib_size=m, aux_size=aux, num_components=4,
+        epsilon=0.05, rank_ell=ell, seed=seed,
+    )
+    A, hull = reachset.basis.matrix, reachset.hull
+    Y = np.vstack([Y.copy() for Y in stage_outputs(model, spec, seed, "train", t)])
+    lifted = (Y @ A) @ A.T
+    np.testing.assert_array_equal(reachset.lift_lb, lifted.min(axis=0))
+    np.testing.assert_array_equal(reachset.lift_ub, lifted.max(axis=0))
+
+    def residuals(stage, count):
+        for Y in stage_outputs(model, spec, seed, stage, count):
+            yield Y - clip_batch(Y @ A, hull)[0] @ A.T
+
+    cs = center_and_scales(residuals("aux", aux))
+    calib = stream_calibration(residuals("calib", m), cs)
+    np.testing.assert_array_equal(reachset.error_center, cs.center)
+    np.testing.assert_array_equal(reachset.error_sigma, cs.tau * calib.rank_score(ell))
 
 
 @pytest.mark.parametrize("norm", ["l_inf"])
