@@ -24,6 +24,8 @@ surrogate model relies on.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,8 +183,8 @@ def build_darkening(
     check_integer("rng_seed", rng_seed, 0)
     if not (0.0 < pixel_fraction <= 1.0):
         raise ValueError(f"pixel_fraction must lie in (0, 1], got {pixel_fraction!r}")
-    if min_darkening <= 0:
-        raise ValueError("min_darkening must be positive")
+    _check_number("intensity_threshold", intensity_threshold, positive=False)
+    _check_number("min_darkening", min_darkening, positive=True)
     arr = x.as_array()
     eligible = np.argwhere(np.all(arr > intensity_threshold, axis=2))
     if eligible.shape[0] == 0:
@@ -206,10 +208,22 @@ def build_darkening(
         chosen,
         lambda_lower=min_darkening / values.reshape(-1),
         lambda_upper=np.ones(values.size),
-        intensity_threshold=intensity_threshold,
-        min_darkening=min_darkening,
+        intensity_threshold=float(intensity_threshold),
+        min_darkening=float(min_darkening),
         selection_seed=int(rng_seed),
     )
+
+
+def _check_number(name: str, value, positive: bool) -> None:
+    """A radius, threshold or darkening must be a finite real number, and
+    a positive one where ``positive``; bool is not one. A ValueError names
+    the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _darkening(x: ImageTensor, pixels, **fields) -> PerturbationSpec:
@@ -235,8 +249,7 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
     The noise basis is the identity (one unit direction per input
     coordinate) kept implicit, so nothing quadratic in n0 is stored.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    _check_number("radius", radius, positive=True)
     if norm == "l2":
         dist = UNIFORM_L2_BALL
     elif norm == "linf":
@@ -278,13 +291,12 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     raise ValueError(f"unknown distribution {spec.distribution!r}")
 
 
-def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:
-    """JSON-ready description sufficient to rebuild the exact input set.
-    A ball is rebuilt from its radius, so its n0-long coefficient box is
-    left out."""
+def spec_manifest(spec: PerturbationSpec) -> dict:
+    """JSON-ready description that, with the base image, rebuilds the exact
+    input set. A ball is rebuilt from its radius, so its n0-long
+    coefficient box is left out."""
     box = spec.distribution not in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL)
     return {
-        "base_image": base_image_path,
         "image_shape": [
             spec.base_image.height,
             spec.base_image.width,
@@ -306,11 +318,12 @@ def spec_manifest(spec: PerturbationSpec, base_image_path: str = "") -> dict:
 def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationSpec:
     """Rebuild a spec from its manifest plus the base image it references.
 
-    The manifest's image shape must be the base image's, and a darkening
-    manifest must select distinct pixels inside the image, give one
-    coefficient bound per selected (pixel, channel) and a non-negative
-    integer ``selection_seed``; otherwise a ValueError names the offending
-    field.
+    The manifest's image shape must be the base image's. A ball manifest
+    must give a finite positive ``radius``. A darkening manifest must
+    select distinct pixels inside the image, give one coefficient bound per
+    selected (pixel, channel), a finite ``intensity_threshold``, a finite
+    positive ``min_darkening`` and a non-negative integer
+    ``selection_seed``. Otherwise a ValueError names the offending field.
     """
     shape = [base_image.height, base_image.width, base_image.channels]
     if list(manifest["image_shape"]) != shape:
@@ -322,6 +335,8 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
     if dist in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL):
         norm = "l2" if dist == UNIFORM_L2_BALL else "linf"
         return build_global_ball(base_image, norm, manifest["radius"])
+    _check_number("intensity_threshold", manifest["intensity_threshold"], positive=False)
+    _check_number("min_darkening", manifest["min_darkening"], positive=True)
     check_integer("selection_seed", manifest["selection_seed"], 0)
     h, w = shape[:2]
     pixels = np.asarray(manifest["selected_pixels"], dtype=np.int64)
@@ -352,7 +367,7 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
         base_image,
         pixels,
         **bounds,
-        intensity_threshold=manifest["intensity_threshold"],
-        min_darkening=manifest["min_darkening"],
+        intensity_threshold=float(manifest["intensity_threshold"]),
+        min_darkening=float(manifest["min_darkening"]),
         selection_seed=int(manifest["selection_seed"]),
     )

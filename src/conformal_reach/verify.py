@@ -13,10 +13,15 @@ holding its (count, n) outputs. The naive box calibrates the raw outputs
 (the residual of the surrogate g = 0); the surrogate pipeline calibrates
 q = f - g of the convex-hull surrogate in ``hull``, whose basis and hull
 are the one place a stage's outputs are held whole (the ``train`` cloud).
+
+Each run's manifest is its one record: the seed, sizes, guarantee and
+perturbation that reproduce it bit for bit, and under ``"stages"`` every
+stage it ran, in order, with its sample count and wall time.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,7 @@ import numpy as np
 from .calibrate import center_and_scales, naive_reachset, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
-from .model import _ROW_BLOCK, MlpNetwork, infer, predict_mask, write_pgm_bytes, LogitTensor
+from .model import _ROW_BLOCK, MlpNetwork, infer, predict_mask, LogitTensor
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest
 from ._seeds import check_integer
@@ -40,15 +45,11 @@ __all__ = [
     "run_naive_pipeline",
     "run_surrogate_pipeline",
     "conservatism_audit",
-    "status_pgm_bytes",
 ]
 
 STATUS_UNKNOWN = 0
 STATUS_ROBUST = 1
 STATUS_NONROBUST = 2
-
-# mask export convention: white robust, mid-gray non-robust, black unknown
-_PGM_LEVELS = {STATUS_ROBUST: 255, STATUS_NONROBUST: 128, STATUS_UNKNOWN: 0}
 
 
 class PipelineStageError(RuntimeError):
@@ -143,12 +144,16 @@ def _check_sizes(seed, **sizes):
         check_integer(name, value, 1)
 
 
-def _stage(name, fn):
-    """Run one pipeline stage; a failure is re-raised with its name first."""
+def _stage(name, fn, rows, stages):
+    """Run one pipeline stage of ``rows`` samples and append its record to
+    ``stages``; a failure is re-raised with its name first."""
+    start = time.perf_counter()
     try:
-        return fn()
+        out = fn()
     except Exception as exc:
         raise PipelineStageError(f"{name}: {exc}") from exc
+    stages.append(dict(stage=name, rows=int(rows), seconds=time.perf_counter() - start))
+    return out
 
 
 def _lifted_blocks(V, A):
@@ -165,23 +170,23 @@ def _lifted_blocks(V, A):
         start = stop
 
 
-def _conformal_step(model, spec, seed, residual, fit, calib_size, source):
+def _conformal_step(model, spec, seed, residual, fit, calib_size, source, stages):
     """Center and scales of ``residual`` over the stage ``fit`` = (name,
     stream, count), then the calibration set of ``calib_size`` residual
-    scores; both read each block as it arrives and keep none of them."""
+    scores; both read each block as it arrives and keep none of them, and
+    both stages are recorded in ``stages``."""
     name, stream, count = fit
 
     def residuals(stage, k):
         # each residual is formed in the stage's one reused output buffer
         return map(residual, stage_outputs(model, spec, seed, stage, k))
 
-    cs = _stage(
-        name,
-        lambda: center_and_scales(residuals(stream, count)),
-    )
+    cs = _stage(name, lambda: center_and_scales(residuals(stream, count)), count, stages)
     calib = _stage(
         "calibrate",
         lambda: stream_calibration(residuals("calib", calib_size), cs, source),
+        calib_size,
+        stages,
     )
     return cs, calib
 
@@ -222,15 +227,16 @@ def run_naive_pipeline(
     """Hyper-rectangle reachset straight from raw-output scores.
 
     Returns (reachset, mask, manifest); the manifest records every seed and
-    size needed to reproduce the run bit for bit.
+    size needed to reproduce the run bit for bit, and each stage's sample
+    count and wall time under ``"stages"``.
     """
     _check_sizes(seed, train_size=train_size)
-    manifest = dict(pipeline="naive", seed=int(seed), train_size=int(train_size))
+    manifest = dict(pipeline="naive", seed=int(seed), train_size=int(train_size), stages=[])
 
     def build(guarantee):
         cs, calib = _conformal_step(
             model, spec, seed, lambda Y: Y, ("train", "train", train_size),
-            calib_size, "raw-outputs",
+            calib_size, "raw-outputs", manifest["stages"],
         )
         return naive_reachset(calib, cs, guarantee), cs, calib
 
@@ -263,7 +269,7 @@ def run_surrogate_pipeline(
         )
     manifest = dict(
         pipeline="surrogate", seed=int(seed), train_size=int(train_size),
-        aux_size=int(aux_size), num_components=int(num_components),
+        aux_size=int(aux_size), num_components=int(num_components), stages=[],
     )
 
     def train():
@@ -287,7 +293,7 @@ def run_surrogate_pipeline(
         return basis, hull, lift_lb, lift_ub
 
     def build(guarantee):
-        basis, hull, lift_lb, lift_ub = _stage("train", train)
+        basis, hull, lift_lb, lift_ub = _stage("train", train, train_size, manifest["stages"])
         manifest["hull_degenerate"] = hull.degenerate
 
         def residual(Y):
@@ -298,7 +304,7 @@ def run_surrogate_pipeline(
 
         cs, calib = _conformal_step(
             model, spec, seed, residual, ("normalize", "aux", aux_size),
-            calib_size, "surrogate-errors",
+            calib_size, "surrogate-errors", manifest["stages"],
         )
         reachset = SurrogateReachSet(
             hull=hull,
@@ -360,12 +366,3 @@ def conservatism_audit(
         sample_count=sample_count,
         degenerate=degenerate,
     )
-
-
-def status_pgm_bytes(mask: PixelStatusMask) -> bytes:
-    """Status mask as a binary PGM: 255 robust, 128 non-robust, 0 unknown."""
-    levels = np.zeros(mask.status.shape, dtype=np.uint8)
-    for code, level in _PGM_LEVELS.items():
-        levels[mask.status == code] = level
-    return write_pgm_bytes(levels)
-

@@ -2,25 +2,43 @@ import numpy as np
 import pytest
 
 from conformal_reach.model import (
-    ImageFormatError,
     ImageTensor,
     LogitTensor,
     MlpNetwork,
-    ModelFormatError,
     infer,
-    load_model,
     predict_mask,
     random_mlp,
-    read_f64,
-    read_image,
-    save_model,
-    write_f64,
-    write_image,
 )
 
 
 def identity_net(n):
     return MlpNetwork((np.eye(n),), (np.zeros(n),))
+
+
+def layers(*shapes):
+    """Zero weights and biases of the given (weight shape, bias length)s."""
+    return (
+        tuple(np.zeros(w) for w, _ in shapes),
+        tuple(np.zeros(b) for _, b in shapes),
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, biases, match",
+    [
+        ((np.zeros((3, 2)),), (), "^weight/bias layer counts differ$"),
+        ((), (), "^network needs at least one layer$"),
+        (*layers(((3, 2), 3), ((4, 3), 5)), "^layer 1: weight/bias shapes disagree$"),
+        (*layers(((3, 2), 3), ((4, 3, 1), 4)), "^layer 1: weight/bias shapes disagree$"),
+        (*layers(((3, 2), (3, 1))), "^layer 0: weight/bias shapes disagree$"),
+        (*layers(((3, 2), 3), ((4, 3), 4), ((2, 5), 2)), "^layer 2: input dim mismatch$"),
+    ],
+    ids=["layer-count", "no-layers", "bias-length", "weight-ndim", "bias-ndim", "input-dim"],
+)
+def test_network_shape_checks(weights, biases, match):
+    with pytest.raises(ValueError, match=match) as info:
+        MlpNetwork(weights, biases)
+    assert info.type is ValueError
 
 
 class TestInfer:
@@ -124,95 +142,7 @@ class TestPredictMask:
         )
 
 
-class TestModelIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        net = random_mlp([7, 11, 5, 2], rng)
-        path = tmp_path / "net.mlp"
-        save_model(net, path)
-        loaded = load_model(path)
-        assert loaded.layer_dims == net.layer_dims
-        for w1, w2 in zip(net.weights, loaded.weights):
-            np.testing.assert_array_equal(w1, w2)
-        for b1, b2 in zip(net.biases, loaded.biases):
-            np.testing.assert_array_equal(b1, b2)
-
-    def test_truncated_payload(self, tmp_path):
-        rng = np.random.default_rng(4)
-        net = random_mlp([3, 4, 2], rng)
-        path = tmp_path / "net.mlp"
-        save_model(net, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-16])
-        with pytest.raises(ModelFormatError, match="truncated|trailing"):
-            load_model(path)
-
-    def test_header_layer_count_mismatch(self, tmp_path):
-        rng = np.random.default_rng(5)
-        net = random_mlp([3, 4, 2], rng)
-        path = tmp_path / "net.mlp"
-        save_model(net, path)
-        blob = path.read_bytes()
-        # claim 3 weight layers while providing dims/payload for 2
-        path.write_bytes(blob.replace(b"MLP v1 2 3 4 2", b"MLP v1 3 3 4 2", 1))
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.mlp"
-        path.write_bytes(b"")
-        with pytest.raises(ModelFormatError, match="malformed header"):
-            load_model(path)
-
-
 class TestImageIO:
-    def test_pgm_binary_round_trip(self, tmp_path):
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4) / 255.0 * 20
-        img = ImageTensor.from_array(arr)
-        path = tmp_path / "img.pgm"
-        write_image(img, path, binary=True)
-        back = read_image(path)
-        assert (back.height, back.width, back.channels) == (3, 4, 1)
-        np.testing.assert_allclose(back.data, img.data, atol=0.5 / 255)
-
-    def test_pgm_ascii_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        img = ImageTensor.from_array(rng.integers(0, 256, size=(5, 2)) / 255.0)
-        path = tmp_path / "img_ascii.pgm"
-        write_image(img, path, binary=False)
-        np.testing.assert_array_equal(read_image(path).data, img.data)
-
-    def test_ppm_three_channels(self, tmp_path):
-        rng = np.random.default_rng(7)
-        img = ImageTensor.from_array(rng.integers(0, 256, size=(4, 3, 3)) / 255.0)
-        for binary in (True, False):
-            path = tmp_path / f"img_{binary}.ppm"
-            write_image(img, path, binary=binary)
-            back = read_image(path)
-            assert back.channels == 3
-            np.testing.assert_array_equal(back.data, img.data)
-
-    def test_comments_in_header(self, tmp_path):
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P2\n# a comment\n2 1\n255\n0 255\n")
-        img = read_image(path)
-        np.testing.assert_array_equal(img.data, [0.0, 1.0])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.pgm"
-        path.write_bytes(b"P9\n1 1\n255\n0\n")
-        with pytest.raises(ImageFormatError):
-            read_image(path)
-
-    def test_f64_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        arr = rng.normal(size=(3, 5))
-        path = tmp_path / "t.f64"
-        write_f64(arr, path)
-        np.testing.assert_array_equal(read_f64(path, (3, 5)), arr)
-        with pytest.raises(ImageFormatError):
-            read_f64(path, (4, 5))
-
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(9)
         arr = rng.uniform(size=(6, 7, 3))

@@ -38,20 +38,13 @@ CALLERS = [
     *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
 ]
 # Public names kept without a caller: the reachset's own prediction and
-# archive, a spec's rebuild from its manifest, and the file formats the
-# planned command-line interface reads and writes (see ROADMAP.md).
+# archive, which a user of a certified run calls, and a spec's rebuild
+# from its manifest, which reproduces the run.
 KEPT = (
     "surrogate_predict",
     "save_surrogate",
     "load_surrogate",
     "spec_from_manifest",
-    "save_model",
-    "load_model",
-    "read_image",
-    "write_image",
-    "read_f64",
-    "write_f64",
-    "status_pgm_bytes",
 )
 
 
@@ -89,6 +82,12 @@ def test_all_names_have_callers(name):
     assert not unused, f"{name}.__all__ lists names only tests use: {unused}"
 
 
+def test_kept_names_have_no_caller():
+    # a kept name that gains a caller leaves the list
+    read = {read for path in CALLERS for read, owner in _reads(path) if owner != read}
+    assert not set(KEPT) & read, sorted(set(KEPT) & read)
+
+
 def test_kept_names_are_public():
     public = set()
     for name in MODULES:
@@ -100,13 +99,10 @@ def test_kept_names_are_public():
 # Defaulted parameters of public functions kept although no call in CALLERS
 # passes them, by reason (see ROADMAP.md):
 UNPASSED = (
-    # the deflation ascent's knobs, which go with the ascent (direction 3)
+    # the deflation ascent's knobs, which go with the ascent (direction 4)
     "deflate.step_size",
     "deflate.max_iters",
     "deflate.tol",
-    # the file formats the planned command-line interface writes (direction 6)
-    "write_image.binary",
-    "spec_manifest.base_image_path",
     # they define the darkening adversary, and the manifest records them
     "build_darkening.intensity_threshold",
     "build_darkening.min_darkening",

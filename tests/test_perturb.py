@@ -113,7 +113,7 @@ class TestBuildDarkening:
     def test_numpy_seed_is_stored_as_int(self):
         spec = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=np.int64(7))
         assert type(spec.selection_seed) is int
-        assert json.loads(json.dumps(spec_manifest(spec, "base.pgm")))["selection_seed"] == 7
+        assert json.loads(json.dumps(spec_manifest(spec)))["selection_seed"] == 7
         plain = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=7)
         assert spec.selected_pixels == plain.selected_pixels
 
@@ -203,7 +203,7 @@ class TestSample:
 def test_manifest_round_trip():
     img = bright_2x2()
     spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=17)
-    man = spec_manifest(spec, "base.pgm")
+    man = spec_manifest(spec)
     rebuilt = spec_from_manifest(man, img)
     np.testing.assert_array_equal(rebuilt.noise_matrix, spec.noise_matrix)
     np.testing.assert_array_equal(rebuilt.lambda_lower, spec.lambda_lower)
@@ -212,7 +212,7 @@ def test_manifest_round_trip():
 
     for norm in ("l2", "linf"):
         ball = build_global_ball(img, norm, 0.25)
-        man2 = spec_manifest(ball, "base.pgm")
+        man2 = spec_manifest(ball)
         # a ball is rebuilt from its radius: no per-coefficient list is written
         assert not any(isinstance(v, list) and len(v) == ball.dim for v in man2.values())
         assert man2["lambda_lower"] is None and man2["lambda_upper"] is None
@@ -335,7 +335,7 @@ class TestBoundsValidation:
             build_global_ball(bright_2x2(), norm, radius)
 
     def test_darkening_bound_must_be_finite(self):
-        with pytest.raises(ValueError, match="^lambda_lower must be finite$"):
+        with pytest.raises(ValueError, match="^min_darkening must be finite, got nan$"):
             build_darkening(bright_2x2(), 1.0, min_darkening=np.nan, rng_seed=1)
 
     @pytest.mark.parametrize("key", ["lambda_lower", "lambda_upper"])
@@ -357,11 +357,14 @@ class TestManifestValidation:
         img = ImageTensor.from_array(arr)
         spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=25)
         assert spec.dim == 3
-        return spec_manifest(spec, "base.pgm"), img
+        return spec_manifest(spec), img
 
     def test_valid_manifest_loads(self):
         man, img = self.manifest()
         assert spec_from_manifest(man, img).selected_pixels == ((0, 2), (1, 1), (2, 0))
+        # older manifests also carry an image path, which is not read
+        old = spec_from_manifest(dict(man, base_image="base.pgm"), img)
+        assert spec_manifest(old) == man
 
     @pytest.mark.parametrize(
         "pixels",
@@ -398,7 +401,28 @@ class TestManifestValidation:
         man, img = self.manifest()
         spec = spec_from_manifest(dict(man, selection_seed=np.int64(25)), img)
         assert type(spec.selection_seed) is int
-        assert json.loads(json.dumps(spec_manifest(spec, "base.pgm"))) == man
+        assert json.loads(json.dumps(spec_manifest(spec))) == man
+
+    @pytest.mark.parametrize(
+        "adversary, key, bad, match",
+        [
+            ("darkening", "min_darkening", -1.0, "must be positive, got -1.0"),
+            ("darkening", "min_darkening", 0.0, "must be positive, got 0.0"),
+            ("darkening", "min_darkening", "x", "must be a real number, got 'x'"),
+            ("darkening", "min_darkening", None, "must be a real number, got None"),
+            ("darkening", "intensity_threshold", np.nan, "must be finite, got nan"),
+            ("darkening", "intensity_threshold", True, "must be a real number, got True"),
+            ("ball", "radius", None, "must be a real number, got None"),
+            ("ball", "radius", "0.1", "must be a real number, got '0.1'"),
+            ("ball", "radius", True, "must be a real number, got True"),
+        ],
+    )
+    def test_rejects_bad_adversary_field(self, adversary, key, bad, match):
+        man, img = self.manifest()
+        if adversary == "ball":
+            man = spec_manifest(build_global_ball(img, "l2", 0.1))
+        with pytest.raises(ValueError, match=f"^{key} {match}$"):
+            spec_from_manifest(dict(man, **{key: bad}), img)
 
     def test_rejects_duplicate_pixel(self):
         man, img = self.manifest()
