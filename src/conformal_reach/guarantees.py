@@ -79,6 +79,8 @@ def guarantee_confidence(
     one-step marginal guarantee there is no coupling constraint between
     ell, m and epsilon beyond 1 <= ell <= m, both integers.
     """
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     for name, value in (("rank", rank_ell), ("calibration size", calib_size_m)):

@@ -9,6 +9,11 @@ darkening noise image has exactly one nonzero, so the set is stored as a
 signed selection, one (flat input index, value) pair per coefficient, and
 applied by scatter: no (r, n0) noise matrix is ever formed.
 
+A spec records the builder call that made it as its ``recipe``. The run
+manifest writes that call (``spec_manifest``) and a rerun makes it again
+(``spec_from_manifest``), so the builders hold the only checks on an
+adversary's arguments.
+
 Images form in one place, ``image_blocks``, a fixed number of rows at a
 time in reused memory, so a stream of k images never holds a (k, n0)
 array; ``apply_batch`` is its one-block form. The pipelines' stream,
@@ -63,7 +68,9 @@ class PerturbationSpec:
     Both are ``None`` for the implicit identity basis of a global ball
     (r = n0). Bounds are the componentwise coefficient box, finite; for
     balls the box is the enclosing [-e, e] cube of the radius-e ball the
-    coefficients are drawn from.
+    coefficients are drawn from. ``recipe`` holds the JSON-ready arguments
+    of the builder call that made the spec, under its ``adversary`` name,
+    and is ``None`` for a spec built directly.
     """
 
     base_image: ImageTensor
@@ -73,10 +80,7 @@ class PerturbationSpec:
     lambda_upper: np.ndarray
     distribution: str
     radius: Optional[float] = None
-    intensity_threshold: Optional[float] = None
-    min_darkening: Optional[float] = None
-    selected_pixels: Optional[tuple] = None
-    selection_seed: Optional[int] = None
+    recipe: Optional[dict] = None
 
     def __post_init__(self):
         if self.lambda_lower.shape != self.lambda_upper.shape:
@@ -181,7 +185,8 @@ def build_darkening(
     bound dims it by exactly ``min_darkening``.
     """
     check_integer("rng_seed", rng_seed, 0)
-    if not (0.0 < pixel_fraction <= 1.0):
+    _check_number("pixel_fraction", pixel_fraction, positive=True)
+    if pixel_fraction > 1:
         raise ValueError(f"pixel_fraction must lie in (0, 1], got {pixel_fraction!r}")
     _check_number("intensity_threshold", intensity_threshold, positive=False)
     _check_number("min_darkening", min_darkening, positive=True)
@@ -203,44 +208,35 @@ def build_darkening(
             f"min_darkening {min_darkening} exceeds intensity {values[p, ch]} "
             f"at pixel ({chosen[p, 0]}, {chosen[p, 1]}) channel {ch}"
         )
-    return _darkening(
-        x,
-        chosen,
+    # one noise image per (pixel, channel), pixel-major
+    nc = x.channels
+    flat_pixels = chosen[:, 0] * x.width + chosen[:, 1]
+    cols = (flat_pixels[:, None] * nc + np.arange(nc)).reshape(-1)
+    return PerturbationSpec(
+        base_image=x,
+        noise_index=cols,
+        noise_value=-x.data[cols],
         lambda_lower=min_darkening / values.reshape(-1),
         lambda_upper=np.ones(values.size),
-        intensity_threshold=float(intensity_threshold),
-        min_darkening=float(min_darkening),
-        selection_seed=int(rng_seed),
+        distribution=UNIFORM_BOX,
+        recipe=dict(
+            adversary="darkening", pixel_fraction=float(pixel_fraction),
+            intensity_threshold=float(intensity_threshold),
+            min_darkening=float(min_darkening), rng_seed=int(rng_seed),
+        ),
     )
 
 
 def _check_number(name: str, value, positive: bool) -> None:
-    """A radius, threshold or darkening must be a finite real number, and
-    a positive one where ``positive``; bool is not one. A ValueError names
-    the field."""
+    """A radius, fraction, threshold or darkening must be a finite real
+    number, and a positive one where ``positive``; bool is not one. A
+    ValueError names the argument."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if positive and value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _darkening(x: ImageTensor, pixels, **fields) -> PerturbationSpec:
-    """Box spec with one noise image per (pixel, channel) of ``pixels``,
-    pixel-major: minus that channel's value at that pixel, zero elsewhere."""
-    pixels = np.asarray(pixels, dtype=np.int64).reshape(-1, 2)
-    nc = x.channels
-    flat_pixels = pixels[:, 0] * x.width + pixels[:, 1]
-    cols = (flat_pixels[:, None] * nc + np.arange(nc)).reshape(-1)
-    return PerturbationSpec(
-        base_image=x,
-        noise_index=cols,
-        noise_value=-x.data[cols],
-        distribution=UNIFORM_BOX,
-        selected_pixels=tuple((int(i), int(j)) for i, j in pixels),
-        **fields,
-    )
 
 
 def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationSpec:
@@ -266,14 +262,14 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
         lambda_upper=np.full(n0, e),
         distribution=dist,
         radius=e,
+        recipe=dict(adversary="ball", norm=norm, radius=e),
     )
 
 
 def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     """(count, r) i.i.d. coefficient draws from the spec's distribution,
     taken from the numpy Generator ``rng``."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+    check_integer("count", count, 1)
     r = spec.dim
     if spec.distribution == UNIFORM_BOX or spec.distribution == UNIFORM_LINF_BALL:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
@@ -292,38 +288,23 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:
-    """JSON-ready description that, with the base image, rebuilds the exact
-    input set. A ball is rebuilt from its radius, so its n0-long
-    coefficient box is left out."""
-    box = spec.distribution not in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL)
-    return {
-        "image_shape": [
-            spec.base_image.height,
-            spec.base_image.width,
-            spec.base_image.channels,
-        ],
-        "distribution": spec.distribution,
-        "radius": spec.radius,
-        "intensity_threshold": spec.intensity_threshold,
-        "min_darkening": spec.min_darkening,
-        "selected_pixels": [list(p) for p in spec.selected_pixels]
-        if spec.selected_pixels is not None
-        else None,
-        "selection_seed": spec.selection_seed,
-        "lambda_lower": spec.lambda_lower.tolist() if box else None,
-        "lambda_upper": spec.lambda_upper.tolist() if box else None,
-    }
+    """JSON-ready record of the builder call that made ``spec``: the image
+    shape, the ``adversary`` and the builder's arguments, from which
+    ``spec_from_manifest`` and the base image rebuild the exact input set.
+    A spec built directly records ``adversary: None`` and cannot be
+    rebuilt."""
+    image = spec.base_image
+    recipe = spec.recipe if spec.recipe is not None else {"adversary": None}
+    return {"image_shape": [image.height, image.width, image.channels], **recipe}
 
 
 def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationSpec:
-    """Rebuild a spec from its manifest plus the base image it references.
+    """Rebuild a spec by making again the builder call its manifest records.
 
-    The manifest's image shape must be the base image's. A ball manifest
-    must give a finite positive ``radius``. A darkening manifest must
-    select distinct pixels inside the image, give one coefficient bound per
-    selected (pixel, channel), a finite ``intensity_threshold``, a finite
-    positive ``min_darkening`` and a non-negative integer
-    ``selection_seed``. Otherwise a ValueError names the offending field.
+    The manifest's image shape must be the base image's, and its
+    ``adversary`` must be ``"darkening"`` or ``"ball"``; otherwise a
+    ValueError names the field. Every other field is checked by the
+    builder it is passed to, ``build_darkening`` or ``build_global_ball``.
     """
     shape = [base_image.height, base_image.width, base_image.channels]
     if list(manifest["image_shape"]) != shape:
@@ -331,43 +312,12 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
             f"image_shape {manifest['image_shape']} disagrees with "
             f"the base image {shape}"
         )
-    dist = manifest["distribution"]
-    if dist in (UNIFORM_L2_BALL, UNIFORM_LINF_BALL):
-        norm = "l2" if dist == UNIFORM_L2_BALL else "linf"
-        return build_global_ball(base_image, norm, manifest["radius"])
-    _check_number("intensity_threshold", manifest["intensity_threshold"], positive=False)
-    _check_number("min_darkening", manifest["min_darkening"], positive=True)
-    check_integer("selection_seed", manifest["selection_seed"], 0)
-    h, w = shape[:2]
-    pixels = np.asarray(manifest["selected_pixels"], dtype=np.int64)
-    if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] != 2:
-        raise ValueError("selected_pixels must be a non-empty list of [row, col] pairs")
-    outside = (pixels < 0).any(axis=1) | (pixels[:, 0] >= h) | (pixels[:, 1] >= w)
-    if outside.any():
-        i, j = pixels[np.argmax(outside)]
-        raise ValueError(
-            f"selected_pixels: pixel ({i}, {j}) lies outside the {h}x{w} image"
+    adversary = manifest.get("adversary")
+    if adversary == "darkening":
+        return build_darkening(
+            base_image, manifest["pixel_fraction"], manifest["intensity_threshold"],
+            manifest["min_darkening"], manifest["rng_seed"],
         )
-    flat, counts = np.unique(pixels[:, 0] * w + pixels[:, 1], return_counts=True)
-    if np.any(counts > 1):
-        i, j = divmod(int(flat[np.argmax(counts > 1)]), w)
-        raise ValueError(
-            f"selected_pixels: pixel ({i}, {j}) is selected more than once"
-        )
-    r = pixels.shape[0] * base_image.channels
-    bounds = {}
-    for key in ("lambda_lower", "lambda_upper"):
-        bounds[key] = np.asarray(manifest[key], dtype=np.float64)
-        if bounds[key].shape != (r,):
-            raise ValueError(
-                f"{key} has shape {bounds[key].shape}, but {pixels.shape[0]} pixels "
-                f"x {base_image.channels} channels need ({r},)"
-            )
-    return _darkening(
-        base_image,
-        pixels,
-        **bounds,
-        intensity_threshold=float(manifest["intensity_threshold"]),
-        min_darkening=float(manifest["min_darkening"]),
-        selection_seed=int(manifest["selection_seed"]),
-    )
+    if adversary == "ball":
+        return build_global_ball(base_image, manifest["norm"], manifest["radius"])
+    raise ValueError(f"adversary must be 'darkening' or 'ball', got {adversary!r}")

@@ -154,6 +154,12 @@ class TestGuaranteeConfidence:
             guarantee_confidence(0.0, 5, 10)
         with pytest.raises(ValueError):
             guarantee_confidence(1.0, 5, 10)
+        for bad in ("0.1", True, None):
+            with pytest.raises(ValueError, match=f"^epsilon must be a real number, got {bad!r}$"):
+                guarantee_confidence(bad, 5, 10)
+        # numpy floats are real numbers
+        g = guarantee_confidence(np.float64(0.1), 5, 10)
+        assert g.confidence_delta2 == guarantee_confidence(0.1, 5, 10).confidence_delta2
 
 
 def test_order_statistic_follows_beta_law():

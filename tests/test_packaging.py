@@ -4,7 +4,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conformal_reach import perturb
+from conformal_reach.model import ImageTensor
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -103,9 +107,6 @@ UNPASSED = (
     "deflate.step_size",
     "deflate.max_iters",
     "deflate.tol",
-    # they define the darkening adversary, and the manifest records them
-    "build_darkening.intensity_threshold",
-    "build_darkening.min_darkening",
 )
 
 
@@ -150,3 +151,13 @@ def test_unpassed_names_are_defaulted_and_unpassed():
         if not keys & passed
     }
     assert set(UNPASSED) <= unpassed, sorted(set(UNPASSED) - unpassed)
+
+
+@pytest.mark.parametrize("builder", ["build_darkening", "build_global_ball"])
+def test_manifest_keys_are_builder_parameters(builder):
+    # the manifest records every argument of the builder call it rebuilds
+    image = ImageTensor.from_array(np.array([[0.9, 0.1], [0.8, 0.2]]))
+    args = (1.0,) if builder == "build_darkening" else ("linf", 0.1)
+    fn = getattr(perturb, builder)
+    keys = set(perturb.spec_manifest(fn(image, *args))) - {"image_shape", "adversary"}
+    assert keys == set(inspect.signature(fn).parameters) - {"x"}

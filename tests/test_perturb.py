@@ -25,6 +25,14 @@ def bright_2x2():
     return ImageTensor.from_array(np.array([[0.9, 0.1], [0.8, 0.2]]))
 
 
+def selected_pixels(spec):
+    """(row, col) of each darkened pixel in spec order: every
+    ``channels``-th noise index, divided by ``channels``."""
+    image = spec.base_image
+    flat = spec.noise_index[:: image.channels] // image.channels
+    return [divmod(int(k), image.width) for k in flat]
+
+
 class TestApply:
     def test_zero_lambda_is_base(self):
         img = bright_2x2()
@@ -36,7 +44,7 @@ class TestApply:
         img = bright_2x2()
         spec = build_darkening(img, 1e-9, min_darkening=0.01, rng_seed=1)
         assert spec.dim == 1  # fraction small enough for one pixel, nc=1
-        (i, j) = spec.selected_pixels[0]
+        (i, j) = selected_pixels(spec)[0]
         out = apply_batch(spec, np.ones((1, 1)))[0].reshape(2, 2, 1)
         assert out[i, j, 0] == 0.0
 
@@ -46,7 +54,7 @@ class TestApply:
         lam = np.array([0.5, 0.25])
         out = apply_batch(spec, lam[None, :])[0].reshape(2, 2, 1)
         base = img.as_array()
-        for k, (i, j) in enumerate(spec.selected_pixels):
+        for k, (i, j) in enumerate(selected_pixels(spec)):
             assert out[i, j, 0] == pytest.approx(base[i, j, 0] * (1 - lam[k]))
 
     def test_affine_in_lambda(self):
@@ -87,10 +95,10 @@ class TestBuildDarkening:
     def test_eligible_set_by_hand(self):
         # [[0.9, 0.1], [0.8, 0.2]]: only 0.9 and 0.8 beat 150/255
         spec = build_darkening(bright_2x2(), 1.0, THRESH, 0.05, rng_seed=5)
-        assert set(spec.selected_pixels) == {(0, 0), (1, 0)}
+        assert set(selected_pixels(spec)) == {(0, 0), (1, 0)}
         assert spec.dim == 2
         base = bright_2x2().as_array()
-        for k, (i, j) in enumerate(spec.selected_pixels):
+        for k, (i, j) in enumerate(selected_pixels(spec)):
             col = (i * 2 + j) * 1
             assert spec.noise_matrix[k, col] == -base[i, j, 0]
             assert np.count_nonzero(spec.noise_matrix[k]) == 1
@@ -112,15 +120,30 @@ class TestBuildDarkening:
 
     def test_numpy_seed_is_stored_as_int(self):
         spec = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=np.int64(7))
-        assert type(spec.selection_seed) is int
-        assert json.loads(json.dumps(spec_manifest(spec)))["selection_seed"] == 7
+        assert type(spec.recipe["rng_seed"]) is int
+        assert json.loads(json.dumps(spec_manifest(spec)))["rng_seed"] == 7
         plain = build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=7)
-        assert spec.selected_pixels == plain.selected_pixels
+        np.testing.assert_array_equal(spec.noise_index, plain.noise_index)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ValueError, match=r"^rng_seed must be a non-negative integer"):
             build_darkening(bright_2x2(), 0.5, min_darkening=0.05, rng_seed=seed)
+
+    @pytest.mark.parametrize(
+        "fraction, match",
+        [
+            ("0.5", "must be a real number, got '0.5'"),
+            (None, "must be a real number, got None"),
+            (True, "must be a real number, got True"),
+            (np.nan, "must be finite, got nan"),
+            (0.0, "must be positive, got 0.0"),
+            (1.5, r"must lie in \(0, 1\], got 1.5"),
+        ],
+    )
+    def test_rejects_bad_pixel_fraction(self, fraction, match):
+        with pytest.raises(ValueError, match=f"^pixel_fraction {match}$"):
+            build_darkening(bright_2x2(), fraction, min_darkening=0.05, rng_seed=1)
 
     def test_untouched_pixels_stay_base(self):
         rng = np.random.default_rng(9)
@@ -129,7 +152,7 @@ class TestBuildDarkening:
         img = ImageTensor.from_array(arr)
         spec = build_darkening(img, 1.0, rng_seed=10)
         touched = set()
-        for i, j in spec.selected_pixels:
+        for i, j in selected_pixels(spec):
             for ch in range(3):
                 touched.add((i * 4 + j) * 3 + ch)
         lam = spec.lambda_upper.copy()
@@ -199,23 +222,33 @@ class TestSample:
         lams = sample_lambdas(spec, 500, np.random.default_rng(16))
         assert np.all((lams >= spec.lambda_lower) & (lams <= spec.lambda_upper))
 
+    @pytest.mark.parametrize("count", [0, -2, 2.5, True, "3"])
+    def test_rejects_bad_count(self, count):
+        spec = build_global_ball(bright_2x2(), "l2", 0.1)
+        with pytest.raises(ValueError, match=f"^count must be a positive integer, got {count!r}$"):
+            sample_lambdas(spec, count, np.random.default_rng(16))
+
 
 def test_manifest_round_trip():
     img = bright_2x2()
     spec = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=17)
     man = spec_manifest(spec)
-    rebuilt = spec_from_manifest(man, img)
-    np.testing.assert_array_equal(rebuilt.noise_matrix, spec.noise_matrix)
+    # the builder call, not the pixels or the coefficient box it made
+    assert man == {
+        "image_shape": [2, 2, 1], "adversary": "darkening", "pixel_fraction": 1.0,
+        "intensity_threshold": THRESH, "min_darkening": 0.05, "rng_seed": 17,
+    }
+    rebuilt = spec_from_manifest(json.loads(json.dumps(man)), img)
+    np.testing.assert_array_equal(rebuilt.noise_index, spec.noise_index)
+    np.testing.assert_array_equal(rebuilt.noise_value, spec.noise_value)
     np.testing.assert_array_equal(rebuilt.lambda_lower, spec.lambda_lower)
     np.testing.assert_array_equal(rebuilt.lambda_upper, spec.lambda_upper)
-    assert rebuilt.selected_pixels == spec.selected_pixels
+    assert rebuilt.recipe == spec.recipe
 
     for norm in ("l2", "linf"):
         ball = build_global_ball(img, norm, 0.25)
         man2 = spec_manifest(ball)
-        # a ball is rebuilt from its radius: no per-coefficient list is written
-        assert not any(isinstance(v, list) and len(v) == ball.dim for v in man2.values())
-        assert man2["lambda_lower"] is None and man2["lambda_upper"] is None
+        assert man2 == {"image_shape": [2, 2, 1], "adversary": "ball", "norm": norm, "radius": 0.25}
         rebuilt2 = spec_from_manifest(json.loads(json.dumps(man2)), img)
         assert rebuilt2.distribution == ball.distribution
         assert rebuilt2.radius == ball.radius
@@ -240,7 +273,7 @@ def darkening_image(h, w, nc, bright, seed):
 
 class TestScatterMatchesDense:
     """apply_batch against base + lams @ dense, the dense matrix built by
-    the oracle from the selected pixels alone."""
+    the oracle from the selected pixels and the base image alone."""
 
     @pytest.mark.parametrize(
         "shape, bright, fraction, r",
@@ -250,7 +283,7 @@ class TestScatterMatchesDense:
         img = bright_2x2() if bright is None else darkening_image(*shape, bright, seed=r)
         spec = build_darkening(img, fraction, rng_seed=21)
         assert spec.dim == r
-        dense = dense_darkening_matrix(img, spec.selected_pixels)
+        dense = dense_darkening_matrix(img, selected_pixels(spec))
         rng = np.random.default_rng(22)
         # box draws, plus arbitrary signs and exact zeros outside the box
         lams = np.vstack([
@@ -280,14 +313,14 @@ class TestScatterMatchesDense:
             distribution=UNIFORM_BOX,
         )
         lams = sample_lambdas(frozen, 5, np.random.default_rng(23))
-        dense = dense_darkening_matrix(base, spec.selected_pixels)
+        dense = dense_darkening_matrix(base, selected_pixels(spec))
         np.testing.assert_array_equal(apply_batch(frozen, lams), base.data + lams @ dense)
 
     def test_noise_matrix_is_the_dense_form(self):
         img = darkening_image(16, 16, 1, 120, seed=6)
         spec = build_darkening(img, 0.05, rng_seed=24)
         np.testing.assert_array_equal(
-            spec.noise_matrix, dense_darkening_matrix(img, spec.selected_pixels)
+            spec.noise_matrix, dense_darkening_matrix(img, selected_pixels(spec))
         )
 
 
@@ -361,28 +394,14 @@ class TestManifestValidation:
 
     def test_valid_manifest_loads(self):
         man, img = self.manifest()
-        assert spec_from_manifest(man, img).selected_pixels == ((0, 2), (1, 1), (2, 0))
+        assert selected_pixels(spec_from_manifest(man, img)) == [(0, 2), (1, 1), (2, 0)]
         # older manifests also carry an image path, which is not read
         old = spec_from_manifest(dict(man, base_image="base.pgm"), img)
         assert spec_manifest(old) == man
 
-    @pytest.mark.parametrize(
-        "pixels",
-        [
-            [[1, -1], [1, 1], [2, 0]],  # flat index 2 would alias pixel (0, 2)
-            [[0, 2], [3, 0], [2, 0]],
-            [[0, 2], [1, 3], [2, 0]],
-            [[-1, 2], [1, 1], [2, 0]],
-        ],
-    )
-    def test_rejects_pixel_outside_image(self, pixels):
-        man, img = self.manifest()
-        with pytest.raises(ValueError, match="selected_pixels: .* outside the 3x3 image"):
-            spec_from_manifest(dict(man, selected_pixels=pixels), img)
-
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 3, 3)])
     def test_rejects_other_image_shape(self, shape):
-        # pixels of the 3x3 manifest also fit these images
+        # the darkening would also build on these bright images
         man, _ = self.manifest()
         other = ImageTensor.from_array(np.full(shape, 0.9))
         with pytest.raises(ValueError, match=r"^image_shape \[3, 3, 1\] disagrees"):
@@ -394,13 +413,13 @@ class TestManifestValidation:
     @pytest.mark.parametrize("seed", [-1, "seven", 2.5, True])
     def test_rejects_bad_selection_seed(self, seed):
         man, img = self.manifest()
-        with pytest.raises(ValueError, match=r"^selection_seed must be a non-negative integer"):
-            spec_from_manifest(dict(man, selection_seed=seed), img)
+        with pytest.raises(ValueError, match=r"^rng_seed must be a non-negative integer"):
+            spec_from_manifest(dict(man, rng_seed=seed), img)
 
     def test_numpy_selection_seed_round_trips(self):
         man, img = self.manifest()
-        spec = spec_from_manifest(dict(man, selection_seed=np.int64(25)), img)
-        assert type(spec.selection_seed) is int
+        spec = spec_from_manifest(dict(man, rng_seed=np.int64(25)), img)
+        assert type(spec.recipe["rng_seed"]) is int
         assert json.loads(json.dumps(spec_manifest(spec))) == man
 
     @pytest.mark.parametrize(
@@ -412,9 +431,13 @@ class TestManifestValidation:
             ("darkening", "min_darkening", None, "must be a real number, got None"),
             ("darkening", "intensity_threshold", np.nan, "must be finite, got nan"),
             ("darkening", "intensity_threshold", True, "must be a real number, got True"),
+            ("darkening", "pixel_fraction", "1.0", "must be a real number, got '1.0'"),
+            ("darkening", "pixel_fraction", -0.5, "must be positive, got -0.5"),
             ("ball", "radius", None, "must be a real number, got None"),
             ("ball", "radius", "0.1", "must be a real number, got '0.1'"),
             ("ball", "radius", True, "must be a real number, got True"),
+            ("ball", "norm", "l3", "must be 'l2' or 'linf', got 'l3'"),
+            ("ball", "norm", None, "must be 'l2' or 'linf', got None"),
         ],
     )
     def test_rejects_bad_adversary_field(self, adversary, key, bad, match):
@@ -424,15 +447,35 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match=f"^{key} {match}$"):
             spec_from_manifest(dict(man, **{key: bad}), img)
 
-    def test_rejects_duplicate_pixel(self):
+    def test_edited_min_darkening_rebuilds_its_box(self):
+        # the selected intensities are 0.9: an edit moves the box's lower
+        # bound, or the darkening check rejects it
         man, img = self.manifest()
-        with pytest.raises(ValueError, match=r"selected_pixels: pixel \(1, 1\) .* more than once"):
-            spec_from_manifest(dict(man, selected_pixels=[[0, 2], [1, 1], [1, 1]]), img)
+        spec = spec_from_manifest(dict(man, min_darkening=0.5), img)
+        np.testing.assert_array_equal(spec.lambda_lower, np.full(3, 0.5 / 0.9))
+        assert spec.recipe["min_darkening"] == 0.5
+        with pytest.raises(ValueError, match="^min_darkening 0.95 exceeds intensity 0.9"):
+            spec_from_manifest(dict(man, min_darkening=0.95), img)
 
-    @pytest.mark.parametrize("key", ["lambda_lower", "lambda_upper"])
-    @pytest.mark.parametrize("length", [2, 4])
-    def test_rejects_bound_of_wrong_length(self, key, length):
+    @pytest.mark.parametrize("adversary", ["l3-ball", "missing", "direct"])
+    def test_rejects_unknown_adversary(self, adversary):
         man, img = self.manifest()
-        bad = dict(man, **{key: (man[key] * 2)[:length]})
-        with pytest.raises(ValueError, match=f"^{key} .* 3 pixels x 1 channels"):
-            spec_from_manifest(bad, img)
+        if adversary == "missing":
+            del man["adversary"]
+            expected = None
+        elif adversary == "direct":
+            spec = spec_from_manifest(man, img)
+            man = spec_manifest(PerturbationSpec(
+                base_image=img, noise_index=spec.noise_index, noise_value=spec.noise_value,
+                lambda_lower=spec.lambda_lower, lambda_upper=spec.lambda_upper,
+                distribution=UNIFORM_BOX,
+            ))
+            assert man == {"image_shape": [3, 3, 1], "adversary": None}
+            expected = None
+        else:
+            man["adversary"] = expected = adversary
+        with pytest.raises(
+            ValueError, match=f"^adversary must be 'darkening' or 'ball', got {expected!r}$"
+        ):
+            spec_from_manifest(man, img)
+

@@ -345,6 +345,17 @@ def test_bad_sample_size_rejected_before_any_draw(monkeypatch, pipeline, size, b
         run_4x4(pipeline, **{size: bad})
 
 
+@pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
+@pytest.mark.parametrize("bad", ["0.05", True])
+def test_bad_epsilon_rejected_before_any_draw(monkeypatch, pipeline, bad):
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    with pytest.raises(ValueError, match=f"^epsilon must be a real number, got {bad!r}$"):
+        run_4x4(pipeline, epsilon=bad)
+
+
 @pytest.mark.parametrize(
     "train_size, num_components, limit", [(100, 100, 48), (100, 49, 48), (3, 4, 3)]
 )
@@ -415,11 +426,13 @@ def test_manifest_records_every_stage(pipeline):
 
 
 @pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
-@pytest.mark.parametrize("adversary", ["darkening", "l2-ball"])
+@pytest.mark.parametrize("adversary", ["darkening", "l2-ball", "linf-ball"])
 def test_rerun_from_manifest_alone(pipeline, adversary):
     # the base image, the model and the manifest reproduce the run bit for bit
     _, base = synthetic_ssn_4x4()
-    spec = None if adversary == "darkening" else build_global_ball(base, "l2", 0.05)
+    spec = None
+    if adversary != "darkening":
+        spec = build_global_ball(base, adversary.split("-")[0], 0.05)
     model, _, (reachset, mask, manifest) = run_4x4(pipeline, spec)
     man = json.loads(json.dumps(manifest))
     g = man["guarantee"]
