@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guarantees import GuaranteeSpec
-from .model import _ROW_BLOCK
+from .model import row_block
 
 __all__ = [
     "CenterScale",
@@ -166,14 +166,15 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     k = ys.shape[0]
     scores = np.empty(k)
-    buf = np.empty((min(k, _ROW_BLOCK),) + ys.shape[1:])
-    for start in range(0, k, _ROW_BLOCK):
-        block = ys[start : start + _ROW_BLOCK]
+    rows = row_block(ys.shape[1])
+    buf = np.empty((min(k, rows),) + ys.shape[1:])
+    for start in range(0, k, rows):
+        block = ys[start : start + rows]
         dev = buf[: block.shape[0]]
         np.subtract(block, cs.center, out=dev)
         np.abs(dev, out=dev)
         np.divide(dev, cs.tau, out=dev)
-        np.max(dev, axis=1, out=scores[start : start + _ROW_BLOCK])
+        np.max(dev, axis=1, out=scores[start : start + rows])
     return scores
 
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .model import INFER_CHUNK, MlpNetwork, infer
+from .model import MlpNetwork, block_rows, infer
 from .pca import ProjectionBasis
 from .perturb import PerturbationSpec, image_blocks, sample_lambdas
 from ._seeds import stage_rng
@@ -70,18 +70,21 @@ def stage_outputs(
     model: MlpNetwork, spec: PerturbationSpec, seed: int, stage: str, count: int
 ):
     """Network outputs on ``count`` fresh samples of one pipeline stage,
-    yielded in order in blocks of at most INFER_CHUNK rows from the
-    stage's seeded stream.
+    yielded in order in blocks of ``block_rows(model)`` rows (a lone last
+    row of a draw joins the block before it) from the stage's seeded
+    stream.
 
     Coefficients are drawn PIPELINE_CHUNK rows at a time; their images are
-    built INFER_CHUNK rows at a time by ``image_blocks`` and inferred into
-    one (min(INFER_CHUNK, count), n) buffer the stage owns. The stream
-    holds the (min(PIPELINE_CHUNK, count), r) draw, one image block (for a
-    global ball, a view of the draw), that output buffer and O(row block x
-    (r + n)) more. A ball has r = n0, so there the draw is the largest of
-    them. Each block is a view of the output buffer, valid only until the
+    built one block at a time by ``image_blocks`` and inferred into one
+    (min(rows + 1, count), n) buffer the stage owns, so one image block
+    and the output buffer together take at most about ``BLOCK_BYTES``. The
+    stream holds the (min(PIPELINE_CHUNK, count), r) draw, one image block
+    (for a global ball, a view of the draw), that output buffer and about
+    ``_ROW_BYTES`` more per row block. A ball has r = n0, so there the draw
+    is the largest of them. Each block is a view of the output buffer, valid only until the
     next one is requested: a consumer that keeps rows copies them."""
     rng = stage_rng(seed, stage)
+    rows = block_rows(model)
     buf = None
     for start in range(0, count, PIPELINE_CHUNK):
         lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - start), rng)
@@ -89,8 +92,8 @@ def stage_outputs(
             # taken after the first draw, so that a ball's (k, n0) draw can
             # reuse memory the previous stage freed; taken first, the buffer
             # often left the draw none, and peak RSS hung on heap layout
-            buf = np.empty((min(INFER_CHUNK, count), model.output_dim))
-        for X in image_blocks(spec, lams, INFER_CHUNK):
+            buf = np.empty((min(rows + 1, count), model.output_dim))
+        for X in image_blocks(spec, lams, rows):
             yield infer(model, X, out=buf[: X.shape[0]])
         # the last image block may be a view of lams; free both before the next draw
         del lams, X

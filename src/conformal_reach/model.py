@@ -23,16 +23,52 @@ __all__ = [
     "random_mlp",
 ]
 
-# Fixed row-chunk for batched inference. Chunking is constant so that the
-# exact same GEMM calls run no matter how work is scheduled; output bits
-# then never depend on thread or batch-partition choices.
+# Stream blocks: images and their outputs are formed ``block_rows(model)``
+# rows at a time, at most INFER_CHUNK rows and at most BLOCK_BYTES for one
+# (rows, n0 + n) float64 block, so one image block and one output buffer
+# together stay near BLOCK_BYTES however wide a row is. The rows depend on
+# the model alone, so the same GEMM calls run however work is scheduled.
+# A BLAS may round a small product's rows otherwise at another row count,
+# so changing either constant can move a small model's bits by an ulp.
 INFER_CHUNK = 1024
+BLOCK_BYTES = 64 << 20
 
-# Rows whose elementwise temporaries (scores, row norms, miss tests,
-# lifted points) are formed at once: a (64, n) block stays in cache for n
-# up to about 16k, and beside a stream's draw and output buffer only
-# O(64 x (r + n)) more is held. No output depends on it.
+# Row blocks: scores, row norms, miss tests and lifted points are formed
+# ``row_block(width)`` rows at a time, at most _ROW_BLOCK rows and at most
+# _ROW_BYTES per (rows, width) float64 block, so beside a stream's draw and
+# output buffer only about _ROW_BYTES more is held, and a block fits a
+# 2 MiB L2 cache.
 _ROW_BLOCK = 64
+_ROW_BYTES = 2 << 20
+
+
+def block_rows(model) -> int:
+    """Rows per stream block of ``model``: INFER_CHUNK, or fewer when a
+    (rows, input_dim + output_dim) float64 block would pass BLOCK_BYTES;
+    never fewer than 2."""
+    row_bytes = 8 * (model.input_dim + model.output_dim)
+    return max(2, min(INFER_CHUNK, BLOCK_BYTES // row_bytes))
+
+
+def row_block(width: int) -> int:
+    """Rows per row block of ``width`` float64 columns: _ROW_BLOCK, or
+    fewer when the block would pass _ROW_BYTES; never fewer than 2."""
+    return max(2, min(_ROW_BLOCK, _ROW_BYTES // (8 * width)))
+
+
+def row_slices(count: int, rows: int):
+    """Slices of ``rows`` consecutive rows covering ``count`` rows in
+    order. A lone leftover row joins the block before it, so a block has
+    at most ``rows + 1`` rows and a single row only when ``count`` is 1:
+    numpy runs a one-row product as a matrix-vector call, whose bits can
+    differ from the matrix product's."""
+    start = 0
+    while start < count:
+        stop = start + rows
+        if stop >= count - 1:
+            stop = count
+        yield slice(start, stop)
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -124,12 +160,14 @@ class LogitTensor:
 def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
     """Forward pass: ReLU on hidden layers, identity on the output layer.
 
-    Accepts a single flat vector (n0,) or a batch (batch, n0); batched
-    samples are processed in fixed chunks of ``INFER_CHUNK`` rows and each
-    sample's result is independent of every other row in the batch.
-    ``out``, a (batch, n) float64 array (batch 1 for a single vector),
-    receives the outputs chunk by chunk in place of a new array; the bits
-    are the same either way.
+    Accepts a single flat vector (n0,) or a batch (batch, n0). A batch is
+    run in the stream's blocks of ``block_rows(model)`` rows, a lone last
+    row joined to the block before it (``row_slices``): every row of a
+    batch of two or more goes through a matrix product, and the partition
+    depends only on the model and the batch size. ``out``, a (batch,
+    n) float64 array (batch 1 for a single vector), receives the outputs
+    block by block in place of a new array; the bits are the same either
+    way.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -144,8 +182,8 @@ def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
         out = np.empty(shape)
     elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    for start in range(0, x.shape[0], INFER_CHUNK):
-        _forward(model, x[start : start + INFER_CHUNK], out[start : start + INFER_CHUNK])
+    for rows in row_slices(x.shape[0], block_rows(model)):
+        _forward(model, x[rows], out[rows])
     return out[0] if single else out
 
 

@@ -14,17 +14,19 @@ manifest writes that call (``spec_manifest``) and a rerun makes it again
 (``spec_from_manifest``), so the builders hold the only checks on an
 adversary's arguments.
 
-Images form in one place, ``image_blocks``, a fixed number of rows at a
-time in reused memory, so a stream of k images never holds a (k, n0)
-array; ``apply_batch`` is its one-block form. The pipelines' stream,
+Images form in one place, ``image_blocks``, a block of rows at a time in
+reused memory, so a stream of k images never holds a (k, n0) array;
+``apply_batch`` is its one-block form. The pipelines' stream,
 ``hull.stage_outputs``, draws (k, r) coefficients at a time with
 ``sample_lambdas`` and infers each image block of them into one reused
-output buffer. It holds that draw, one image block (for a ball, a view of
-the draw), one output buffer and O(row block x (r + n)) more. A ball has
-r = n0, so there the draw is a (k, n0) array. Perturbed intensities are
-deliberately not clamped to [0, 1]: the darkening construction is
-in-range by design, and clamping would destroy the affine structure the
-surrogate model relies on.
+output buffer. A block has ``model.block_rows`` rows, so the image block
+and the output buffer together take at most about ``model.BLOCK_BYTES``.
+The stream holds that draw, one image block (for a ball, a view of the
+draw), one output buffer and about ``model._ROW_BYTES`` more per row
+block. A ball has r = n0, so there the draw is a (k, n0) array. Perturbed
+intensities are deliberately not clamped to [0, 1]: the darkening
+construction is in-range by design, and clamping would destroy the affine
+structure the surrogate model relies on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _ROW_BLOCK, ImageTensor
+from .model import ImageTensor, row_block, row_slices
 from ._seeds import check_integer
 
 __all__ = [
@@ -130,12 +132,13 @@ class PerturbationSpec:
 
 def image_blocks(spec: PerturbationSpec, lams: np.ndarray, rows: int):
     """Flat images of the (k, r) float64 coefficients ``lams``, yielded in
-    blocks of at most ``rows`` rows, in order; the only place images form.
+    blocks of ``rows`` rows, in order, a lone last row joined to the block
+    before it (``model.row_slices``); the only place images form.
 
     Each selected index gets base + lambda * value and every other index
     keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
     product adds only exact zeros to the one nonzero term. A selection
-    fills one (min(rows, k), n0) buffer with the base once and rewrites
+    fills one (min(rows + 1, k), n0) buffer with the base once and rewrites
     only its r selected columns per block. The implicit basis adds the
     base into ``lams`` in place (IEEE addition commutes, so the bits equal
     ``base + lams``), so ``lams`` is overwritten. Either way a block is
@@ -144,17 +147,16 @@ def image_blocks(spec: PerturbationSpec, lams: np.ndarray, rows: int):
     k = lams.shape[0]
     base = spec.base_image.data
     if spec.noise_index is None:
-        for start in range(0, k, rows):
-            X = lams[start : start + rows]
+        for block in row_slices(k, rows):
+            X = lams[block]
             X += base
             yield X
         return
     idx, value = spec.noise_index, spec.noise_value
-    buf = np.repeat(base[None, :], min(rows, k), axis=0)
-    for start in range(0, k, rows):
-        block = lams[start : start + rows]
-        X = buf[: block.shape[0]]
-        X[:, idx] = base[idx] + block * value
+    buf = np.repeat(base[None, :], min(rows + 1, k), axis=0)
+    for block in row_slices(k, rows):
+        X = buf[: block.stop - block.start]
+        X[:, idx] = base[idx] + lams[block] * value
         yield X
 
 
@@ -278,8 +280,9 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
         # time (each row's norm has the same bits however rows are
         # blocked), so no second (count, r) array forms beside the draw
         g = rng.standard_normal((count, r))
-        for start in range(0, count, _ROW_BLOCK):
-            block = g[start : start + _ROW_BLOCK]
+        rows = row_block(r)
+        for start in range(0, count, rows):
+            block = g[start : start + rows]
             block /= np.linalg.norm(block, axis=1, keepdims=True)
         radii = spec.radius * rng.random(count) ** (1.0 / r)
         g *= radii[:, None]
@@ -301,23 +304,30 @@ def spec_manifest(spec: PerturbationSpec) -> dict:
 def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationSpec:
     """Rebuild a spec by making again the builder call its manifest records.
 
-    The manifest's image shape must be the base image's, and its
-    ``adversary`` must be ``"darkening"`` or ``"ball"``; otherwise a
-    ValueError names the field. Every other field is checked by the
-    builder it is passed to, ``build_darkening`` or ``build_global_ball``.
+    The manifest's image shape must be the base image's, its
+    ``adversary`` must be ``"darkening"`` or ``"ball"``, and it must hold
+    each of that builder's arguments; otherwise a ValueError names the
+    field. Every other fault is found by the builder the fields are passed
+    to, ``build_darkening`` or ``build_global_ball``.
     """
+
+    def fields(*keys):
+        missing = [key for key in keys if key not in manifest]
+        if missing:
+            raise ValueError(f"manifest has no {', '.join(missing)}")
+        return [manifest[key] for key in keys]
+
     shape = [base_image.height, base_image.width, base_image.channels]
-    if list(manifest["image_shape"]) != shape:
-        raise ValueError(
-            f"image_shape {manifest['image_shape']} disagrees with "
-            f"the base image {shape}"
-        )
+    (image_shape,) = fields("image_shape")
+    if list(image_shape) != shape:
+        raise ValueError(f"image_shape {image_shape} disagrees with the base image {shape}")
     adversary = manifest.get("adversary")
     if adversary == "darkening":
-        return build_darkening(
-            base_image, manifest["pixel_fraction"], manifest["intensity_threshold"],
-            manifest["min_darkening"], manifest["rng_seed"],
+        fraction, threshold, darkening, seed = fields(
+            "pixel_fraction", "intensity_threshold", "min_darkening", "rng_seed"
         )
+        return build_darkening(base_image, fraction, threshold, darkening, seed)
     if adversary == "ball":
-        return build_global_ball(base_image, manifest["norm"], manifest["radius"])
+        norm, radius = fields("norm", "radius")
+        return build_global_ball(base_image, norm, radius)
     raise ValueError(f"adversary must be 'darkening' or 'ball', got {adversary!r}")

@@ -29,7 +29,7 @@ import numpy as np
 from .calibrate import center_and_scales, naive_reachset, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
-from .model import _ROW_BLOCK, MlpNetwork, infer, predict_mask, LogitTensor
+from .model import MlpNetwork, LogitTensor, infer, predict_mask, row_block, row_slices
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest
 from ._seeds import check_integer
@@ -157,17 +157,13 @@ def _stage(name, fn, rows, stages):
 
 
 def _lifted_blocks(V, A):
-    """(rows, ``V[rows] @ A.T``) for the row blocks of V in order, each
-    product formed in one reused buffer and valid until the next. A lone
-    leftover row joins the block before it: numpy runs a one-row product
-    as a matrix-vector call, whose bits can differ from the matrix
-    product's, so every row has the bits of ``V @ A.T``."""
-    k = V.shape[0]
-    buf = np.empty((min(k, _ROW_BLOCK + 1), A.shape[0]))
-    start = 0
-    for stop in [*range(_ROW_BLOCK, k - 1, _ROW_BLOCK), k]:
-        yield slice(start, stop), np.matmul(V[start:stop], A.T, out=buf[: stop - start])
-        start = stop
+    """(rows, ``V[rows] @ A.T``) for the row blocks of V in order
+    (``row_slices``, so no lone row takes the matrix-vector call), each
+    product formed in one reused buffer and valid until the next."""
+    k, rows = V.shape[0], row_block(A.shape[0])
+    buf = np.empty((min(k, rows + 1), A.shape[0]))
+    for block in row_slices(k, rows):
+        yield block, np.matmul(V[block], A.T, out=buf[: block.stop - block.start])
 
 
 def _conformal_step(model, spec, seed, residual, fit, calib_size, source, stages):
@@ -346,12 +342,12 @@ def conservatism_audit(
         raise ValueError("bounds must not be NaN")
     if np.any(y_lo > y_hi):
         raise ValueError("y_lo must be <= y_hi componentwise")
-    misses = 0
+    misses, rows = 0, row_block(n)
     emp_lo = np.full(n, np.inf)
     emp_hi = np.full(n, -np.inf)
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
-        for start in range(0, Y.shape[0], _ROW_BLOCK):
-            block = Y[start : start + _ROW_BLOCK]
+        for start in range(0, Y.shape[0], rows):
+            block = Y[start : start + rows]
             misses += int(np.sum(np.any((block < y_lo) | (block > y_hi), axis=1)))
         np.minimum(emp_lo, Y.min(axis=0), out=emp_lo)
         np.maximum(emp_hi, Y.max(axis=0), out=emp_hi)

@@ -1,13 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conformal_reach.model import (
+    _ROW_BLOCK,
+    _ROW_BYTES,
+    BLOCK_BYTES,
+    INFER_CHUNK,
     ImageTensor,
     LogitTensor,
     MlpNetwork,
+    block_rows,
     infer,
     predict_mask,
     random_mlp,
+    row_block,
+    row_slices,
 )
 
 
@@ -111,6 +120,68 @@ class TestInfer:
         net = random_mlp([6, 4], np.random.default_rng(3))
         with pytest.raises(ValueError, match="out must be a float64 array of shape"):
             infer(net, np.zeros((5, 6)), out=out)
+
+
+    @pytest.mark.parametrize("other", [2, 1024])
+    def test_lone_last_row_takes_the_matrix_product(self, other):
+        # 1025 rows leave one after a 1024-row block. Run alone, that row
+        # took numpy's matrix-vector call and rounded otherwise (by about
+        # 1e-15 here) than inside a block of 2 or 1024 rows.
+        rng = np.random.default_rng(4)
+        net = random_mlp([512, 1024], rng)
+        xs = rng.uniform(-1, 1, size=(INFER_CHUNK + 1, 512))
+        assert block_rows(net) == INFER_CHUNK
+        np.testing.assert_array_equal(infer(net, xs)[-1], infer(net, xs[-other:])[-1])
+
+
+def dims(n0, n):
+    """Stand-in for a model of input width n0 and output width n."""
+    return SimpleNamespace(input_dim=n0, output_dim=n)
+
+
+class TestBlockSizes:
+    @pytest.mark.parametrize(
+        "n0, n", [(1, 1), (256, 768), (4000, 5000), (12288, 12288), (10**6, 4 * 10**7)]
+    )
+    def test_block_rows_is_capped_and_within_budget(self, n0, n):
+        rows, row_bytes = block_rows(dims(n0, n)), 8 * (n0 + n)
+        if INFER_CHUNK * row_bytes <= BLOCK_BYTES:
+            assert rows == INFER_CHUNK
+        elif 2 * row_bytes > BLOCK_BYTES:
+            assert rows == 2
+        else:
+            assert rows * row_bytes <= BLOCK_BYTES < (rows + 1) * row_bytes
+
+    @pytest.mark.parametrize("width", [1, 768, 5000, 12288, 10**6])
+    def test_row_block_is_capped_and_within_budget(self, width):
+        rows, row_bytes = row_block(width), 8 * width
+        if _ROW_BLOCK * row_bytes <= _ROW_BYTES:
+            assert rows == _ROW_BLOCK
+        elif 2 * row_bytes > _ROW_BYTES:
+            assert rows == 2
+        else:
+            assert rows * row_bytes <= _ROW_BYTES < (rows + 1) * row_bytes
+
+    @pytest.mark.parametrize(
+        "n0, n, stream, row",
+        [(12288, 12288, 341, 21), (256, 768, 1024, 64), (3072, 4096, 1024, 64)],
+        ids=["naive-dark64", "surrogate-dark16-n10", "surrogate-ball32-n5"],
+    )
+    def test_benchmark_shapes(self, n0, n, stream, row):
+        # the benchmark's (n0, n): only the 64x64x3 model's blocks are cut
+        # by the budgets, so the smaller workloads keep their partitions
+        assert block_rows(dims(n0, n)) == stream
+        assert row_block(n) == row
+
+    @pytest.mark.parametrize(
+        "count, rows, sizes",
+        [(0, 4, []), (1, 4, [1]), (4, 4, [4]), (5, 4, [5]), (6, 4, [4, 2]), (9, 4, [4, 5]),
+         (12, 4, [4, 4, 4])],
+    )
+    def test_row_slices_join_a_lone_last_row(self, count, rows, sizes):
+        slices = list(row_slices(count, rows))
+        assert [s.stop - s.start for s in slices] == sizes
+        assert [s.start for s in slices] == list(np.cumsum([0, *sizes])[:-1])
 
 
 def logit_tensor(arr):

@@ -447,6 +447,27 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match=f"^{key} {match}$"):
             spec_from_manifest(dict(man, **{key: bad}), img)
 
+    @pytest.mark.parametrize(
+        "adversary, key",
+        [
+            ("ball", "norm"),
+            ("ball", "radius"),
+            ("darkening", "pixel_fraction"),
+            ("darkening", "intensity_threshold"),
+            ("darkening", "min_darkening"),
+            ("darkening", "rng_seed"),
+            ("darkening", "image_shape"),
+        ],
+    )
+    def test_rejects_missing_field(self, adversary, key):
+        # a missing builder argument is named, not a KeyError
+        man, img = self.manifest()
+        if adversary == "ball":
+            man = spec_manifest(build_global_ball(img, "l2", 0.1))
+        del man[key]
+        with pytest.raises(ValueError, match=f"^manifest has no {key}$"):
+            spec_from_manifest(man, img)
+
     def test_edited_min_darkening_rebuilds_its_box(self):
         # the selected intensities are 0.9: an edit moves the box's lower
         # bound, or the darkening check rejects it

@@ -1,8 +1,9 @@
 """The fused sampling stream: ``stage_outputs`` draws coefficients one
-PIPELINE_CHUNK at a time, builds each INFER_CHUNK of images in reused
-memory and infers it into one reused output buffer. It must give the bits
-of the unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK,
-n0) input array and no (PIPELINE_CHUNK, n) output array. Its consumers
+PIPELINE_CHUNK at a time, builds each block of ``block_rows(model)``
+images in reused memory and infers it into one reused output buffer. It
+must give the bits of the unfused sample -> apply -> infer chain, and hold
+no (PIPELINE_CHUNK, n0) input array and no (PIPELINE_CHUNK, n) output
+array; its blocks stay within the ``BLOCK_BYTES`` budget. Its consumers
 (the l2 sampler, the surrogate's residual and lift bounds, the audit) work
 in row blocks beside the draw and the output buffer, with the bits of
 their whole-array forms."""
@@ -15,7 +16,8 @@ import pytest
 from conformal_reach._seeds import stage_rng
 from conformal_reach.calibrate import center_and_scales, stream_calibration
 from conformal_reach.hull import PIPELINE_CHUNK, HullModel, clip_batch, stage_outputs
-from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, infer, random_mlp
+from conformal_reach import model as model_module
+from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, block_rows, infer, random_mlp
 from conformal_reach.pca import deflate
 from conformal_reach.perturb import (
     apply_batch,
@@ -29,7 +31,7 @@ from conformal_reach.verify import (
     run_surrogate_pipeline,
 )
 
-from test_golden import ball_inputs, golden_inputs
+from test_golden import RTOL, ball_inputs, golden_inputs
 
 
 def _image(h, w, nc, seed):
@@ -121,6 +123,99 @@ def test_pipeline_and_audit_memory_grow_with_infer_chunk():
     peak, report = traced_peak(certify_and_audit)
     assert report.sample_count == m
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+def test_memory_grows_with_block_bytes(monkeypatch):
+    # a 1 MiB block budget on a 16x16x1 image through a 4096-output model
+    # (n0 = 256, n = 4096) cuts the stream to 30-row blocks, so one full
+    # PIPELINE_CHUNK of it holds at most two budgets beside its draw. One
+    # (INFER_CHUNK, n) output buffer alone is 32 MiB.
+    monkeypatch.setattr(model_module, "BLOCK_BYTES", 1 << 20)
+    img = _image(16, 16, 1, seed=16)
+    spec = build_darkening(img, 0.1, rng_seed=17)
+    model = random_mlp([img.size, 32, 4096], np.random.default_rng(18))
+    assert block_rows(model) == 30
+    budget = 2 * model_module.BLOCK_BYTES + PIPELINE_CHUNK * spec.dim * 8
+    peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 19, "train", PIPELINE_CHUNK)))
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
+PIPELINES = {
+    "naive": (run_naive_pipeline, {}),
+    "surrogate": (run_surrogate_pipeline, dict(aux_size=150, num_components=4)),
+}
+
+
+def certify_and_audit(model, spec, kinds=tuple(PIPELINES)):
+    """Intervals and labels of each pipeline in ``kinds``, and the audit of
+    each, as a flat dict of arrays."""
+    out = {}
+    for kind in kinds:
+        run, extra = PIPELINES[kind]
+        reachset, mask, _ = run(
+            model, spec, train_size=300, calib_size=400, epsilon=0.05, rank_ell=390,
+            seed=25, **extra,
+        )
+        lo, hi = reachset.project_intervals()
+        audit = conservatism_audit(model, spec, lo, hi, 300, seed=26)
+        out.update({
+            f"{kind}.lo": lo, f"{kind}.hi": hi, f"{kind}.status": mask.status,
+            f"{kind}.eps_hat": np.array(audit.eps_hat),
+            f"{kind}.empirical_lo": audit.empirical_lo,
+            f"{kind}.empirical_hi": audit.empirical_hi,
+        })
+    return out
+
+
+INPUTS = pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["darkening", "l2-ball"])
+
+
+@INPUTS
+@pytest.mark.parametrize("row_bytes", [1, 4096])
+def test_row_budget_keeps_every_byte(monkeypatch, inputs, row_bytes):
+    # row blocks of 2 to 4 rows for scores, l2 row norms, miss tests and
+    # lifted points: each row's result is computed on its own, and the
+    # lift's (rows, N) x (N, n) product has N = 4 terms a row
+    want = certify_and_audit(*inputs())
+    monkeypatch.setattr(model_module, "_ROW_BYTES", row_bytes)
+    got = certify_and_audit(*inputs())
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_stream_budget_keeps_every_byte_of_a_wide_model(monkeypatch):
+    # the naive pipeline and its audit on a 16x16x2 image through one
+    # 512 -> 1024 layer, in 37-row and 2-row stream blocks: every product
+    # is at least 2 x 512 x 1024, like the 64x64x3 workload's, and each of
+    # its rows is rounded the same at any row count
+    img = _image(16, 16, 2, seed=27)
+    wide = random_mlp([img.size, 4 * 256], np.random.default_rng(28))
+    spec = build_darkening(img, 0.1, rng_seed=29)
+    want = certify_and_audit(wide, spec, ["naive"])
+    for rows in (37, 2):
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + 1024))
+        assert block_rows(wide) == rows
+        got = certify_and_audit(wide, spec, ["naive"])
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (rows, key)
+
+
+@INPUTS
+def test_stream_budget_keeps_labels_of_small_models(monkeypatch, inputs):
+    # in 7-row stream blocks the small models' products (say 7 x 36 x 64
+    # in the first layer) take another BLAS kernel than in one block of
+    # the stage, and rows can round otherwise: labels and audit misses
+    # stay, and intervals agree within the golden tolerance
+    model, spec = inputs()
+    want = certify_and_audit(model, spec)
+    monkeypatch.setattr(model_module, "BLOCK_BYTES", 7 * 8 * (model.input_dim + model.output_dim))
+    assert block_rows(model) == 7
+    got = certify_and_audit(model, spec)
+    for key in want:
+        if key.endswith((".status", ".eps_hat")):
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        else:
+            np.testing.assert_allclose(got[key], want[key], rtol=RTOL, atol=0, err_msg=key)
 
 
 def test_l2_draw_holds_one_draw():
