@@ -1,10 +1,12 @@
 """Sub-seed derivation: every pipeline stage draws from a generator keyed
 by (root_seed, stage_code), so runs are reproducible end to end and stages
 never share a stream. The derivation is SeedSequence's documented hash of
-the entropy plus spawn key."""
+the entropy plus spawn key. The argument checks that every entry point
+shares live here too."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -26,9 +28,21 @@ def stage_rng(root_seed: int, stage: str) -> np.random.Generator:
 
 
 def check_integer(name: str, value, low: int) -> None:
-    """A seed, sample count or rank must be an integer >= ``low``; numpy
-    integers pass, bool does not (the rule ``guarantee_confidence`` applies
-    to m). A ValueError names the argument."""
+    """A seed, sample count, rank or calibration size must be an integer
+    >= ``low``; numpy integers pass, bool does not. A ValueError names the
+    argument."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         kind = "positive" if low else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_number(name: str, value, positive: bool) -> None:
+    """A radius, fraction, threshold, darkening or miscoverage level must be
+    a finite real number, and a positive one where ``positive``; bool is
+    not one. A ValueError names the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")

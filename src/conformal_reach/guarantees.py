@@ -11,10 +11,11 @@ probability ``delta2``. That is one regularized incomplete beta function,
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 from scipy.special import betainc
+
+from ._seeds import check_integer, check_number
 
 __all__ = ["GuaranteeSpec", "beta_cdf", "guarantee_confidence"]
 
@@ -79,16 +80,12 @@ def guarantee_confidence(
     one-step marginal guarantee there is no coupling constraint between
     ell, m and epsilon beyond 1 <= ell <= m, both integers.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+    check_number("epsilon", epsilon, positive=False)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    for name, value in (("rank", rank_ell), ("calibration size", calib_size_m)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if calib_size_m < 1:
-        raise ValueError(f"calibration size must be >= 1, got {calib_size_m!r}")
-    if not (1 <= rank_ell <= calib_size_m):
+    check_integer("rank_ell", rank_ell, 1)
+    check_integer("calib_size_m", calib_size_m, 1)
+    if rank_ell > calib_size_m:
         raise ValueError(
             f"rank must satisfy 1 <= ell <= m, got ell={rank_ell!r}, m={calib_size_m!r}"
         )

@@ -4,10 +4,10 @@ The surrogate g replaces the network f by projecting reduced logits onto
 the convex hull of reduced training logits; its deterministic reachset is
 the hull itself. A conformal hyper-rectangle over the residual q = f - g
 then inflates the hull (a Minkowski sum realized per component as interval
-addition), giving intervals on every logit with the full guarantee. The
-pipeline that fits and calibrates it is ``verify.run_surrogate_pipeline``;
-this module holds the hull, the clip LP, the inflated set and its one .npz
-file (``save_surrogate`` / ``load_surrogate``).
+addition), giving intervals on every logit with the full guarantee.
+``verify.run_surrogate_pipeline`` fits and calibrates it, and is the one
+place g is formed: ``clip_batch`` of the reduced logits, lifted back by
+the basis. This module holds the hull, the clip LP and the inflated set.
 
 The projection finds the hull point nearest in l-inf norm. It is a
 small-row linear program (the hull may have thousands of generators but
@@ -27,13 +27,12 @@ results, and the hull itself always keeps every training point.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .guarantees import GuaranteeSpec, guarantee_confidence
+from .guarantees import GuaranteeSpec
 from .model import MlpNetwork, block_rows, infer
 from .pca import ProjectionBasis
 from .perturb import PerturbationSpec, image_blocks, sample_lambdas
@@ -44,10 +43,7 @@ __all__ = [
     "HullModel",
     "SurrogateReachSet",
     "clip_batch",
-    "surrogate_predict",
     "stage_outputs",
-    "save_surrogate",
-    "load_surrogate",
 ]
 
 _RED_COST_TOL = 1e-10
@@ -429,85 +425,3 @@ class SurrogateReachSet:
             self.error_center + self.lift_lb - self.error_sigma,
             self.error_center + self.lift_ub + self.error_sigma,
         )
-
-
-def surrogate_predict(
-    model: MlpNetwork,
-    basis: ProjectionBasis,
-    hull: HullModel,
-    x: np.ndarray,
-) -> np.ndarray:
-    """g(x) = A clip(A^T f(x)): reduce the logits, project onto the hull,
-    lift back. Accepts (n0,) or (k, n0)."""
-    y = infer(model, x)
-    single = y.ndim == 1
-    Y = y[None, :] if single else y
-    V = Y @ basis.matrix
-    V_hat, _ = clip_batch(V, hull)
-    G = V_hat @ basis.matrix.T
-    return G[0] if single else G
-
-
-# ---------------------------------------------------------------------------
-# Persistence: one .npz archive per reachset
-# ---------------------------------------------------------------------------
-
-
-# Version of the archive layout; a loader accepts only its own.
-SURROGATE_FORMAT = 2
-_BASIS_FIELDS = ("matrix", "rayleigh", "iterations", "converged")
-_VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
-_GUARANTEE = ("epsilon", "rank_ell", "calib_size_m")
-_KEYS = (*_BASIS_FIELDS, "hull_points", *_VECTORS, *_GUARANTEE)
-
-
-def save_surrogate(sr: SurrogateReachSet, path) -> None:
-    """Write ``sr`` to one .npz archive at exactly ``path``: the format
-    version, every basis field, the hull points, the four n-vectors and
-    the guarantee triple (epsilon, ell, m)."""
-    arrays = {name: getattr(sr.basis, name) for name in _BASIS_FIELDS}
-    arrays.update({name: getattr(sr, name) for name in _VECTORS})
-    arrays.update({name: getattr(sr.guarantee, name) for name in _GUARANTEE})
-    # a file object, because np.savez appends ".npz" to a name without it
-    with open(path, "wb") as fh:
-        np.savez(fh, format=SURROGATE_FORMAT, hull_points=sr.hull.points, **arrays)
-
-
-def load_surrogate(path) -> SurrogateReachSet:
-    """Read a reachset that ``save_surrogate`` wrote, with every check a
-    reachset makes when built; a failure is a ValueError whose message
-    starts with ``path``."""
-    with open(path, "rb") as fh:
-        try:
-            if not zipfile.is_zipfile(fh):
-                raise ValueError("not an .npz archive")
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as archive:
-                fields = {key: np.asarray(archive[key]) for key in archive.files}
-            return _surrogate_from(fields)
-        except (ValueError, TypeError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
-def _surrogate_from(fields: dict) -> SurrogateReachSet:
-    version = fields["format"].tolist() if "format" in fields else None
-    if version != SURROGATE_FORMAT:
-        raise ValueError(f"format {version!r}, expected {SURROGATE_FORMAT}")
-    missing = [key for key in _KEYS if key not in fields]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    matrix = fields["matrix"]
-    if matrix.ndim != 2 or not 1 <= matrix.shape[1] <= matrix.shape[0]:
-        raise ValueError(f"basis matrix of shape {matrix.shape} violates 1 <= N <= n")
-    N = matrix.shape[1]
-    if any(fields[name].shape != (N,) for name in _BASIS_FIELDS[1:]):
-        raise ValueError(f"rayleigh, iterations and converged must hold N = {N} values each")
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(fields["rayleigh"]))):
-        raise ValueError("non-finite basis entries")
-    basis = ProjectionBasis(**{name: fields[name] for name in _BASIS_FIELDS})
-    return SurrogateReachSet(
-        hull=HullModel.from_points(fields["hull_points"], basis=basis),
-        basis=basis,
-        guarantee=guarantee_confidence(*(fields[name].tolist() for name in _GUARANTEE)),
-        **{name: fields[name] for name in _VECTORS},
-    )

@@ -162,12 +162,12 @@ def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
 
     Accepts a single flat vector (n0,) or a batch (batch, n0). A batch is
     run in the stream's blocks of ``block_rows(model)`` rows, a lone last
-    row joined to the block before it (``row_slices``): every row of a
-    batch of two or more goes through a matrix product, and the partition
-    depends only on the model and the batch size. ``out``, a (batch,
-    n) float64 array (batch 1 for a single vector), receives the outputs
-    block by block in place of a new array; the bits are the same either
-    way.
+    row joined to the block before it (``row_slices``), so the partition
+    depends only on the model and the batch size; every row, a single
+    vector's too, goes through a matrix product (``_forward``). ``out``, a
+    (batch, n) float64 array (batch 1 for a single vector), receives the
+    outputs block by block in place of a new array; the bits are the same
+    either way.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -189,7 +189,15 @@ def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
 
 def _forward(model: MlpNetwork, x: np.ndarray, out: np.ndarray) -> None:
     """Outputs of the rows of ``x`` into ``out``; the last layer's product
-    is formed in ``out`` itself, so no (rows, n) temporary exists."""
+    is formed in ``out`` itself, so no (rows, n) temporary exists. A lone
+    row runs as two copies of itself, of which the first output is kept:
+    numpy runs a one-row product as a matrix-vector call, whose bits can
+    differ from the matrix product's that every other row takes."""
+    if x.shape[0] == 1:
+        pair = np.empty((2, model.output_dim))
+        _forward(model, np.vstack([x, x]), pair)
+        out[0] = pair[0]
+        return
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = h @ w.T

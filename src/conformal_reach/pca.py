@@ -11,8 +11,8 @@ t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
 a itself is formed once per direction. Memory: one G per direction, no
 larger than the cloud when t <= n. No mean subtraction anywhere:
 downstream algebra projects raw logit vectors through A, so the basis must
-describe second moments about the origin, not the mean. A basis is saved
-whole inside a surrogate reachset's archive (``hull.save_surrogate``).
+describe second moments about the origin, not the mean. A basis is not
+saved: rerunning the pipeline from its manifest rebuilds it bit for bit.
 """
 
 from __future__ import annotations

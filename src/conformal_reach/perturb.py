@@ -31,15 +31,13 @@ structure the surrogate model relies on.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import ImageTensor, row_block, row_slices
-from ._seeds import check_integer
+from ._seeds import check_integer, check_number
 
 __all__ = [
     "PerturbationSpec",
@@ -187,11 +185,11 @@ def build_darkening(
     bound dims it by exactly ``min_darkening``.
     """
     check_integer("rng_seed", rng_seed, 0)
-    _check_number("pixel_fraction", pixel_fraction, positive=True)
+    check_number("pixel_fraction", pixel_fraction, positive=True)
     if pixel_fraction > 1:
         raise ValueError(f"pixel_fraction must lie in (0, 1], got {pixel_fraction!r}")
-    _check_number("intensity_threshold", intensity_threshold, positive=False)
-    _check_number("min_darkening", min_darkening, positive=True)
+    check_number("intensity_threshold", intensity_threshold, positive=False)
+    check_number("min_darkening", min_darkening, positive=True)
     arr = x.as_array()
     eligible = np.argwhere(np.all(arr > intensity_threshold, axis=2))
     if eligible.shape[0] == 0:
@@ -229,25 +227,13 @@ def build_darkening(
     )
 
 
-def _check_number(name: str, value, positive: bool) -> None:
-    """A radius, fraction, threshold or darkening must be a finite real
-    number, and a positive one where ``positive``; bool is not one. A
-    ValueError names the argument."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if positive and value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationSpec:
     """Whole-image perturbation ball of the given radius around x.
 
     The noise basis is the identity (one unit direction per input
     coordinate) kept implicit, so nothing quadratic in n0 is stored.
     """
-    _check_number("radius", radius, positive=True)
+    check_number("radius", radius, positive=True)
     if norm == "l2":
         dist = UNIFORM_L2_BALL
     elif norm == "linf":

@@ -157,20 +157,6 @@ def dark16_instance(instance_seed: int):
     return image, model, build_darkening(image, 0.05, rng_seed=instance_seed)
 
 
-def rewrite_npz(path, **changes):
-    """Rewrite the .npz archive at ``path`` with the given arrays replaced
-    or added; a value of None drops that key."""
-    with np.load(path) as archive:
-        fields = dict(archive)
-    for key, value in changes.items():
-        if value is None:
-            fields.pop(key)
-        else:
-            fields[key] = value
-    with open(path, "wb") as fh:
-        np.savez(fh, **fields)
-
-
 def darkening_grid_rv(model, spec, h, w, L, grid_n=101):
     """Exhaustive lambda-grid ground truth for a 2-dim darkening box.
 

@@ -1,7 +1,4 @@
 import functools
-import os
-import re
-import zipfile
 
 import numpy as np
 import pytest
@@ -12,12 +9,9 @@ from conformal_reach.hull import (
     _CLIP_BLOCK,
     HullModel,
     clip_batch,
-    load_surrogate,
-    save_surrogate,
     stage_outputs,
-    surrogate_predict,
 )
-from conformal_reach.model import ImageTensor, MlpNetwork, random_mlp
+from conformal_reach.model import ImageTensor, MlpNetwork, infer, random_mlp
 from conformal_reach.pca import deflate
 from conformal_reach.perturb import build_global_ball
 from conformal_reach.verify import PipelineStageError, run_surrogate_pipeline
@@ -27,7 +21,6 @@ from oracles import (
     dark16_instance,
     enumerate_lp_minimum,
     grid_clip_residual,
-    rewrite_npz,
 )
 
 
@@ -354,31 +347,11 @@ def check_row_in_block_and_alone(hull, V, row):
     assert abs(alpha.sum() - 1.0) <= 1e-9
 
 
-BASIS_FIELDS = ("matrix", "rayleigh", "iterations", "converged")
-VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
-
-
-@pytest.fixture(scope="module")
-def reachset():
-    return small_surrogate(20)
-
-
-@pytest.fixture
-def saved(tmp_path, reachset):
-    """Path of ``reachset`` saved by ``save_surrogate``."""
-    path = tmp_path / "reach.npz"
-    save_surrogate(reachset, path)
-    return path
-
-
-def small_surrogate(seed):
-    """Surrogate reachset of a 3 -> 4 network under an l-inf ball."""
-    net = random_mlp([3, 8, 4], np.random.default_rng(seed))
-    spec = build_global_ball(ImageTensor(1, 1, 3, np.full(3, 0.5)), "linf", 0.3)
-    return run_surrogate_pipeline(
-        net, spec, train_size=80, calib_size=100, aux_size=50,
-        num_components=2, epsilon=0.05, rank_ell=95, seed=15,
-    )[0]
+def surrogate_g(model, basis, hull, X):
+    """g on the rows of X as ``run_surrogate_pipeline`` forms it: the
+    reduced logits clipped onto the hull, lifted back by the basis."""
+    A = basis.matrix
+    return clip_batch(infer(model, X) @ A, hull)[0] @ A.T
 
 
 class TestSurrogatePredict:
@@ -386,39 +359,33 @@ class TestSurrogatePredict:
         rng = np.random.default_rng(4)
         net = random_mlp([3, 8, 4], rng)
         X = rng.uniform(size=(30, 3))
-        from conformal_reach.model import infer
-
         Y = infer(net, X)
         basis = deflate(Y, 2)
         hull = HullModel.from_points(Y @ basis.matrix, basis=basis)
-        g = surrogate_predict(net, basis, hull, X[7])
+        g = surrogate_g(net, basis, hull, X[7:8])[0]
         np.testing.assert_allclose(g, Y[7] @ basis.matrix @ basis.matrix.T, atol=1e-6)
 
     def test_reduced_prediction_is_clip_output(self):
         rng = np.random.default_rng(5)
         net = random_mlp([3, 8, 4], rng)
-        from conformal_reach.model import infer
-
         Y = infer(net, rng.uniform(size=(25, 3)))
         basis = deflate(Y, 2)
         hull = HullModel.from_points(Y @ basis.matrix, basis=basis)
         x = rng.uniform(size=3) * 3.0  # likely outside training range
-        g = surrogate_predict(net, basis, hull, x)
+        g = surrogate_g(net, basis, hull, x[None, :])[0]
         v_hat, _ = clip_row(infer(net, x) @ basis.matrix, hull)
         np.testing.assert_allclose(g @ basis.matrix, v_hat, atol=1e-9)
 
     def test_prediction_inside_lift_bounds(self):
         rng = np.random.default_rng(6)
         net = random_mlp([4, 10, 5], rng)
-        from conformal_reach.model import infer
-
         Y = infer(net, rng.uniform(size=(50, 4)))
         basis = deflate(Y, 3)
         V = Y @ basis.matrix
         hull = HullModel.from_points(V, basis=basis)
         lifted = V @ basis.matrix.T
         lb, ub = lifted.min(axis=0), lifted.max(axis=0)
-        G = surrogate_predict(net, basis, hull, rng.uniform(size=(40, 4)) * 2)
+        G = surrogate_g(net, basis, hull, rng.uniform(size=(40, 4)) * 2)
         assert np.all(G >= lb - 1e-8)
         assert np.all(G <= ub + 1e-8)
 
@@ -443,12 +410,8 @@ class TestSurrogateReachset:
         np.testing.assert_allclose(lo, [0.0, 0.0], atol=0.05)
         np.testing.assert_allclose(hi, [1.0, 1.0], atol=0.05)
         # g equals f near the box center, where points certify interior
-        from conformal_reach.model import infer
-
         X = np.full((5, 2), 0.5) + np.linspace(-0.05, 0.05, 5)[:, None]
-        np.testing.assert_allclose(
-            surrogate_predict(net, sr.basis, sr.hull, X), infer(net, X), atol=1e-9
-        )
+        np.testing.assert_allclose(surrogate_g(net, sr.basis, sr.hull, X), infer(net, X), atol=1e-9)
 
     def test_interval_width_identity(self):
         rng = np.random.default_rng(7)
@@ -475,12 +438,11 @@ class TestSurrogateReachset:
             num_components=2, epsilon=0.05, rank_ell=290, seed=13,
         )[0]
         lo, hi = sr.project_intervals()
-        from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
 
-        lams = sample_lambdas(spec, 2000, np.random.default_rng(99))
-        Y = infer(net, apply_batch(spec, lams))
-        G = surrogate_predict(net, sr.basis, sr.hull, apply_batch(spec, lams))
+        X = apply_batch(spec, sample_lambdas(spec, 2000, np.random.default_rng(99)))
+        Y = infer(net, X)
+        G = surrogate_g(net, sr.basis, sr.hull, X)
         q = Y - G
         covered = np.all(np.abs(q - sr.error_center) <= sr.error_sigma, axis=1)
         inside = np.all((Y >= lo) & (Y <= hi), axis=1)
@@ -497,7 +459,6 @@ class TestSurrogateReachset:
             num_components=3, epsilon=0.02, rank_ell=ell, seed=14,
         )[0]
         lo, hi = sr.project_intervals()
-        from conformal_reach.model import infer
         from conformal_reach.perturb import apply_batch, sample_lambdas
         from scipy.stats import beta as scipy_beta
 
@@ -516,95 +477,6 @@ class TestSurrogateReachset:
                 net, spec, train_size=5, calib_size=100, aux_size=10,
                 num_components=2, epsilon=0.01, rank_ell=99, seed=1,
             )
-
-    def test_persistence_round_trip(self, tmp_path):
-        sr = small_surrogate(10)
-        path = tmp_path / "reach"
-        save_surrogate(sr, path)
-        assert os.listdir(tmp_path) == ["reach"]  # one file, at exactly the path
-        loaded = load_surrogate(path)
-        assert sr.basis.iterations.min() >= 1  # the ascent's own counts come back
-        pairs = [(getattr(loaded.basis, f), getattr(sr.basis, f)) for f in BASIS_FIELDS]
-        pairs += [(getattr(loaded, v), getattr(sr, v)) for v in VECTORS]
-        pairs.append((loaded.hull.points, sr.hull.points))
-        for got, want in pairs:
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        assert loaded.guarantee == sr.guarantee
-        np.testing.assert_array_equal(loaded.project_intervals(), sr.project_intervals())
-
-    def test_archive_format_round_trip(self, saved, reachset):
-        with np.load(saved) as archive:
-            assert archive["format"] == 2
-        loaded = load_surrogate(saved)
-        np.testing.assert_array_equal(loaded.project_intervals(), reachset.project_intervals())
-
-    @pytest.mark.parametrize("version", [None, 0, 1, "2"])
-    def test_load_rejects_missing_or_wrong_format(self, saved, version):
-        rewrite_npz(saved, format=version)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: format"):
-            load_surrogate(saved)
-
-    @pytest.mark.parametrize("key", [*BASIS_FIELDS, "hull_points", *VECTORS, "rank_ell"])
-    def test_load_rejects_missing_key(self, saved, key):
-        rewrite_npz(saved, **{key: None})
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: missing {key}$"):
-            load_surrogate(saved)
-
-    @pytest.mark.parametrize("shape", ["one column", "three columns", "flat"])
-    def test_load_rejects_hull_of_wrong_width(self, saved, reachset, shape):
-        points = reachset.hull.points
-        bad = {
-            "one column": points[:, :1],
-            "three columns": np.hstack([points, points[:, :1]]),
-            "flat": points.ravel(),
-        }[shape]
-        rewrite_npz(saved, hull_points=bad)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: hull"):
-            load_surrogate(saved)
-
-    @pytest.mark.parametrize("name", VECTORS)
-    @pytest.mark.parametrize("fault", ["short", "long", "nan", "inf"])
-    def test_load_rejects_bad_vector(self, saved, reachset, name, fault):
-        vector = getattr(reachset, name)
-        if fault == "short":
-            vector = vector[:-1]
-        elif fault == "long":
-            vector = np.append(vector, 0.0)
-        else:
-            vector = vector.copy()
-            vector[1] = np.nan if fault == "nan" else np.inf
-        rewrite_npz(saved, **{name: vector})
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: {name} must"):
-            load_surrogate(saved)
-
-    @pytest.mark.parametrize("field, value", [
-        ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
-        ("epsilon", 1.5), ("epsilon", None),
-    ])
-    def test_load_rejects_non_integer_rank(self, saved, field, value):
-        # None drops the field; every error names the file it came from
-        rewrite_npz(saved, **{field: value})
-        reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "epsilon"}
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: .*{reason[field]}"):
-            load_surrogate(saved)
-
-    @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other zip"])
-    def test_load_rejects_file_that_is_not_npz(self, saved, content):
-        if content == "text":
-            saved.write_text("format = 2\n")
-        elif content == "empty":
-            saved.write_bytes(b"")
-        elif content == "npy":
-            with open(saved, "wb") as fh:
-                np.save(fh, np.zeros(3))
-        elif content == "truncated":
-            saved.write_bytes(saved.read_bytes()[:-30])
-        else:
-            with zipfile.ZipFile(saved, "w") as archive:
-                archive.writestr("format.npy", "2")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: "):
-            load_surrogate(saved)
 
     def test_rejects_non_finite_vectors(self):
         from conformal_reach.hull import SurrogateReachSet

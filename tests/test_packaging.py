@@ -41,15 +41,9 @@ CALLERS = [
     *PACKAGE.glob("*.py"),
     *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
 ]
-# Public names kept without a caller: the reachset's own prediction and
-# archive, which a user of a certified run calls, and a spec's rebuild
-# from its manifest, which reproduces the run.
-KEPT = (
-    "surrogate_predict",
-    "save_surrogate",
-    "load_surrogate",
-    "spec_from_manifest",
-)
+# Public names kept without a caller: a spec's rebuild from its manifest,
+# the run's one record, which reproduces the run.
+KEPT = ("spec_from_manifest",)
 
 
 def _reads(path):
@@ -98,6 +92,31 @@ def test_kept_names_are_public():
         module = importlib.import_module(f"conformal_reach.{name}")
         public.update(getattr(module, "__all__", ()))
     assert set(KEPT) <= public, sorted(set(KEPT) - public)
+
+
+# Calls and imports that read or write files. A run's one record is its
+# manifest, which the caller keeps; the package persists nothing.
+FILE_IO_CALLS = {"open", "np.save", "np.savez", "np.savez_compressed", "np.load"}
+FILE_IO_MODULES = {"zipfile", "pickle"}
+
+
+def _file_io(path):
+    """Each call or import in ``path`` that reads or writes a file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            used = [ast.unparse(node.func).replace("numpy.", "np.", 1)]
+        elif isinstance(node, ast.Import):
+            used = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            used = [node.module or ""]
+        else:
+            continue
+        yield from (u for u in used if u in FILE_IO_CALLS or u.split(".")[0] in FILE_IO_MODULES)
+
+
+def test_package_does_no_file_io():
+    found = [f"{path.name}: {use}" for path in sorted(PACKAGE.glob("*.py")) for use in _file_io(path)]
+    assert not found, found
 
 
 # Defaulted parameters of public functions kept although no call in CALLERS

@@ -1,12 +1,8 @@
-import re
-
 import numpy as np
 import pytest
 
-from conformal_reach.guarantees import guarantee_confidence
-from conformal_reach.hull import HullModel, SurrogateReachSet, load_surrogate, save_surrogate
 from conformal_reach.pca import deflate
-from oracles import rewrite_npz, zspace_deflate
+from oracles import zspace_deflate
 
 
 def principal_angles(A, B):
@@ -175,53 +171,3 @@ class TestGramAscentMatchesZSpace:
         np.testing.assert_array_equal(basis.iterations[:3], iterations)
         np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)
-
-
-def saved_reachset(path, basis):
-    """Save a hand-built surrogate reachset around ``basis`` at ``path``;
-    a basis is persisted only as part of one."""
-    n, N = basis.matrix.shape
-    reachset = SurrogateReachSet(
-        hull=HullModel.from_points(np.random.default_rng(0).normal(size=(N + 2, N))),
-        basis=basis,
-        error_center=np.zeros(n),
-        error_sigma=np.ones(n),
-        lift_lb=-np.ones(n),
-        lift_ub=np.ones(n),
-        guarantee=guarantee_confidence(0.1, 9, 10),
-    )
-    save_surrogate(reachset, path)
-
-
-def test_basis_round_trip(tmp_path):
-    # an ascent cut short: the counts and flags are the run's own
-    rng = np.random.default_rng(11)
-    basis = deflate(rng.normal(size=(30, 6)), 3, max_iters=4)
-    assert not basis.converged.all()
-    path = tmp_path / "reach.npz"
-    saved_reachset(path, basis)
-    loaded = load_surrogate(path).basis
-    for name in ("matrix", "rayleigh", "iterations", "converged"):
-        assert getattr(loaded, name).dtype == getattr(basis, name).dtype
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(basis, name))
-
-
-@pytest.mark.parametrize("n, N", [(0, 0), (3, 0), (2, 3)])
-def test_load_rejects_out_of_range_size(tmp_path, n, N):
-    path = tmp_path / "reach.npz"
-    saved_reachset(path, deflate(np.eye(2), 2))
-    rewrite_npz(path, matrix=np.ones((n, N)))
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*1 <= N <= n"):
-        load_surrogate(path)
-
-
-@pytest.mark.parametrize("index, value", [(0, np.nan), (3, np.inf), (4, np.nan), (5, -np.inf)])
-def test_load_rejects_non_finite_entries(tmp_path, index, value):
-    # n = 2, N = 2: entries 0-3 are the matrix, 4-5 the rayleigh values
-    values = np.array([1.0, 0.0, 0.0, 1.0, 2.0, 1.0])
-    values[index] = value
-    path = tmp_path / "reach.npz"
-    saved_reachset(path, deflate(np.eye(2), 2))
-    rewrite_npz(path, matrix=values[:4].reshape(2, 2), rayleigh=values[4:])
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite basis"):
-        load_surrogate(path)

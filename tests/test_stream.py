@@ -301,3 +301,19 @@ def test_clip_batch_on_infer_chunks_matches_whole(inputs, norm):
     parts = [clip_batch(V[s : s + INFER_CHUNK], hull, norm) for s in range(0, 5000, INFER_CHUNK)]
     np.testing.assert_array_equal(np.vstack([p[0] for p in parts]), V_hat)
     np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), residuals)
+
+
+def test_lone_row_of_a_draw_takes_the_matrix_product():
+    # PIPELINE_CHUNK + 1 rows leave a one-row draw, which row_slices cannot
+    # join to the block before: that block was already yielded. Through one
+    # 512 -> 1024 layer, numpy's matrix-vector call rounds that row
+    # otherwise (by about 4e-15) than a batch of two rows does.
+    img = _image(16, 16, 2, seed=30)
+    wide = random_mlp([img.size, 4 * 256], np.random.default_rng(31))
+    spec = build_darkening(img, 0.1, rng_seed=32)
+    *_, last = stage_outputs(wide, spec, 33, "calib", PIPELINE_CHUNK + 1)
+    assert last.shape[0] == 1
+    rng = stage_rng(33, "calib")
+    first = sample_lambdas(spec, PIPELINE_CHUNK, rng)
+    lams = np.vstack([first[-1:], sample_lambdas(spec, 1, rng)])
+    assert last[0].tobytes() == infer(wide, apply_batch(spec, lams))[1].tobytes()
