@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -347,6 +348,24 @@ def check_row_in_block_and_alone(hull, V, row):
     assert abs(alpha.sum() - 1.0) <= 1e-9
 
 
+VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
+
+
+@pytest.fixture(scope="module")
+def reachset():
+    return small_surrogate(20)
+
+
+def small_surrogate(seed):
+    """Surrogate reachset of a 3 -> 4 network under an l-inf ball."""
+    net = random_mlp([3, 8, 4], np.random.default_rng(seed))
+    spec = build_global_ball(ImageTensor(1, 1, 3, np.full(3, 0.5)), "linf", 0.3)
+    return run_surrogate_pipeline(
+        net, spec, train_size=80, calib_size=100, aux_size=50,
+        num_components=2, epsilon=0.05, rank_ell=95, seed=15,
+    )[0]
+
+
 def surrogate_g(model, basis, hull, X):
     """g on the rows of X as ``run_surrogate_pipeline`` forms it: the
     reduced logits clipped onto the hull, lifted back by the basis."""
@@ -499,6 +518,44 @@ class TestSurrogateReachset:
                         **dict(fields, **{name: vector}),
                     )
 
+
+    # A reachset's parts are checked when it is built, whatever built it;
+    # the load_ tests below replace one part of a pipeline's reachset.
+    @pytest.mark.parametrize("shape", ["one column", "three columns", "flat"])
+    def test_load_rejects_hull_of_wrong_width(self, reachset, shape):
+        points = reachset.hull.points
+        bad = {
+            "one column": points[:, :1],
+            "three columns": np.hstack([points, points[:, :1]]),
+            "flat": points.ravel(),
+        }[shape]
+        with pytest.raises(ValueError, match="^hull"):
+            dataclasses.replace(reachset, hull=HullModel.from_points(bad))
+
+    @pytest.mark.parametrize("name", VECTORS)
+    @pytest.mark.parametrize("fault", ["short", "long", "nan", "inf"])
+    def test_load_rejects_bad_vector(self, reachset, name, fault):
+        vector = getattr(reachset, name)
+        if fault == "short":
+            vector = vector[:-1]
+        elif fault == "long":
+            vector = np.append(vector, 0.0)
+        else:
+            vector = vector.copy()
+            vector[1] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            dataclasses.replace(reachset, **{name: vector})
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
+        ("epsilon", 1.5), ("epsilon", None),
+    ])
+    def test_load_rejects_non_integer_rank(self, reachset, field, value):
+        g = reachset.guarantee
+        args = dict(epsilon=g.epsilon, rank_ell=g.rank_ell, calib_size_m=g.calib_size_m)
+        reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "(real number|lie in)"}
+        with pytest.raises(ValueError, match=rf"^{field} must .*{reason[field]}"):
+            guarantee_confidence(**dict(args, **{field: value}))
 
 class TestProjectIntervals:
     def test_zero_sigma_is_lift_box(self):
