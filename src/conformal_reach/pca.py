@@ -11,8 +11,9 @@ t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
 a itself is formed once per direction. Memory: one G per direction, no
 larger than the cloud when t <= n. No mean subtraction anywhere:
 downstream algebra projects raw logit vectors through A, so the basis must
-describe second moments about the origin, not the mean. A basis is not
-saved: rerunning the pipeline from its manifest rebuilds it bit for bit.
+describe second moments about the origin, not the mean. The ascent's step,
+cap and tolerance are module constants. A basis is not saved: rerunning
+the pipeline from its manifest rebuilds it bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeds import check_integer
+
 __all__ = ["ProjectionBasis", "deflate"]
 
 _INIT_FALLBACK_NORM = 1e-14
 _TINY = 1e-300
+# The ascent's step (relative to the current objective; any positive value
+# converges, larger is closer to pure power iteration), its per-direction
+# cap (hitting it is flagged in ``converged``, not raised) and its stopping
+# test on the relative objective gain. They tune speed and tightness only:
+# the guarantee holds for any basis fitted on ``train`` alone.
+_STEP_SIZE = 10.0
+_MAX_ITERS = 10_000
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,37 +61,18 @@ class ProjectionBasis:
         return self.matrix.shape[1]
 
 
-def deflate(
-    train_vectors: np.ndarray,
-    num_components: int,
-    step_size: float = 10.0,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-) -> ProjectionBasis:
-    """Extract the top ``num_components`` principal directions.
-
-    Parameters
-    ----------
-    train_vectors : (t, n) array
-        Point cloud; consumed read-only (an internal copy is deflated).
-    num_components : int
-        N, with 1 <= N <= min(n, t).
-    step_size : float
-        Gradient step relative to the current objective value; any
-        positive value converges (the ascent map shares eigenvectors with
-        the moment operator), larger is closer to pure power iteration.
-    max_iters : int
-        Per-direction cap; non-convergence is flagged, not raised.
-    tol : float
-        Stop when the relative objective improvement falls below this.
-    """
+def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
+    """Extract the top ``num_components`` = N principal directions of the
+    (t, n) cloud ``train_vectors``, with 1 <= N <= min(n, t). The cloud is
+    read only (an internal copy is deflated)."""
     Z = np.array(train_vectors, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 1:
         raise ValueError("train_vectors must be a non-empty (t, n) array")
     if not np.all(np.isfinite(Z)):
         raise ValueError("train_vectors must be finite")
     t, n = Z.shape
-    if not (1 <= num_components <= min(n, t)):
+    check_integer("num_components", num_components, 1)
+    if num_components > min(n, t):
         raise ValueError(
             f"num_components must lie in [1, min(n, t)] = [1, {min(n, t)}], "
             f"got {num_components}"
@@ -101,22 +93,22 @@ def deflate(
         u = np.zeros(t)
         w = zp  # Z a
         j_prev = float(w @ w) / t
-        for it in range(1, max_iters + 1):
+        for it in range(1, _MAX_ITERS + 1):
             # a += step * grad / (2 J) with grad = 2 Z^T w / t
-            u = u + step_size * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
+            u = u + _STEP_SIZE * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
             Gu = G @ u
             norm = np.sqrt(beta * beta * pp + 2.0 * beta * float(zp @ u) + float(u @ Gu))
             beta /= norm
             u /= norm
             w = beta * zp + Gu / norm
             j_cur = float(w @ w) / t
-            if j_cur - j_prev <= tol * max(j_prev, _TINY):
+            if j_cur - j_prev <= _TOL * max(j_prev, _TINY):
                 converged[index] = True
                 iterations[index] = it
                 break
             j_prev = j_cur
         else:
-            iterations[index] = max_iters
+            iterations[index] = _MAX_ITERS
         a = beta * p + Z.T @ u
         # re-orthogonalize against earlier directions; this only moves a by
         # float dust but keeps the pairwise-orthogonality contract unconditional

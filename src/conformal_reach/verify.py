@@ -255,6 +255,7 @@ def run_surrogate_pipeline(
     Stage order: train the basis and hull on ``train_size`` samples and
     bound the lifted hull, fit the normalization of q = f - g on
     ``aux_size`` separate samples, then calibrate it on ``calib_size`` more.
+    The manifest adds the flags ``hull_degenerate`` and ``deflation_converged``.
     """
     _check_sizes(seed, train_size=train_size, aux_size=aux_size, num_components=num_components)
     limit = min(model.output_dim, train_size)
@@ -291,6 +292,7 @@ def run_surrogate_pipeline(
     def build(guarantee):
         basis, hull, lift_lb, lift_ub = _stage("train", train, train_size, manifest["stages"])
         manifest["hull_degenerate"] = hull.degenerate
+        manifest["deflation_converged"] = bool(basis.converged.all())
 
         def residual(Y):
             V_hat, _ = clip_batch(Y @ basis.matrix, hull)

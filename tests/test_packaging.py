@@ -119,16 +119,6 @@ def test_package_does_no_file_io():
     assert not found, found
 
 
-# Defaulted parameters of public functions kept although no call in CALLERS
-# passes them, by reason (see ROADMAP.md):
-UNPASSED = (
-    # the deflation ascent's knobs, which go with the ascent (direction 4)
-    "deflate.step_size",
-    "deflate.max_iters",
-    "deflate.tol",
-)
-
-
 def _passed():
     """(function name, parameter name or position) for every argument a
     call in CALLERS passes, the function named bare or as an attribute."""
@@ -155,21 +145,12 @@ def _defaulted(module):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_defaulted_parameters_are_passed(name):
+    # every defaulted parameter of a public function has a caller in CALLERS,
+    # with no exceptions: a setting that no caller changes is a constant
     passed = _passed()
     module = importlib.import_module(f"conformal_reach.{name}")
-    unpassed = [p for p, keys in _defaulted(module) if not keys & passed and p not in UNPASSED]
+    unpassed = [p for p, keys in _defaulted(module) if not keys & passed]
     assert not unpassed, f"{name}: no caller passes the parameters {unpassed}"
-
-
-def test_unpassed_names_are_defaulted_and_unpassed():
-    passed = _passed()
-    unpassed = {
-        p
-        for name in MODULES
-        for p, keys in _defaulted(importlib.import_module(f"conformal_reach.{name}"))
-        if not keys & passed
-    }
-    assert set(UNPASSED) <= unpassed, sorted(set(UNPASSED) - unpassed)
 
 
 @pytest.mark.parametrize("builder", ["build_darkening", "build_global_ball"])

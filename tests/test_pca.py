@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+from conformal_reach import pca
 from conformal_reach.pca import deflate
 from oracles import zspace_deflate
+
+
+def set_ascent(monkeypatch, **constants):
+    """Set constants that ``deflate``'s ascent reads, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(pca, name, value)
+
+
+def ascent_constants():
+    """The constants ``deflate`` reads now, as the oracle's arguments."""
+    return dict(step_size=pca._STEP_SIZE, max_iters=pca._MAX_ITERS, tol=pca._TOL)
 
 
 def principal_angles(A, B):
@@ -52,10 +64,11 @@ class TestDeflate:
         assert basis.rayleigh[1] == pytest.approx(0.0, abs=1e-12)
         assert abs(basis.matrix[:, 0] @ basis.matrix[:, 1]) < 1e-10
 
-    def test_matches_dense_eigen_oracle(self):
+    def test_matches_dense_eigen_oracle(self, monkeypatch):
         rng = np.random.default_rng(0)
         Z = controlled_cloud(rng, n=10, t=300, N=4)
-        basis = deflate(Z, 4, step_size=100.0, tol=0.0, max_iters=20_000)
+        set_ascent(monkeypatch, _STEP_SIZE=100.0, _MAX_ITERS=20_000, _TOL=0.0)
+        basis = deflate(Z, 4)
         V, evals = top_eigvecs(Z, 4)
         angles = principal_angles(basis.matrix, V)
         assert np.max(angles) < 1e-6
@@ -86,10 +99,11 @@ class TestDeflate:
         basis = deflate(Z, 9)
         assert np.all(np.diff(basis.rayleigh) <= 1e-10)
 
-    def test_rayleigh_matches_stage_operator(self):
+    def test_rayleigh_matches_stage_operator(self, monkeypatch):
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(30, 5))
-        basis = deflate(Z, 3, step_size=100.0, tol=0.0, max_iters=20_000)
+        set_ascent(monkeypatch, _STEP_SIZE=100.0, _MAX_ITERS=20_000, _TOL=0.0)
+        basis = deflate(Z, 3)
         stage = Z.copy()
         for k in range(3):
             a = basis.matrix[:, k]
@@ -111,6 +125,10 @@ class TestDeflate:
             deflate(Z, 0)
         with pytest.raises(ValueError):
             deflate(Z, 5)  # exceeds t = 4
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="^num_components must be a positive integer"):
+                deflate(Z, bad)
+        assert deflate(Z, np.int64(2)).num_components == 2
 
     def test_nonfinite_rejected(self):
         Z = np.ones((3, 3))
@@ -121,11 +139,12 @@ class TestDeflate:
 
 class TestGramAscentMatchesZSpace:
     """``deflate`` runs the ascent on the t x t Gram matrix; the oracle runs
-    it on the t x n cloud. Both must take the same steps."""
+    it on the t x n cloud, passed the constants that ``deflate`` reads.
+    Both must take the same steps."""
 
-    def assert_matches_oracle(self, Z, N, **knobs):
-        basis = deflate(Z, N, **knobs)
-        matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **knobs)
+    def assert_matches_oracle(self, Z, N):
+        basis = deflate(Z, N)
+        matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations, iterations)
         np.testing.assert_array_equal(basis.converged, converged)
         np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
@@ -148,14 +167,15 @@ class TestGramAscentMatchesZSpace:
         assert np.all(Z.sum(axis=0) == 0.0)
         self.assert_matches_oracle(Z, 4)
 
-    def test_iteration_cap_with_cartesian_start(self):
+    def test_iteration_cap_with_cartesian_start(self, monkeypatch):
         # stopped after three short steps, the start vector's share of each
         # direction is still large
         rng = np.random.default_rng(24)
         X = rng.normal(size=(6, 30)) * np.linspace(3.0, 0.2, 30)
         Z = np.stack([X, -X], axis=1).reshape(12, 30)
-        self.assert_matches_oracle(Z, 3, step_size=0.5, max_iters=3)
-        assert not np.any(deflate(Z, 3, step_size=0.5, max_iters=3).converged)
+        set_ascent(monkeypatch, _STEP_SIZE=0.5, _MAX_ITERS=3)
+        self.assert_matches_oracle(Z, 3)
+        assert not np.any(deflate(Z, 3).converged)
 
     def test_rank_deficient_cloud(self):
         # rank 3, six directions asked: the last three come from a cloud
@@ -167,7 +187,7 @@ class TestGramAscentMatchesZSpace:
         assert np.all(np.isfinite(basis.rayleigh))
         np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(6), atol=1e-10)
         assert np.all(basis.rayleigh[3:] < 1e-20 * basis.rayleigh[0])
-        matrix, rayleigh, iterations, converged = zspace_deflate(Z, 3)
+        matrix, rayleigh, iterations, converged = zspace_deflate(Z, 3, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations[:3], iterations)
         np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_reach import verify
+from conformal_reach import pca, verify
 from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import PIPELINE_CHUNK, clip_batch, stage_outputs
@@ -468,6 +468,21 @@ def test_manifest_scales_give_half_width(pipeline, fit_stream):
     np.testing.assert_array_equal(half, manifest["rank_score"] * cs.tau)
     for key in ("guarantee", "perturbation", "seed", "train_size", "calib_size"):
         assert key in manifest
+
+
+def test_surrogate_manifest_flags(monkeypatch):
+    # plain bools read off the hull and the basis; capping the ascent at
+    # one step leaves a direction unconverged, and the flag shows it
+    _, _, (reachset, _, manifest) = run_4x4("surrogate")
+    flags = {"hull_degenerate": reachset.hull.degenerate,
+             "deflation_converged": reachset.basis.converged.all()}
+    for key, want in flags.items():
+        assert type(manifest[key]) is bool and manifest[key] == want, key
+    assert manifest["deflation_converged"]
+    assert json.loads(json.dumps(manifest)) == manifest
+    monkeypatch.setattr(pca, "_MAX_ITERS", 1)
+    _, _, (_, _, manifest) = run_4x4("surrogate")
+    assert manifest["deflation_converged"] is False
 
 
 class TestConservatismAudit:
