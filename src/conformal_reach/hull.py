@@ -15,10 +15,11 @@ the reduced space has N dimensions). Its feasible basis can be written
 down at the nearest hull point, so the solver here is a dense phase-2
 revised simplex from that basis, with no phase 1: Dantzig pricing,
 switching to Bland's anti-cycling rule under stalling. Queries are
-solved in blocks, in lockstep: each row keeps its own basis and pivot
-rules, while the pricing and the basis-inverse updates run on the whole
-block at once (see ``_ClipProblem``). ``clip_batch`` is the one entry
-point: it forms each clipped point from its row's weights on the simplex.
+solved in lockstep blocks sized by bytes, each row with its own basis,
+pivot rules and refactorization schedule, so a row's result does not
+depend on its block (see ``clip_batch``). ``clip_batch`` is the one
+entry point: it forms each clipped point from its row's weights on the
+simplex.
 It skips the LP whenever a point certifies as interior via barycentric
 coordinates against a greedily chosen inscribed simplex of hull points;
 the certificate is exact containment in a sub-hull, so it never loosens
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .guarantees import GuaranteeSpec
-from .model import MlpNetwork, block_rows, infer
+from .model import _ROW_BYTES, MlpNetwork, block_rows, infer
 from .pca import ProjectionBasis
 from .perturb import PerturbationSpec, image_blocks, sample_lambdas
 from ._seeds import stage_rng
@@ -50,9 +51,7 @@ _RED_COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _STALL_LIMIT = 24
 _INTERIOR_MARGIN = 1e-9
-# Queries the clip simplex solves in lockstep, and pivots between
-# refactorizations of their stacked basis inverses.
-_CLIP_BLOCK = 64
+# Pivots between refactorizations of the clip simplex's basis inverses.
 _REFACTOR_EVERY = 16
 # A pivot this small next to its column's largest entry may be noise.
 _SMALL_PIVOT = 1e-9
@@ -203,10 +202,16 @@ class _ClipProblem:
     rows; only the linear algebra is shared. The basis inverses are kept
     as a stacked (k, M, M) array that each pivot updates with a rank-one
     eta step instead of solving with the basis. They are refactorized from
-    A[:, basis] every _REFACTOR_EVERY pivots; the ratio test skips entries
-    below _SMALL_PIVOT of their column's largest, which may be eta noise
-    and would make the basis singular. Rows leave the block when optimal;
-    each one's reported point is then solved afresh from its final basis.
+    A[:, basis] every _REFACTOR_EVERY passes, and every live row pivots
+    on every pass. The ratio test skips entries below _SMALL_PIVOT of
+    their column's largest, which may be eta noise and would make the
+    basis singular. Rows leave the block when optimal; each one's
+    reported point is then solved afresh from its final basis.
+
+    A block has ``rows`` queries, as many as keep each (k, t) pricing
+    array and the (k, M, M) inverses within _ROW_BYTES: a pass costs some
+    fifty numpy calls whatever k is, and the block runs until its slowest
+    row is optimal.
     """
 
     def __init__(self, hull: HullModel):
@@ -227,6 +232,7 @@ class _ClipProblem:
         self.columns = A.T.copy()  # row j is column j of A
         self.c = c
         self.max_iters = 50 * (cols + M) + 200
+        self.rows = max(2, _ROW_BYTES // (8 * max(t, M * M)))
 
     def initial_basis(self, V: np.ndarray) -> np.ndarray:
         """Feasible bases (k, M) at the hull vertex nearest to each row of V."""
@@ -351,10 +357,16 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
 
     Interior points certified by the inscribed simplex keep their exact
     coordinates with residual zero; the remainder go through the LP in
-    blocks of _CLIP_BLOCK rows, in input order. Each LP row's point is
-    formed from its basic weights (the solve clips them at 0) divided by
-    their sum, so it is a convex combination of hull points even where
-    rounding in the final solve moves the weights off the simplex.
+    lockstep blocks of ``_ClipProblem.rows`` rows, in input order. A
+    row's result does not depend on its block: the stacked inverses and
+    solves are formed matrix by matrix, and the one product across rows,
+    the (k, N) @ (N, t) pricing, gave each row the same bits at every
+    block size tried (1, 2, 64, 262 and 1024 rows of surrogate-dark16-n10,
+    two instances of which a test in ``tests/test_hull.py`` checks). Each
+    LP row's point is formed from its basic weights (the solve clips them
+    at 0) divided by their sum, so it is a convex combination of hull
+    points even where rounding in the final solve moves the weights off
+    the simplex.
 
     ``norm`` is only checked: the LP has the one l-inf form, and anything
     but "l_inf" raises ValueError. It stays because the benchmark's replay
@@ -372,8 +384,8 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     out = V.copy()
     residuals = np.zeros(V.shape[0])
     todo = np.nonzero(~hull.interior_mask(V))[0]
-    for start in range(0, todo.size, _CLIP_BLOCK):
-        rows = todo[start : start + _CLIP_BLOCK]
+    for start in range(0, todo.size, problem.rows):
+        rows = todo[start : start + problem.rows]
         basis, xB, residuals[rows] = problem.solve_block(V[rows])
         # basic alpha columns weigh their hull points; the others weigh 0
         weights = np.where(basis < hull.size, xB, 0.0)

@@ -1,13 +1,14 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
 from conformal_reach.guarantees import guarantee_confidence
+from conformal_reach import hull as hull_module
 from conformal_reach.hull import (
-    _CLIP_BLOCK,
     HullModel,
     clip_batch,
     stage_outputs,
@@ -196,8 +197,6 @@ class TestLockstep:
     @pytest.fixture
     def passes(self, monkeypatch):
         """Record, per simplex pass, the live rows and the Bland-rule rows."""
-        from conformal_reach import hull as hull_module
-
         log = []
         entering = hull_module._ClipProblem.entering
 
@@ -209,12 +208,17 @@ class TestLockstep:
         return log
 
     @pytest.mark.parametrize("norm", ["l_inf"])
-    def test_batch_matches_rows_over_several_blocks(self, norm, passes):
+    def test_batch_matches_rows_over_several_blocks(self, norm, passes, monkeypatch):
         rng = np.random.default_rng(30)
         pts = rng.normal(size=(60, 6))
         pts = np.vstack([pts, pts[:20]])  # repeated generators
         hull = make_hull(pts)
-        V = mixed_queries(pts, rng, 2 * _CLIP_BLOCK + 37)  # three blocks
+        # a budget of 64 rows of the (k, M, M) inverses, M = 13, so that
+        # three blocks take a few hundred queries, not thousands
+        monkeypatch.setattr(hull_module, "_ROW_BYTES", 8 * 13 * 13 * 64)
+        rows = clip_rows(hull)
+        assert rows == 64
+        V = mixed_queries(pts, rng, 2 * rows + 37)  # three blocks
         V_hat, residuals = clip_batch(V, hull, norm)
         # split the passes into blocks: the live count only grows when a
         # new block starts; in each, rows leave after the first pivot and
@@ -254,13 +258,9 @@ class TestLockstep:
         # interval, must match the block solved with a fresh inverse at
         # every pivot: without the small-pivot floor a pivot on eta noise
         # moves the point of query 437 by 0.011.
-        from conformal_reach import hull as hull_module
-
         hull, C = dark16_clip_case(3990686019)
         row = 437
-        start = row - row % _CLIP_BLOCK
-        V = C[start : start + _CLIP_BLOCK]
-        assert not hull.interior_mask(V).any()  # one block of 64 LPs
+        start, V = pipeline_block(hull, C, row)  # one lockstep block
         every = hull_module._REFACTOR_EVERY
         monkeypatch.setattr(hull_module, "_REFACTOR_EVERY", 1)
         V_ref, res_ref = clip_batch(V, hull)
@@ -295,8 +295,8 @@ class TestLockstep:
         row = 974
         (alpha,), _ = clip_weights(hull, C[row])
         assert abs(alpha.sum() - 1.0) > 1e-10  # the case still arises
-        start = row - row % _CLIP_BLOCK
-        for V, i in ((C[start : start + _CLIP_BLOCK], row - start), (C[row : row + 1], 0)):
+        start, block = pipeline_block(hull, C, row)
+        for V, i in ((block, row - start), (C[row : row + 1], 0)):
             V_hat, residuals = clip_batch(V, hull)
             np.testing.assert_allclose(
                 V_hat[i], hull.points.T @ (alpha / alpha.sum()), rtol=0, atol=1e-12
@@ -316,6 +316,50 @@ class TestLockstep:
         np.testing.assert_allclose(residuals_p, residuals[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(V_hat_p, V_hat[perm], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [3990686019, 2780284557])
+    def test_block_size_keeps_bits(self, seed):
+        # the pricing product (k, 10) @ (10, 1000) is large enough that a
+        # BLAS could round a row otherwise at another row count; the whole
+        # `calib` block must give the bits of 64-row blocks
+        hull, C = dark16_clip_case(seed)
+        assert clip_rows(hull) > 64
+        V_hat, residuals = clip_batch(C, hull)
+        parts = [clip_batch(C[i : i + 64], hull) for i in range(0, C.shape[0], 64)]
+        assert np.array_equal(V_hat, np.vstack([p[0] for p in parts]))
+        assert np.array_equal(residuals, np.concatenate([p[1] for p in parts]))
+
+    def test_memory_does_not_grow_with_queries(self):
+        # beside its (k, N) output the solve holds a few (rows, t) arrays
+        # of one lockstep block, however many queries it is given
+        hull, C = dark16_clip_case(3990686019)
+        peaks = []
+        for V in (C, np.vstack([C, C])):
+            tracemalloc.start()
+            try:
+                V_hat, residuals = clip_batch(V, hull)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - V_hat.nbytes - residuals.nbytes < 3 * hull_module._ROW_BYTES
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
+
+
+def clip_rows(hull):
+    """Rows of one lockstep block of the clip LP on ``hull``."""
+    return hull_module._ClipProblem(hull).rows
+
+
+def pipeline_block(hull, V, row):
+    """(start, block) of the lockstep block that ``clip_batch(V, hull)``
+    solves ``row`` of V in, when no row up to that block's end is
+    interior (blocks are cut from the rows that take the LP)."""
+    rows = clip_rows(hull)
+    start = row - row % rows
+    block = V[start : start + rows]
+    assert not hull.interior_mask(V[: start + block.shape[0]]).any()
+    return start, block
+
 
 @functools.lru_cache(maxsize=None)
 def dark16_clip_case(instance_seed):
@@ -334,9 +378,7 @@ def check_row_in_block_and_alone(hull, V, row):
     """Clip the l-inf lockstep block the pipeline puts ``row`` of V in, and
     the row on its own: every result attains the residual it reports, and
     the weights of the lone solve lie on the simplex."""
-    start = row - row % _CLIP_BLOCK
-    assert not hull.interior_mask(V[: start + _CLIP_BLOCK]).any()
-    block = V[start : start + _CLIP_BLOCK]
+    _, block = pipeline_block(hull, V, row)
     scale = 1.0 + np.abs(hull.points).max() + np.abs(block).max()
     V_hat, residuals = clip_batch(block, hull)
     attained = np.abs(V_hat - block).max(axis=1)
