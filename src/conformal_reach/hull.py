@@ -29,6 +29,7 @@ results, and the hull itself always keeps every training point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .guarantees import GuaranteeSpec
 from .model import _ROW_BYTES, MlpNetwork, block_rows, infer
 from .pca import ProjectionBasis
-from .perturb import PerturbationSpec, image_blocks, sample_lambdas
+from .perturb import PerturbationSpec, images_of, lambda_blocks
 from ._seeds import stage_rng
 
 __all__ = [
@@ -66,32 +67,37 @@ def stage_outputs(
 ):
     """Network outputs on ``count`` fresh samples of one pipeline stage,
     yielded in order in blocks of ``block_rows(model)`` rows (a lone last
-    row of a draw joins the block before it) from the stage's seeded
-    stream.
+    row of a PIPELINE_CHUNK joins the block before it) from the stage's
+    seeded stream.
 
-    Coefficients are drawn PIPELINE_CHUNK rows at a time; their images are
-    built one block at a time by ``image_blocks`` and inferred into one
-    (min(rows + 1, count), n) buffer the stage owns, so one image block
-    and the output buffer together take at most about ``BLOCK_BYTES``. The
-    stream holds the (min(PIPELINE_CHUNK, count), r) draw, one image block
-    (for a global ball, a view of the draw), that output buffer and about
-    ``_ROW_BYTES`` more per row block. A ball has r = n0, so there the draw
-    is the largest of them. Each block is a view of the output buffer, valid only until the
-    next one is requested: a consumer that keeps rows copies them."""
+    Each PIPELINE_CHUNK of the stream is cut into those blocks, and
+    ``lambda_blocks`` draws its coefficients block by block; their images
+    are built by ``images_of`` in one buffer and inferred into one
+    (min(rows + 1, count), n) buffer the stage owns, so one image block and
+    the output buffer together take at most about ``BLOCK_BYTES``. Beside
+    them the stream holds one block's draw (for a global ball, the image
+    block itself) and about ``_ROW_BYTES`` more per row block; only an l2
+    ball holds its (min(PIPELINE_CHUNK, count), n0) draw, the largest array
+    of its stream. Each block is a view of the output buffer, valid only
+    until the next one is requested: a consumer that keeps rows copies
+    them."""
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
+    size = min(rows + 1, count)
+    draws = chain.from_iterable(
+        lambda_blocks(spec, min(PIPELINE_CHUNK, count - start), rng, rows)
+        for start in range(0, count, PIPELINE_CHUNK)
+    )
     buf = None
-    for start in range(0, count, PIPELINE_CHUNK):
-        lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - start), rng)
+    for X in images_of(spec, draws, size):
         if buf is None:
             # taken after the first draw, so that a ball's (k, n0) draw can
             # reuse memory the previous stage freed; taken first, the buffer
             # often left the draw none, and peak RSS hung on heap layout
-            buf = np.empty((min(rows + 1, count), model.output_dim))
-        for X in image_blocks(spec, lams, rows):
-            yield infer(model, X, out=buf[: X.shape[0]])
-        # the last image block may be a view of lams; free both before the next draw
-        del lams, X
+            buf = np.empty((size, model.output_dim))
+        yield infer(model, X, out=buf[: X.shape[0]])
+        # the image block may be a view of an l2 draw: free it before the next draw
+        del X
 
 
 class LpError(RuntimeError):

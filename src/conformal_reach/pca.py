@@ -8,12 +8,13 @@ matrix is never formed. The iterate always lies in span{p} + rowspace(Z),
 p the round's start vector and Z the (deflated) t x n cloud, so it is kept
 as a = beta p + Z^T u and each ascent step costs one product with the
 t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
-a itself is formed once per direction. Memory: one G per direction, no
-larger than the cloud when t <= n. No mean subtraction anywhere:
-downstream algebra projects raw logit vectors through A, so the basis must
-describe second moments about the origin, not the mean. The ascent's step,
-cap and tolerance are module constants. A basis is not saved: rerunning
-the pipeline from its manifest rebuilds it bit for bit.
+a itself is formed once per direction. Memory: the deflated copy of the
+cloud, one G per direction (no larger than the cloud when t <= n) and one
+row block of the rank-one term removed from the copy. No mean subtraction
+anywhere: downstream algebra projects raw logit vectors through A, so the
+basis must describe second moments about the origin, not the mean. The
+ascent's step, cap and tolerance are module constants. A basis is not
+saved: rerunning the pipeline from its manifest rebuilds it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import row_block
 from ._seeds import check_integer
 
 __all__ = ["ProjectionBasis", "deflate"]
@@ -121,7 +123,11 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
         w = Z @ a
         rayleigh[index] = float(w @ w) / t
         cols.append(a)
-        Z -= np.outer(w, a)
+        # one row block of the rank-one term at a time, so no (t, n)
+        # temporary forms beside Z and G; each entry is rounded the same
+        rows = row_block(n)
+        for start in range(0, t, rows):
+            Z[start : start + rows] -= np.outer(w[start : start + rows], a)
 
     return ProjectionBasis(
         matrix=np.stack(cols, axis=1),

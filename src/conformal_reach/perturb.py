@@ -17,13 +17,16 @@ adversary's arguments.
 Images form in one place, ``image_blocks``, a block of rows at a time in
 reused memory, so a stream of k images never holds a (k, n0) array;
 ``apply_batch`` is its one-block form. The pipelines' stream,
-``hull.stage_outputs``, draws (k, r) coefficients at a time with
-``sample_lambdas`` and infers each image block of them into one reused
-output buffer. A block has ``model.block_rows`` rows, so the image block
-and the output buffer together take at most about ``model.BLOCK_BYTES``.
-The stream holds that draw, one image block (for a ball, a view of the
-draw), one output buffer and about ``model._ROW_BYTES`` more per row
-block. A ball has r = n0, so there the draw is a (k, n0) array. Perturbed
+``hull.stage_outputs``, takes its coefficients from ``lambda_blocks`` in
+the stream's blocks of ``model.block_rows`` rows, forms their images with
+``images_of`` in one buffer per stage and infers each image block into one
+reused output buffer, so the image block and the output buffer together
+take at most about ``model.BLOCK_BYTES``. A uniform box or l-inf ball is
+drawn one block at a time, so the stream holds one block's draw, one image
+block (for a global ball, the draw itself), one output buffer and about
+``model._ROW_BYTES`` more per row block. Only an l2 ball holds a whole
+(k, r) draw, since its radii are drawn after all of its normals; it has
+r = n0, so there the draw is a (k, n0) array. Perturbed
 intensities are deliberately not clamped to [0, 1]: the darkening
 construction is in-range by design, and clamping would destroy the affine
 structure the surrogate model relies on.
@@ -45,6 +48,8 @@ __all__ = [
     "build_darkening",
     "build_global_ball",
     "image_blocks",
+    "images_of",
+    "lambda_blocks",
     "sample_lambdas",
     "spec_manifest",
     "spec_from_manifest",
@@ -131,30 +136,44 @@ class PerturbationSpec:
 def image_blocks(spec: PerturbationSpec, lams: np.ndarray, rows: int):
     """Flat images of the (k, r) float64 coefficients ``lams``, yielded in
     blocks of ``rows`` rows, in order, a lone last row joined to the block
-    before it (``model.row_slices``); the only place images form.
+    before it (``model.row_slices``), by ``images_of``; ``lams`` is
+    overwritten for the implicit basis."""
+    k = lams.shape[0]
+    return images_of(spec, (lams[block] for block in row_slices(k, rows)), min(rows + 1, k))
+
+
+def images_of(spec: PerturbationSpec, blocks, size: int):
+    """Flat images of each (k_b, r) float64 coefficient block of the
+    iterable ``blocks``, k_b <= ``size``, yielded in order; the only place
+    images form.
 
     Each selected index gets base + lambda * value and every other index
     keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
     product adds only exact zeros to the one nonzero term. A selection
-    fills one (min(rows + 1, k), n0) buffer with the base once and rewrites
-    only its r selected columns per block. The implicit basis adds the
-    base into ``lams`` in place (IEEE addition commutes, so the bits equal
-    ``base + lams``), so ``lams`` is overwritten. Either way a block is
-    valid only until the next one is requested.
+    fills one (size, n0) buffer with the base once and rewrites only its r
+    selected columns per block. The implicit basis adds the base into each
+    block in place (IEEE addition commutes, so the bits equal
+    ``base + lams``), so the blocks are overwritten. Either way an image
+    block is valid only until the next one is requested.
     """
-    k = lams.shape[0]
     base = spec.base_image.data
     if spec.noise_index is None:
-        for block in row_slices(k, rows):
-            X = lams[block]
+        for X in blocks:
             X += base
             yield X
+            # an l2 ball's block is a view of its whole draw: let the draw
+            # go before the next one is taken
+            del X
         return
     idx, value = spec.noise_index, spec.noise_value
-    buf = np.repeat(base[None, :], min(rows + 1, k), axis=0)
-    for block in row_slices(k, rows):
-        X = buf[: block.stop - block.start]
-        X[:, idx] = base[idx] + lams[block] * value
+    buf = None
+    for lams in blocks:
+        if buf is None:
+            # taken after the first draw, like the stream's output buffer:
+            # taken first, it moved the heap layout and peak RSS
+            buf = np.repeat(base[None, :], size, axis=0)
+        X = buf[: lams.shape[0]]
+        X[:, idx] = base[idx] + lams * value
         yield X
 
 
@@ -274,6 +293,25 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
         g *= radii[:, None]
         return g
     raise ValueError(f"unknown distribution {spec.distribution!r}")
+
+
+def lambda_blocks(spec: PerturbationSpec, count: int, rng, rows: int):
+    """The draw ``sample_lambdas(spec, count, rng)``, bit for bit, yielded
+    in the blocks that ``model.row_slices(count, rows)`` cuts it into.
+
+    numpy fills a uniform draw one value at a time from the stream, so a
+    uniform box or l-inf ball draws each block only when it is requested
+    and the same numbers come in smaller pieces. An l2 ball draws its radii
+    after all of its normals, so its whole draw is taken at once and its
+    blocks are views of it."""
+    check_integer("count", count, 1)
+    if spec.distribution == UNIFORM_L2_BALL:
+        lams = sample_lambdas(spec, count, rng)
+        for block in row_slices(count, rows):
+            yield lams[block]
+        return
+    for block in row_slices(count, rows):
+        yield sample_lambdas(spec, block.stop - block.start, rng)
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:

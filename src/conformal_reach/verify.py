@@ -15,8 +15,12 @@ q = f - g of the convex-hull surrogate in ``hull``, whose basis and hull
 are the one place a stage's outputs are held whole (the ``train`` cloud).
 
 Each run's manifest is its one record: the seed, sizes, guarantee and
-perturbation that reproduce it bit for bit, and under ``"stages"`` every
-stage it ran, in order, with its sample count and wall time.
+perturbation that reproduce it, and under ``"stages"`` every stage it
+ran, in order, with its sample count and wall time. A rerun gives the same
+bits at the same BLAS thread count; at another, a threaded product may sum
+in another order, so the outputs can move by rounding (on one 32x32x3
+l2-ball surrogate run, the intervals differ by 2e-15 between one and two
+OpenBLAS threads; the iteration counts and labels do not).
 """
 
 from __future__ import annotations

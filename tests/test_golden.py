@@ -11,6 +11,9 @@ the outputs:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,18 @@ def test_matches_golden(name):
     np.testing.assert_array_equal(got["status"], stored["status"])
     for key in sorted(set(got) - {"status"}):
         np.testing.assert_allclose(got[key], stored[key], rtol=RTOL, atol=0, err_msg=key)
+
+
+def test_matches_golden_on_one_blas_thread():
+    # a threaded BLAS product may sum in another order at another thread
+    # count, so the stored outputs must hold to RTOL on one thread too
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    code = "import test_golden as g\nfor name in sorted(g.CASES):\n    g.test_matches_golden(name)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach import hull as hull_module
 from conformal_reach.hull import (
     HullModel,
+    LpError,
     clip_batch,
     stage_outputs,
 )
@@ -269,22 +270,35 @@ class TestLockstep:
         assert res_ref[row - start] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(residuals, res_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(V_hat, V_ref, rtol=0, atol=1e-9)
+        # the case still arises: without the floor the point moves
+        guard_off(monkeypatch)
+        V_off, _ = clip_batch(V, hull)
+        assert np.abs(V_off[row - start] - V_ref[row - start]).max() > 1e-9
 
-    def test_ill_conditioned_basis_is_not_made_singular(self):
+    def test_ill_conditioned_basis_is_not_made_singular(self, monkeypatch):
         # surrogate-dark16-n10 at workload seed 9529, instance 0: at
         # iteration 80 of `calib` row 974 the basis condition number is
         # 1.8e9, and a pivot on d = 1.05e-10 (max|d| = 5.0e4) left the
         # final basis singular: "LpError: singular basis at iteration 81"
         hull, C = dark16_clip_case(2780284557)
         check_row_in_block_and_alone(hull, C, 974)
+        # the case still arises: without the floor the solve fails
+        guard_off(monkeypatch)
+        with pytest.raises(LpError, match="singular basis"):
+            clip_row(C[974], hull)
 
-    def test_noise_pivot_does_not_leave_the_hull(self):
+    def test_noise_pivot_does_not_leave_the_hull(self, monkeypatch):
         # surrogate-dark16-n10 at workload seed 8, instance 1: `calib` row
         # 437 was reported at residual 4.6e-17 while the point returned lay
         # 0.487 (l-inf) from the query, on weights summing to 1.0207,
         # outside the hull
         hull, C = dark16_clip_case(3990686019)
         check_row_in_block_and_alone(hull, C, 437)
+        # the case still arises: without the floor the point returned does
+        # not attain the residual reported
+        guard_off(monkeypatch)
+        v_hat, residual = clip_row(C[437], hull)
+        assert np.abs(v_hat - C[437]).max() - residual > 1e-9
 
     def test_point_is_formed_from_weights_on_the_simplex(self):
         # surrogate-dark16-n10 instance seed 2780284557, `calib` row 974:
@@ -343,6 +357,12 @@ class TestLockstep:
             assert peak - V_hat.nbytes - residuals.nbytes < 3 * hull_module._ROW_BYTES
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
+
+
+def guard_off(monkeypatch):
+    """Drop the clip LP's small-pivot floor for one test, so that a test
+    of a case the floor guards can check that the case still arises."""
+    monkeypatch.setattr(hull_module, "_SMALL_PIVOT", 0.0)
 
 
 def clip_rows(hull):

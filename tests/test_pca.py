@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conformal_reach import pca
+from conformal_reach.model import row_block
 from conformal_reach.pca import deflate
 from oracles import zspace_deflate
 
@@ -129,6 +132,23 @@ class TestDeflate:
             with pytest.raises(ValueError, match="^num_components must be a positive integer"):
                 deflate(Z, bad)
         assert deflate(Z, np.int64(2)).num_components == 2
+
+    def test_memory_is_the_copy_the_gram_and_one_row_block(self):
+        # deflation holds its (t, n) copy of the cloud, the t x t Gram and
+        # one (row_block(n), n) block of the rank-one term it removes, plus
+        # vectors; the whole (t, n) term beside them is over the budget
+        rng = np.random.default_rng(26)
+        t, n = 300, 4000
+        Z = rng.normal(size=(t, n)) + 1.0
+        budget = 8 * (t * n + t * t + row_block(n) * n + 16 * (t + n))
+        assert 8 * (2 * t * n + t * t) > budget
+        tracemalloc.start()
+        try:
+            deflate(Z, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
     def test_nonfinite_rejected(self):
         Z = np.ones((3, 3))

@@ -1,9 +1,11 @@
-"""The fused sampling stream: ``stage_outputs`` draws coefficients one
-PIPELINE_CHUNK at a time, builds each block of ``block_rows(model)``
-images in reused memory and infers it into one reused output buffer. It
-must give the bits of the unfused sample -> apply -> infer chain, and hold
-no (PIPELINE_CHUNK, n0) input array and no (PIPELINE_CHUNK, n) output
-array; its blocks stay within the ``BLOCK_BYTES`` budget. Its consumers
+"""The fused sampling stream: ``stage_outputs`` cuts each PIPELINE_CHUNK
+into blocks of ``block_rows(model)`` rows, draws a uniform law's
+coefficients block by block, builds each block of images in reused memory
+and infers it into one reused output buffer. It must give the bits of the
+unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK, n0)
+input array, no (PIPELINE_CHUNK, n) output array and, for a uniform law,
+no (PIPELINE_CHUNK, r) draw; its blocks stay within the ``BLOCK_BYTES``
+budget. Its consumers
 (the l2 sampler, the surrogate's residual and lift bounds, the audit) work
 in row blocks beside the draw and the output buffer, with the bits of
 their whole-array forms."""
@@ -49,18 +51,26 @@ SPECS = {
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 @pytest.mark.parametrize(
-    "count, sizes",
+    "count, rows, sizes",
     [
-        (INFER_CHUNK - 1, [INFER_CHUNK - 1]),
-        (2 * INFER_CHUNK + 300, [INFER_CHUNK, INFER_CHUNK, 300]),
-        (PIPELINE_CHUNK + 1500, [INFER_CHUNK] * 9 + [1500 - INFER_CHUNK]),
+        (INFER_CHUNK - 1, None, [INFER_CHUNK - 1]),
+        (2 * INFER_CHUNK + 300, None, [INFER_CHUNK, INFER_CHUNK, 300]),
+        (PIPELINE_CHUNK + 1500, None, [INFER_CHUNK] * 9 + [1500 - INFER_CHUNK]),
+        (11, 5, [5, 6]),
+        (PIPELINE_CHUNK + 1, 5, [5] * 1638 + [2, 1]),
     ],
-    ids=["below-infer-chunk", "partial-slice", "two-chunks"],
+    ids=["below-infer-chunk", "partial-slice", "two-chunks", "block-bytes-lone-row-join", "block-bytes-lone-draw"],
 )
-def test_matches_unfused_chain(kind, count, sizes):
+def test_matches_unfused_chain(monkeypatch, kind, count, rows, sizes):
+    # ``rows`` given, BLOCK_BYTES cuts the stream to blocks of that many
+    # rows: a uniform law is drawn in those blocks, the last block of a
+    # draw may take a lone leftover row, and a draw may be one row alone
     img = _image(6, 6, 3, seed=1)
     spec = SPECS[kind](img)
     model = random_mlp([img.size, 12, 9], np.random.default_rng(2))
+    if rows is not None:
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + 9))
+        assert block_rows(model) == rows
     rng = stage_rng(11, "calib")
     ref = np.vstack([
         infer(model, apply_batch(spec, sample_lambdas(spec, min(PIPELINE_CHUNK, count - s), rng)))
@@ -128,14 +138,16 @@ def test_pipeline_and_audit_memory_grow_with_infer_chunk():
 def test_memory_grows_with_block_bytes(monkeypatch):
     # a 1 MiB block budget on a 16x16x1 image through a 4096-output model
     # (n0 = 256, n = 4096) cuts the stream to 30-row blocks, so one full
-    # PIPELINE_CHUNK of it holds at most two budgets beside its draw. One
-    # (INFER_CHUNK, n) output buffer alone is 32 MiB.
+    # PIPELINE_CHUNK of it holds at most two budgets, its darkening draw
+    # included. One (INFER_CHUNK, n) output buffer alone is 32 MiB, and one
+    # (PIPELINE_CHUNK, r) draw is over the budget too.
     monkeypatch.setattr(model_module, "BLOCK_BYTES", 1 << 20)
     img = _image(16, 16, 1, seed=16)
-    spec = build_darkening(img, 0.1, rng_seed=17)
+    spec = build_darkening(img, 0.25, rng_seed=17)
     model = random_mlp([img.size, 32, 4096], np.random.default_rng(18))
     assert block_rows(model) == 30
-    budget = 2 * model_module.BLOCK_BYTES + PIPELINE_CHUNK * spec.dim * 8
+    budget = 2 * model_module.BLOCK_BYTES
+    assert PIPELINE_CHUNK * spec.dim * 8 > budget
     peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 19, "train", PIPELINE_CHUNK)))
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
@@ -227,6 +239,20 @@ def test_l2_draw_holds_one_draw():
     budget = (count + 4 * _ROW_BLOCK) * r * 8
     assert 2 * count * r * 8 > budget
     peak, _ = traced_peak(lambda: sample_lambdas(spec, count, np.random.default_rng(1)))
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_ball_stream_holds_one_draw(norm):
+    # three PIPELINE_CHUNKs of a ball on a 16x16x1 image: an l2 chunk's
+    # draw is let go before the next chunk is drawn, and an l-inf ball is
+    # drawn one (INFER_CHUNK, n0) block at a time
+    img = ImageTensor.from_array(np.full((16, 16, 1), 0.5))
+    spec = build_global_ball(img, norm, 0.3)
+    model = random_mlp([img.size, 8, 4], np.random.default_rng(34))
+    draw = PIPELINE_CHUNK * img.size * 8
+    budget = (1.5 if norm == "l2" else 0.25) * draw
+    peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 35, "calib", 3 * PIPELINE_CHUNK)))
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
 
