@@ -29,23 +29,22 @@ results, and the hull itself always keeps every training point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .guarantees import GuaranteeSpec
-from .model import _ROW_BYTES, MlpNetwork, block_rows, infer
+from .model import _ROW_BYTES
 from .pca import ProjectionBasis
-from .perturb import PerturbationSpec, images_of, lambda_blocks
-from ._seeds import stage_rng
+# not used here: perfbench/replay.py imports it from this module, until
+# ROADMAP direction 1 removes that import
+from .perturb import PIPELINE_CHUNK
 
 __all__ = [
     "LpError",
     "HullModel",
     "SurrogateReachSet",
     "clip_batch",
-    "stage_outputs",
 ]
 
 _RED_COST_TOL = 1e-10
@@ -56,48 +55,6 @@ _INTERIOR_MARGIN = 1e-9
 _REFACTOR_EVERY = 16
 # A pivot this small next to its column's largest entry may be noise.
 _SMALL_PIVOT = 1e-9
-
-# Sampling happens in fixed-size blocks so that a run is reproducible from
-# its seed regardless of sizes requested downstream.
-PIPELINE_CHUNK = 8192
-
-
-def stage_outputs(
-    model: MlpNetwork, spec: PerturbationSpec, seed: int, stage: str, count: int
-):
-    """Network outputs on ``count`` fresh samples of one pipeline stage,
-    yielded in order in blocks of ``block_rows(model)`` rows (a lone last
-    row of a PIPELINE_CHUNK joins the block before it) from the stage's
-    seeded stream.
-
-    Each PIPELINE_CHUNK of the stream is cut into those blocks, and
-    ``lambda_blocks`` draws its coefficients block by block; their images
-    are built by ``images_of`` in one buffer and inferred into one
-    (min(rows + 1, count), n) buffer the stage owns, so one image block and
-    the output buffer together take at most about ``BLOCK_BYTES``. Beside
-    them the stream holds one block's draw (for a global ball, the image
-    block itself) and about ``_ROW_BYTES`` more per row block; only an l2
-    ball holds its (min(PIPELINE_CHUNK, count), n0) draw, the largest array
-    of its stream. Each block is a view of the output buffer, valid only
-    until the next one is requested: a consumer that keeps rows copies
-    them."""
-    rng = stage_rng(seed, stage)
-    rows = block_rows(model)
-    size = min(rows + 1, count)
-    draws = chain.from_iterable(
-        lambda_blocks(spec, min(PIPELINE_CHUNK, count - start), rng, rows)
-        for start in range(0, count, PIPELINE_CHUNK)
-    )
-    buf = None
-    for X in images_of(spec, draws, size):
-        if buf is None:
-            # taken after the first draw, so that a ball's (k, n0) draw can
-            # reuse memory the previous stage freed; taken first, the buffer
-            # often left the draw none, and peak RSS hung on heap layout
-            buf = np.empty((size, model.output_dim))
-        yield infer(model, X, out=buf[: X.shape[0]])
-        # the image block may be a view of an l2 draw: free it before the next draw
-        del X
 
 
 class LpError(RuntimeError):

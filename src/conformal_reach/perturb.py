@@ -14,22 +14,20 @@ manifest writes that call (``spec_manifest``) and a rerun makes it again
 (``spec_from_manifest``), so the builders hold the only checks on an
 adversary's arguments.
 
-Images form in one place, ``image_blocks``, a block of rows at a time in
-reused memory, so a stream of k images never holds a (k, n0) array;
-``apply_batch`` is its one-block form. The pipelines' stream,
-``hull.stage_outputs``, takes its coefficients from ``lambda_blocks`` in
-the stream's blocks of ``model.block_rows`` rows, forms their images with
-``images_of`` in one buffer per stage and infers each image block into one
-reused output buffer, so the image block and the output buffer together
-take at most about ``model.BLOCK_BYTES``. A uniform box or l-inf ball is
-drawn one block at a time, so the stream holds one block's draw, one image
-block (for a global ball, the draw itself), one output buffer and about
-``model._ROW_BYTES`` more per row block. Only an l2 ball holds a whole
-(k, r) draw, since its radii are drawn after all of its normals; it has
-r = n0, so there the draw is a (k, n0) array. Perturbed
-intensities are deliberately not clamped to [0, 1]: the darkening
-construction is in-range by design, and clamping would destroy the affine
-structure the surrogate model relies on.
+The pipelines draw their samples from one stream, ``stage_outputs``. It
+cuts each PIPELINE_CHUNK of a stage's seeded stream into blocks of
+``model.block_rows`` rows, forms each block's images in one reused buffer
+and infers them into one reused output buffer, so the image block and the
+output buffer together take at most about ``model.BLOCK_BYTES``. A uniform
+box or l-inf ball is drawn one block at a time, so the stream holds one
+block's draw, one image block (for a global ball, the draw itself), one
+output buffer and about ``model._ROW_BYTES`` more per row block. Only an
+l2 ball holds a whole (k, r) draw, since its radii are drawn after all of
+its normals; it has r = n0, so there the draw is a (k, n0) array.
+``apply_batch`` forms one batch of images with the stream's image helper.
+Perturbed intensities are deliberately not clamped to [0, 1]: the
+darkening construction is in-range by design, and clamping would destroy
+the affine structure the surrogate model relies on.
 """
 
 from __future__ import annotations
@@ -39,20 +37,18 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ImageTensor, row_block, row_slices
-from ._seeds import check_integer, check_number
+from .model import ImageTensor, MlpNetwork, block_rows, infer, row_block, row_slices
+from ._seeds import check_integer, check_number, stage_rng
 
 __all__ = [
     "PerturbationSpec",
     "apply_batch",
     "build_darkening",
     "build_global_ball",
-    "image_blocks",
-    "images_of",
-    "lambda_blocks",
     "sample_lambdas",
     "spec_manifest",
     "spec_from_manifest",
+    "stage_outputs",
     "DEFAULT_INTENSITY_THRESHOLD",
 ]
 
@@ -61,6 +57,10 @@ UNIFORM_L2_BALL = "uniform-l2-ball"
 UNIFORM_LINF_BALL = "uniform-linf-ball"
 
 DEFAULT_INTENSITY_THRESHOLD = 150.0 / 255.0
+
+# Sampling happens in fixed-size blocks so that a run is reproducible from
+# its seed regardless of sizes requested downstream.
+PIPELINE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,9 @@ class PerturbationSpec:
     Both are ``None`` for the implicit identity basis of a global ball
     (r = n0). Bounds are the componentwise coefficient box, finite; for
     balls the box is the enclosing [-e, e] cube of the radius-e ball the
-    coefficients are drawn from. ``recipe`` holds the JSON-ready arguments
+    coefficients are drawn from. ``distribution`` is one of the three laws,
+    and an l2 ball has a ``radius``, positive as every given radius is.
+    ``recipe`` holds the JSON-ready arguments
     of the builder call that made the spec, under its ``adversary`` name,
     and is ``None`` for a spec built directly.
     """
@@ -90,8 +92,13 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.lambda_lower.shape != self.lambda_upper.shape:
             raise ValueError("lambda bound shapes differ")
-        if self.radius is not None and not np.isfinite(self.radius):
-            raise ValueError(f"radius must be finite, got {self.radius!r}")
+        laws = (UNIFORM_BOX, UNIFORM_L2_BALL, UNIFORM_LINF_BALL)
+        if self.distribution not in laws:
+            raise ValueError(f"distribution must be one of {laws}, got {self.distribution!r}")
+        if self.radius is not None:
+            check_number("radius", self.radius, positive=True)
+        elif self.distribution == UNIFORM_L2_BALL:
+            raise ValueError("radius must be given for an l2 ball")
         for name in ("lambda_lower", "lambda_upper"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -133,57 +140,41 @@ class PerturbationSpec:
         return dense
 
 
-def image_blocks(spec: PerturbationSpec, lams: np.ndarray, rows: int):
-    """Flat images of the (k, r) float64 coefficients ``lams``, yielded in
-    blocks of ``rows`` rows, in order, a lone last row joined to the block
-    before it (``model.row_slices``), by ``images_of``; ``lams`` is
-    overwritten for the implicit basis."""
-    k = lams.shape[0]
-    return images_of(spec, (lams[block] for block in row_slices(k, rows)), min(rows + 1, k))
-
-
-def images_of(spec: PerturbationSpec, blocks, size: int):
-    """Flat images of each (k_b, r) float64 coefficient block of the
-    iterable ``blocks``, k_b <= ``size``, yielded in order; the only place
-    images form.
+def _images(spec: PerturbationSpec, lams: np.ndarray, buf) -> np.ndarray:
+    """Flat images of the (k, r) float64 coefficients ``lams``; the only
+    place images form.
 
     Each selected index gets base + lambda * value and every other index
     keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
     product adds only exact zeros to the one nonzero term. A selection
-    fills one (size, n0) buffer with the base once and rewrites only its r
-    selected columns per block. The implicit basis adds the base into each
-    block in place (IEEE addition commutes, so the bits equal
-    ``base + lams``), so the blocks are overwritten. Either way an image
-    block is valid only until the next one is requested.
+    rewrites only the r selected columns of the first k rows of ``buf``,
+    whose rows hold the base. The implicit basis takes no buffer and adds
+    the base into ``lams`` in place (IEEE addition commutes, so the bits
+    equal ``base + lams``).
     """
     base = spec.base_image.data
     if spec.noise_index is None:
-        for X in blocks:
-            X += base
-            yield X
-            # an l2 ball's block is a view of its whole draw: let the draw
-            # go before the next one is taken
-            del X
-        return
-    idx, value = spec.noise_index, spec.noise_value
-    buf = None
-    for lams in blocks:
-        if buf is None:
-            # taken after the first draw, like the stream's output buffer:
-            # taken first, it moved the heap layout and peak RSS
-            buf = np.repeat(base[None, :], size, axis=0)
-        X = buf[: lams.shape[0]]
-        X[:, idx] = base[idx] + lams * value
-        yield X
+        lams += base
+        return lams
+    X = buf[: lams.shape[0]]
+    X[:, spec.noise_index] = base[spec.noise_index] + lams * spec.noise_value
+    return X
+
+
+def _base_rows(spec: PerturbationSpec, size: int):
+    """``_images``' buffer: ``size`` rows of the base image for a
+    selection, ``None`` for the implicit basis."""
+    if spec.noise_index is None:
+        return None
+    return np.repeat(spec.base_image.data[None, :], size, axis=0)
 
 
 def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
     """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images,
-    as one ``image_blocks`` block on a copy of ``lams``, which is left as
-    it was."""
+    formed by ``_images`` from a copy of ``lams``, which is left as it
+    was."""
     lams = np.array(lams, dtype=np.float64)
-    (X,) = image_blocks(spec, lams, lams.shape[0])
-    return X
+    return _images(spec, lams, _base_rows(spec, lams.shape[0]))
 
 
 def build_darkening(
@@ -278,40 +269,61 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     taken from the numpy Generator ``rng``."""
     check_integer("count", count, 1)
     r = spec.dim
-    if spec.distribution == UNIFORM_BOX or spec.distribution == UNIFORM_LINF_BALL:
+    if spec.distribution != UNIFORM_L2_BALL:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
-    if spec.distribution == UNIFORM_L2_BALL:
-        # normalized and scaled in place, row norms one row block at a
-        # time (each row's norm has the same bits however rows are
-        # blocked), so no second (count, r) array forms beside the draw
-        g = rng.standard_normal((count, r))
-        rows = row_block(r)
-        for start in range(0, count, rows):
-            block = g[start : start + rows]
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-        radii = spec.radius * rng.random(count) ** (1.0 / r)
-        g *= radii[:, None]
-        return g
-    raise ValueError(f"unknown distribution {spec.distribution!r}")
+    # normalized and scaled in place, row norms one row block at a time
+    # (each row's norm has the same bits however rows are blocked), so no
+    # second (count, r) array forms beside the draw
+    g = rng.standard_normal((count, r))
+    rows = row_block(r)
+    for start in range(0, count, rows):
+        block = g[start : start + rows]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    radii = spec.radius * rng.random(count) ** (1.0 / r)
+    g *= radii[:, None]
+    return g
 
 
-def lambda_blocks(spec: PerturbationSpec, count: int, rng, rows: int):
-    """The draw ``sample_lambdas(spec, count, rng)``, bit for bit, yielded
-    in the blocks that ``model.row_slices(count, rows)`` cuts it into.
+def stage_outputs(
+    model: MlpNetwork, spec: PerturbationSpec, seed: int, stage: str, count: int
+):
+    """Network outputs on ``count`` fresh samples of one pipeline stage,
+    yielded in order in blocks of ``block_rows(model)`` rows (a lone last
+    row of a PIPELINE_CHUNK joins the block before it, ``model.row_slices``)
+    from the stage's seeded stream.
 
-    numpy fills a uniform draw one value at a time from the stream, so a
-    uniform box or l-inf ball draws each block only when it is requested
-    and the same numbers come in smaller pieces. An l2 ball draws its radii
-    after all of its normals, so its whole draw is taken at once and its
-    blocks are views of it."""
-    check_integer("count", count, 1)
-    if spec.distribution == UNIFORM_L2_BALL:
-        lams = sample_lambdas(spec, count, rng)
-        for block in row_slices(count, rows):
-            yield lams[block]
-        return
-    for block in row_slices(count, rows):
-        yield sample_lambdas(spec, block.stop - block.start, rng)
+    A block's coefficients are the rows that ``sample_lambdas`` would give
+    its PIPELINE_CHUNK, bit for bit: numpy fills a uniform draw one value at
+    a time from the stream, so a uniform law draws each block only when it
+    is requested, while an l2 ball draws its whole chunk, whose blocks are
+    views of it. Each block is a view of one (min(rows + 1, count), n)
+    output buffer, valid only until the next one is requested: a consumer
+    that keeps rows copies them."""
+    rng = stage_rng(seed, stage)
+    rows = block_rows(model)
+    size = min(rows + 1, count)
+    out = None
+    for start in range(0, count, PIPELINE_CHUNK):
+        k = min(PIPELINE_CHUNK, count - start)
+        chunk = sample_lambdas(spec, k, rng) if spec.distribution == UNIFORM_L2_BALL else None
+        for block in row_slices(k, rows):
+            if chunk is None:
+                lams = sample_lambdas(spec, block.stop - block.start, rng)
+            else:
+                lams = chunk[block]
+            if out is None:
+                # both buffers are taken after the first draw, so that a
+                # ball's (k, n0) draw can reuse memory the previous stage
+                # freed; taken first, they often left the draw none, and
+                # peak RSS hung on heap layout
+                buf = _base_rows(spec, size)
+                out = np.empty((size, model.output_dim))
+            X = _images(spec, lams, buf)
+            yield infer(model, X, out=out[: X.shape[0]])
+            # the images may be the draw itself: free it before the next draw
+            del lams, X
+        # an l2 chunk's draw goes before the next chunk's draw is taken
+        del chunk
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:
@@ -343,7 +355,7 @@ def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationS
 
     shape = [base_image.height, base_image.width, base_image.channels]
     (image_shape,) = fields("image_shape")
-    if list(image_shape) != shape:
+    if not isinstance(image_shape, (list, tuple)) or list(image_shape) != shape:
         raise ValueError(f"image_shape {image_shape} disagrees with the base image {shape}")
     adversary = manifest.get("adversary")
     if adversary == "darkening":

@@ -32,10 +32,10 @@ import numpy as np
 
 from .calibrate import center_and_scales, naive_reachset, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .hull import HullModel, SurrogateReachSet, clip_batch, stage_outputs
+from .hull import HullModel, SurrogateReachSet, clip_batch
 from .model import MlpNetwork, LogitTensor, infer, predict_mask, row_block, row_slices
 from .pca import deflate
-from .perturb import PerturbationSpec, spec_manifest
+from .perturb import PerturbationSpec, spec_manifest, stage_outputs
 from ._seeds import check_integer
 
 __all__ = [

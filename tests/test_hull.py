@@ -8,15 +8,10 @@ import pytest
 from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach import hull as hull_module
-from conformal_reach.hull import (
-    HullModel,
-    LpError,
-    clip_batch,
-    stage_outputs,
-)
+from conformal_reach.hull import HullModel, LpError, clip_batch
 from conformal_reach.model import ImageTensor, MlpNetwork, infer, random_mlp
 from conformal_reach.pca import deflate
-from conformal_reach.perturb import build_global_ball
+from conformal_reach.perturb import build_global_ball, stage_outputs
 from conformal_reach.verify import PipelineStageError, run_surrogate_pipeline
 
 from oracles import (

@@ -119,6 +119,24 @@ def test_package_does_no_file_io():
     assert not found, found
 
 
+# The one sampling stream: a stage's generator is made and drawn from only
+# inside ``perturb.stage_outputs``, so a second sampling loop fails here.
+STREAM_CALLS = {"stage_rng", "sample_lambdas"}
+
+
+def test_one_sampling_stream():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.stem, getattr(top, "name", None)) == ("perturb", "stage_outputs"):
+                continue
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) in STREAM_CALLS:
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}")
+    assert not found, found
+
+
 def _passed():
     """(function name, parameter name or position) for every argument a
     call in CALLERS passes, the function named bare or as an attribute."""

@@ -6,11 +6,12 @@ import pytest
 from conformal_reach.model import ImageTensor
 from conformal_reach.perturb import (
     UNIFORM_BOX,
+    UNIFORM_L2_BALL,
+    UNIFORM_LINF_BALL,
     PerturbationSpec,
     apply_batch,
     build_darkening,
     build_global_ball,
-    image_blocks,
     sample_lambdas,
     spec_from_manifest,
     spec_manifest,
@@ -76,19 +77,6 @@ class TestApply:
         kept = lams.copy()
         np.testing.assert_array_equal(apply_batch(spec, lams), spec.base_image.data + kept)
         np.testing.assert_array_equal(lams, kept)
-
-    @pytest.mark.parametrize("ball", [False, True])
-    def test_blocks_stack_to_apply_batch(self, ball):
-        img = darkening_image(16, 16, 1, 120, seed=6)
-        if ball:
-            spec = build_global_ball(img, "linf", 0.1)
-        else:
-            spec = build_darkening(img, 0.05, rng_seed=7)
-        lams = sample_lambdas(spec, 23, np.random.default_rng(8))
-        # a block is reused by the next, so each is copied out
-        blocks = [X.copy() for X in image_blocks(spec, lams.copy(), 5)]
-        assert [X.shape[0] for X in blocks] == [5, 5, 5, 5, 3]
-        np.testing.assert_array_equal(np.vstack(blocks), apply_batch(spec, lams))
 
 
 class TestBuildDarkening:
@@ -382,6 +370,25 @@ class TestBoundsValidation:
                 noise_value=np.array([-0.9, -0.8]), distribution=UNIFORM_BOX, **bounds,
             )
 
+    @pytest.mark.parametrize(
+        "law, radius, match",
+        [
+            ("gaussian", None, "^distribution must be one of .*, got 'gaussian'$"),
+            (UNIFORM_L2_BALL, None, "^radius must be given for an l2 ball$"),
+            (UNIFORM_L2_BALL, -1.0, "^radius must be positive, got -1.0$"),
+            (UNIFORM_LINF_BALL, 0.0, "^radius must be positive, got 0.0$"),
+        ],
+        ids=["unknown-law", "l2-without-radius", "negative-radius", "zero-radius"],
+    )
+    def test_spec_law_must_be_sampleable(self, law, radius, match):
+        # a directly built spec is checked before its first stage samples it
+        with pytest.raises(ValueError, match=match):
+            PerturbationSpec(
+                base_image=bright_2x2(), noise_index=None, noise_value=None,
+                lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1),
+                distribution=law, radius=radius,
+            )
+
 
 class TestManifestValidation:
     def manifest(self):
@@ -409,6 +416,12 @@ class TestManifestValidation:
         ball = spec_manifest(build_global_ball(bright_2x2(), "l2", 0.1))
         with pytest.raises(ValueError, match="^image_shape"):
             spec_from_manifest(ball, other)
+
+    @pytest.mark.parametrize("shape", [5, None])
+    def test_rejects_malformed_image_shape(self, shape):
+        man, img = self.manifest()
+        with pytest.raises(ValueError, match=f"^image_shape {shape} disagrees"):
+            spec_from_manifest(dict(man, image_shape=shape), img)
 
     @pytest.mark.parametrize("seed", [-1, "seven", 2.5, True])
     def test_rejects_bad_selection_seed(self, seed):

@@ -17,15 +17,17 @@ import pytest
 
 from conformal_reach._seeds import stage_rng
 from conformal_reach.calibrate import center_and_scales, stream_calibration
-from conformal_reach.hull import PIPELINE_CHUNK, HullModel, clip_batch, stage_outputs
+from conformal_reach.hull import HullModel, clip_batch
 from conformal_reach import model as model_module
 from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, block_rows, infer, random_mlp
 from conformal_reach.pca import deflate
 from conformal_reach.perturb import (
+    PIPELINE_CHUNK,
     apply_batch,
     build_darkening,
     build_global_ball,
     sample_lambdas,
+    stage_outputs,
 )
 from conformal_reach.verify import (
     conservatism_audit,
@@ -33,7 +35,9 @@ from conformal_reach.verify import (
     run_surrogate_pipeline,
 )
 
+from oracles import dense_darkening_matrix
 from test_golden import RTOL, ball_inputs, golden_inputs
+from test_perturb import selected_pixels
 
 
 def _image(h, w, nc, seed):
@@ -71,11 +75,14 @@ def test_matches_unfused_chain(monkeypatch, kind, count, rows, sizes):
     if rows is not None:
         monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + 9))
         assert block_rows(model) == rows
+    # the reference images come from the oracle, not the stream's image helper
     rng = stage_rng(11, "calib")
-    ref = np.vstack([
-        infer(model, apply_batch(spec, sample_lambdas(spec, min(PIPELINE_CHUNK, count - s), rng)))
-        for s in range(0, count, PIPELINE_CHUNK)
-    ])
+    dense = None if spec.noise_index is None else dense_darkening_matrix(img, selected_pixels(spec))
+    ref = []
+    for s in range(0, count, PIPELINE_CHUNK):
+        lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - s), rng)
+        ref.append(infer(model, img.data + (lams if dense is None else lams @ dense)))
+    ref = np.vstack(ref)
     blocks, last = [], None
     for Y in stage_outputs(model, spec, 11, "calib", count):
         # every block is a view of the one buffer the stage owns

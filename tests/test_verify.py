@@ -7,14 +7,16 @@ import pytest
 from conformal_reach import pca, verify
 from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
-from conformal_reach.hull import PIPELINE_CHUNK, clip_batch, stage_outputs
+from conformal_reach.hull import clip_batch
 from conformal_reach.model import INFER_CHUNK, ImageTensor, MlpNetwork, random_mlp
 from conformal_reach.perturb import (
+    PIPELINE_CHUNK,
     PerturbationSpec,
     UNIFORM_BOX,
     build_darkening,
     build_global_ball,
     spec_from_manifest,
+    stage_outputs,
 )
 from conformal_reach.verify import (
     PipelineStageError,
