@@ -1,19 +1,20 @@
-"""Beta-distribution calculus for double-step coverage guarantees.
+"""Binomial-tail calculus for double-step coverage guarantees.
 
 A statement holds with coverage ``delta1 = 1 - epsilon`` at confidence
 ``delta2`` when the coverage level of a rank-``ell`` conformal threshold,
 itself a Beta(ell, m+1-ell) random variable, exceeds ``delta1`` with
 probability ``delta2``. That is one regularized incomplete beta function,
-``delta2 = 1 - I_{1-eps}(ell, m+1-ell)``, evaluated by
-``scipy.special.betainc`` (Boost's ``ibeta``); the miscoverage
-``1 - delta2`` is that value itself, so it keeps its full precision.
+``delta2 = 1 - I_{1-eps}(ell, m+1-ell)``. Its shapes are integers, and for
+integers a, b >= 1 the identity ``I_x(a, b) = P[Binomial(a+b-1, x) >= a]``
+makes it a binomial tail, which ``beta_cdf`` sums directly. The
+miscoverage ``1 - delta2`` is that sum itself, so it keeps its full
+precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-
-from scipy.special import betainc
 
 from ._seeds import check_integer, check_number
 
@@ -52,23 +53,106 @@ class GuaranteeSpec:
         return asdict(self)
 
 
-def beta_cdf(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b), monotone in x, for
-    x in [0, 1] and positive shapes (``a`` up to ~1e7); ``ValueError``
-    otherwise.
+# The walk keeps each term as a mantissa below _HUGE times a power of two.
+# A start (1-q)^n below _FLOOR comes from its logarithm, as pow would lose
+# its digits to underflow. Past the mode the terms fall faster than a
+# geometric series of the last step's ratio, so the walk stops once that
+# series is below _NEGLIGIBLE of its sum, under half an ulp.
+_HUGE = 2.0**64
+_TINY = 1.0 / _HUGE
+_FLOOR = 2.0**-900
+_NEGLIGIBLE = 2.0**-56
+_LN2 = math.log(2.0)
+_CHERNOFF = 60 * _LN2
 
-    In the guarantee regime (integer shapes, ell close to m, x = 1 - eps)
-    the relative error against 50-digit mpmath stays near 1e-14. Far
-    outside it, for values below about 1e-250, digits are lost: at
-    a = 808.34, b = 24.447, x = 0.40613 (I = 4.7e-277) the relative error
-    is 7.9e-10, and at a = 2775.7, b = 35.43, x = 0.762 the result is 0
-    where I = 2.7e-270.
+
+def beta_cdf(x: float, a: int, b: int) -> float:
+    """Regularized incomplete beta function I_x(a, b) for x in [0, 1] and
+    integer shapes a, b >= 1; ``ValueError`` otherwise, naming the argument.
+
+    For integer shapes ``I_x(a, b) = P[Binomial(a+b-1, x) >= a]``, summed
+    over K ~ Binomial(n, q), n = a + b - 1, q = min(x, 1-x): K counts the
+    failures when x >= 1/2, and the tail is K < b, or the successes, and
+    the tail is K >= a. The walk starts at P[K = 0] = (1-q)^n and takes
+    each term from the one before, times ``(n-k) q / ((k+1) (1-q))``. Of
+    the two sides of the cut it sums the one without the mode, and
+    returns that sum or one minus it, so values near 0 and near 1 both
+    keep their precision. It touches only the terms that contribute: past
+    the mode it stops once the rest is below half an ulp, and it returns
+    1 at once when a Chernoff bound puts the rest below 2**-60.
+
+    Against 40-digit mpmath the relative error is at most 4.4e-15 for
+    x = 0.99 and every ell in [m-100, m] at m = 700, 1000, 2000 and 8000,
+    and at most 1.6e-16 at (0.9999, 99999, 2), (0.9999, 199998, 3),
+    (0.999998, 8464286, 2) and (0.995, 1998, 3). For x >= 1/2 the start
+    x^n is good to an ulp. For x < 1/2 it comes from log1p, with a
+    relative error of about n |log2(1-x)| ulp: up to 1.1e-13 over 36
+    log-uniform draws of a in [1, 1e5], b in [1, 1e3] and x in [0, 1],
+    and 4.4e-13 at (0.3166, 1956, 2411). Values below about 1e-300 lose
+    digits to underflow.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
-    return float(betainc(a, b, x))
+    check_integer("a", a, 1)
+    check_integer("b", b, 1)
+    if x == 0.0 or x == 1.0:
+        return 1.0 if x == 1.0 else 0.0
+    x, a, b = float(x), int(a), int(b)
+    n = a + b - 1
+    if x >= 0.5:  # the start x**n is good to an ulp
+        q, cut, tail_below_cut, start = 1.0 - x, b, True, x**n
+    else:  # 1 - x rounds, so the start comes from log1p(-x)
+        q, cut, tail_below_cut, start = x, a, False, 0.0
+    ratio = q / (1.0 - q)
+    mode = math.floor((n + 1) * q)
+    if tail_below_cut and mode < cut < n:
+        # Chernoff: P[K >= cut] <= exp(-n D(cut/n || q)); below 2**-60 the
+        # tail K < cut rounds to 1
+        t = cut / n
+        divergence = t * math.log(t / q) + (1.0 - t) * math.log((1.0 - t) / (1.0 - q))
+        if n * divergence > _CHERNOFF:
+            return 1.0
+    if start > _FLOOR:
+        shift, term = 0, start  # P[K = k] is term * 2**shift
+    else:
+        log2_term = n * math.log1p(-q) / _LN2
+        shift = math.floor(log2_term)
+        term = 2.0 ** (log2_term - shift)
+    total, term, shift, k = _walk(term, shift, n, ratio, 0, cut)  # P[K < cut]
+    if k < cut:  # the rest, P[K >= cut] included, is negligible
+        if tail_below_cut:
+            return 1.0
+    elif cut <= mode:
+        below = math.ldexp(total, shift)
+        return below if tail_below_cut else 1.0 - below
+    for k in range(k, cut):  # on to P[K = cut] past negligible terms
+        term *= (n - k) / (k + 1) * ratio
+        if not _TINY < term < _HUGE:
+            term, e = math.frexp(term)
+            shift += e
+    total, _, shift, _ = _walk(term, shift, n, ratio, cut, n + 1)  # P[K >= cut]
+    above = math.ldexp(total, shift)
+    return 1.0 - above if tail_below_cut else above
+
+
+def _walk(term, shift, n, ratio, k, stop):
+    """Sum of the binomial terms P[K = k], ..., P[K = stop - 1], where
+    P[K = k] is ``term * 2**shift``. Past the mode it stops once the rest
+    is below half an ulp of the sum. Returns the sum and the next term as
+    mantissas of the power of two ``2**shift``, that ``shift``, and the
+    index of the next term."""
+    total = 0.0
+    for k in range(k, stop):
+        total += term
+        step = (n - k) / (k + 1) * ratio
+        term *= step
+        if term > _HUGE:
+            term, e = math.frexp(term)
+            total = math.ldexp(total, -e)
+            shift += e
+        elif step < 1.0 and term < total * (1.0 - step) * _NEGLIGIBLE:
+            return total, term, shift, k + 1
+    return total, term, shift, stop
 
 
 def guarantee_confidence(

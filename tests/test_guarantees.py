@@ -8,15 +8,15 @@ from conformal_reach.guarantees import beta_cdf, guarantee_confidence
 
 
 def closed_form_b2(x, a):
-    # I_x(a, 2) = x^a ((a+1) - a x), independent of the continued fraction
+    # I_x(a, 2) = x^a ((a+1) - a x), independent of the summed binomial tail
     return math.exp(a * math.log(x)) * ((a + 1) - a * x)
 
 
 class TestBetaCdf:
     def test_endpoints_and_uniform(self):
-        assert beta_cdf(1.0, 3.0, 4.5) == 1.0
-        assert beta_cdf(0.0, 3.0, 4.5) == 0.0
-        assert beta_cdf(1.0, 99999.0, 2.0) == 1.0
+        assert beta_cdf(1.0, 3, 5) == 1.0
+        assert beta_cdf(0.0, 3, 5) == 0.0
+        assert beta_cdf(1.0, 99999, 2) == 1.0
         assert beta_cdf(0.5, 1, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_appendix_example_large_a(self):
@@ -29,18 +29,16 @@ class TestBetaCdf:
         assert beta_cdf(0.9999, 199998, 3) <= 5e-7
 
     def test_against_mpmath_grid(self):
-        # Broad sweep over the shape decades. 1e-9 leaves room for the
-        # values near 1e-277 deep in the tails, far from the guarantee
-        # regime; the tighter checks below pin the regime we actually use.
-        # Only the first 36 draws: the 37th (a ~ 2.6e4, x ~ 0.93, value
-        # ~1e-770) alone takes mpmath seconds, and later large-a draws
-        # take longer still or fail to converge.
+        # Broad sweep over the integer shape decades, log-uniform. 1e-9
+        # leaves room for the values deep in the tails, far from the
+        # guarantee regime; the tighter checks below pin the regime we
+        # actually use.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         rng = np.random.default_rng(7)
         for _ in range(36):
-            a = 10.0 ** rng.uniform(-1.5, 5.0)
-            b = 10.0 ** rng.uniform(-1.5, 3.0)
+            a = round(10.0 ** rng.uniform(0.0, 5.0))
+            b = round(10.0 ** rng.uniform(0.0, 3.0))
             x = rng.uniform(0.0, 1.0)
             ref = float(mp.betainc(a, b, 0, x, regularized=True))
             got = beta_cdf(x, a, b)
@@ -56,7 +54,7 @@ class TestBetaCdf:
             (0.999, 7999, 2),
             (0.99, 920, 2),
             (0.995, 1998, 3),
-            (0.37, 12.5, 48.25),
+            (0.37, 12, 48),
         ]
         for x, a, b in cases:
             exact = float(mp.betainc(a, b, 0, x, regularized=True))
@@ -68,22 +66,47 @@ class TestBetaCdf:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         cases = [
-            (1e-10, 2.0, 5.0),
-            (1e-10, 2.0, 5.5),
-            (3e-9, 1.5, 2.5),
-            (1e-6, 3.0, 100.0),
-            (1e-20, 1.0, 65.0),
-            (1e-300, 1.0, 1.0),
+            (1e-10, 2, 5),
+            (1e-10, 2, 6),
+            (3e-9, 2, 3),
+            (1e-6, 3, 100),
+            (1e-20, 1, 65),
+            (1e-300, 1, 1),
         ]
         for x, a, b in cases:
             exact = float(mp.betainc(a, b, 0, x, regularized=True))
             assert beta_cdf(x, a, b) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [700, 1000, 2000, 8000])
+    def test_against_mpmath_at_selected_ranks(self, m):
+        # every rank that select_rank can settle on at these calibration
+        # sizes, at the benchmark's miscoverage 0.01
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = 1.0 - 0.01
+        for ell in range(m - 100, m + 1):
+            exact = float(mp.betainc(ell, m + 1 - ell, 0, x, regularized=True))
+            assert beta_cdf(x, ell, m + 1 - ell) == pytest.approx(exact, rel=1e-12), ell
+
+    @pytest.mark.parametrize("m", [700, 1000, 2000, 8000])
+    def test_near_one_against_mpmath_complement(self, m):
+        # the ranks a bisection over [1, m] probes first give values near
+        # 1, exact to a few ulp of 1 against mpmath's complement
+        # I_{1-x}(b, a); where that complement rounds away, 1 exactly
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = 1.0 - 0.01
+        for ell in range(1, m + 1, m // 60):
+            comp = mp.betainc(m + 1 - ell, ell, 0, 1 - mp.mpf(x), regularized=True)
+            want, got = float(1 - comp), beta_cdf(x, ell, m + 1 - ell)
+            assert abs(got - want) <= 2.0**-50, ell
+            assert got == 1.0 or want < 1.0, ell
+
     def test_symmetry_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            a = 10.0 ** rng.uniform(-1, 4)
-            b = 10.0 ** rng.uniform(-1, 4)
+            a = round(10.0 ** rng.uniform(0, 4))
+            b = round(10.0 ** rng.uniform(0, 4))
             x = rng.uniform(1e-6, 1 - 1e-6)
             assert beta_cdf(x, a, b) == pytest.approx(
                 1.0 - beta_cdf(1.0 - x, b, a), abs=1e-10
@@ -91,7 +114,7 @@ class TestBetaCdf:
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 1.0, 801)
-        vals = [beta_cdf(x, 37.5, 4.25) for x in xs]
+        vals = [beta_cdf(x, 37, 4) for x in xs]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
@@ -103,6 +126,13 @@ class TestBetaCdf:
             beta_cdf(0.5, 0.0, 1)
         with pytest.raises(ValueError):
             beta_cdf(0.5, 1, -2.0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0])
+    def test_shapes_must_be_positive_integers(self, bad):
+        with pytest.raises(ValueError, match="^a must be a positive integer"):
+            beta_cdf(0.5, bad, 3)
+        with pytest.raises(ValueError, match="^b must be a positive integer"):
+            beta_cdf(0.5, 3, bad)
 
 
 class TestGuaranteeConfidence:

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +26,20 @@ def test_declared_scripts_resolve():
 
 
 MODULES = sorted(p.stem for p in (PYPROJECT.parent / "src" / "conformal_reach").glob("*.py"))
+
+
+def test_package_runs_on_numpy_alone():
+    # numpy is the one runtime dependency: importing the whole pipeline in a
+    # fresh interpreter loads no scipy module
+    probe = (
+        "import sys, conformal_reach.verify; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 @pytest.mark.parametrize("name", MODULES)

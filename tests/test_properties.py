@@ -81,8 +81,8 @@ def test_hull_points_are_fixed(case, data):
 @given(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
-    st.floats(0.05, 5e3),
-    st.floats(0.05, 5e3),
+    st.integers(1, 5000),
+    st.integers(1, 5000),
 )
 def test_beta_cdf_is_monotonic(x1, x2, a, b):
     lo, hi = min(x1, x2), max(x1, x2)

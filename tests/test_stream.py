@@ -237,6 +237,31 @@ def test_stream_budget_keeps_labels_of_small_models(monkeypatch, inputs):
             np.testing.assert_allclose(got[key], want[key], rtol=RTOL, atol=0, err_msg=key)
 
 
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_audit_matches_the_stacked_stream(monkeypatch, kind):
+    # 21 samples in 5-row stream blocks, so the last block takes the lone
+    # 21st row (5, 5, 5, 6), each read in 2-row blocks: the miss count and
+    # the envelope equal those of the stacked stream
+    img = _image(4, 4, 3, seed=31)
+    spec = SPECS[kind](img)
+    model = random_mlp([img.size, 12, 9], np.random.default_rng(32))
+    monkeypatch.setattr(model_module, "BLOCK_BYTES", 5 * 8 * (img.size + 9))
+    monkeypatch.setattr(model_module, "_ROW_BYTES", 2 * 8 * 9)
+    count = 21
+    blocks = [Y.copy() for Y in stage_outputs(model, spec, 33, "audit", count)]
+    assert [b.shape[0] for b in blocks] == [5, 5, 5, 6]
+    stack = np.vstack(blocks)
+    # the stream's own envelope, cut to the median on two outputs
+    y_lo, y_hi = stack.min(axis=0), stack.max(axis=0)
+    y_lo[0], y_hi[1] = np.median(stack[:, 0]), np.median(stack[:, 1])
+    report = conservatism_audit(model, spec, y_lo, y_hi, count, seed=33)
+    misses = int(np.sum(np.any((stack < y_lo) | (stack > y_hi), axis=1)))
+    assert 0 < misses < count
+    assert report.eps_hat == misses / count
+    assert np.array_equal(report.empirical_lo, stack.min(axis=0))
+    assert np.array_equal(report.empirical_hi, stack.max(axis=0))
+
+
 def test_l2_draw_holds_one_draw():
     # the rows are normalized and scaled in place: beside the (count, r)
     # draw only O(_ROW_BLOCK x r) is traced, where the whole-array form
