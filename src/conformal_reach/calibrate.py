@@ -1,12 +1,16 @@
-"""Conformal calibration on vector-valued outputs.
+"""Conformal calibration on vector-valued outputs, and the one reachset.
 
 Training outputs give a center (their mean) and per-coordinate
 normalization factors, both running statistics of one in-order pass over
 (k, n) blocks, so the (t, n) outputs are never held at once; nonconformity
 of an output is the max normalized coordinate deviation from the center.
 Sorting the calibration scores and reading off rank ell turns those
-factors into a hyper-rectangular reachset whose membership test is exactly
-"score <= threshold".
+factors into a hyper-rectangle of half-widths sigma, whose membership test
+is exactly "score <= threshold".
+
+Every construction's reachset is a ``ReachSet``: that box, calibrated on
+the residual of a surrogate g, added to the bounds [lift_lb, lift_ub] of
+g's own reachset. The naive box is the construction with g = 0: zero lifts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .model import row_block
 __all__ = [
     "CenterScale",
     "CalibrationSet",
-    "HyperRectReachSet",
+    "ReachSet",
     "center_and_scales",
     "nonconformity_batch",
     "build_calibration",
@@ -58,6 +62,8 @@ class CalibrationSet:
     """Sorted nonconformity scores with multiset semantics."""
 
     scores: np.ndarray  # ascending
+    # read by no one: perfbench/replay.py passes it to build_calibration,
+    # until ROADMAP direction 1b removes both
     source: str = "raw-outputs"
 
     def __post_init__(self):
@@ -86,21 +92,33 @@ class CalibrationSet:
 
 
 @dataclass(frozen=True)
-class HyperRectReachSet:
-    """Axis-aligned box: interval k is [center(k) - sigma(k), center(k) + sigma(k)]."""
+class ReachSet:
+    """The residual's box over the surrogate's bounds: interval k is
+    [center(k) + lift_lb(k) - sigma(k), center(k) + lift_ub(k) + sigma(k)]."""
 
     center: np.ndarray
     sigma: np.ndarray
+    lift_lb: np.ndarray
+    lift_ub: np.ndarray
     guarantee: GuaranteeSpec
 
     def __post_init__(self):
-        if self.center.shape != self.sigma.shape:
-            raise ValueError("center/sigma shapes differ")
+        n = np.shape(self.center)
+        if len(n) != 1:
+            raise ValueError(f"center must be a vector, got shape {n}")
+        for name in ("center", "sigma", "lift_lb", "lift_ub"):
+            value = getattr(self, name)
+            if np.shape(value) != n:
+                raise ValueError(f"{name} must have the shape {n} of center, got {np.shape(value)}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        if np.any(self.lift_lb > self.lift_ub):
+            raise ValueError("lift_lb must be <= lift_ub")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be non-negative")
 
     def project_intervals(self):
-        return self.center - self.sigma, self.center + self.sigma
+        return self.center + self.lift_lb - self.sigma, self.center + self.lift_ub + self.sigma
 
 
 def center_and_scales(train_outputs) -> CenterScale:
@@ -178,6 +196,7 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
     return scores
 
 
+# perfbench/replay.py is its one caller, until ROADMAP direction 1b removes it
 def build_calibration(
     outputs: np.ndarray, cs: CenterScale, source: str = "raw-outputs"
 ) -> CalibrationSet:
@@ -185,26 +204,26 @@ def build_calibration(
     ys = np.asarray(outputs, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1:
         raise ValueError("outputs must be a non-empty (m, n) array")
-    return stream_calibration([ys], cs, source)
+    return CalibrationSet(np.sort(nonconformity_batch(ys, cs), kind="stable"), source)
 
 
-def stream_calibration(
-    blocks, cs: CenterScale, source: str = "raw-outputs"
-) -> CalibrationSet:
-    """``build_calibration`` of the stacked blocks, scoring each (k, n)
-    block as it arrives so the (m, n) outputs are never held at once."""
+def stream_calibration(blocks, cs: CenterScale) -> CalibrationSet:
+    """Scores of the (k, n) ``blocks``, read once, in order, each scored as
+    it arrives so the (m, n) outputs are never held at once; sorted
+    ascending (stable)."""
     scores = []
     for Y in blocks:
         scores.append(nonconformity_batch(Y, cs))
         del Y  # free this block before the stream builds the next
-    scores = np.sort(np.concatenate(scores), kind="stable")
-    return CalibrationSet(scores=scores, source=source)
+    return CalibrationSet(scores=np.sort(np.concatenate(scores), kind="stable"))
 
 
+# perfbench/replay.py is its one caller, until ROADMAP direction 1b removes it
 def naive_reachset(
     calib: CalibrationSet, cs: CenterScale, guarantee: GuaranteeSpec
-) -> HyperRectReachSet:
-    """Hyper-rectangle with half-widths sigma_k = tau_k * (rank-ell score).
+) -> ReachSet:
+    """The naive box: zero lifts and half-widths sigma_k = tau_k * (rank-ell
+    score), as ``verify.run_naive_pipeline`` builds it.
 
     Membership equivalence: the score of y (``nonconformity_batch``) is
     <= the rank score iff y lies in the box, which is what makes the
@@ -215,9 +234,5 @@ def naive_reachset(
             f"guarantee was computed for m={guarantee.calib_size_m}, "
             f"calibration set has {calib.size}"
         )
-    threshold = calib.rank_score(guarantee.rank_ell)
-    return HyperRectReachSet(
-        center=cs.center.copy(),
-        sigma=cs.tau * threshold,
-        guarantee=guarantee,
-    )
+    sigma = cs.tau * calib.rank_score(guarantee.rank_ell)
+    return ReachSet(cs.center, sigma, np.zeros_like(sigma), np.zeros_like(sigma), guarantee)

@@ -1,13 +1,14 @@
-"""Convex-hull surrogate: LP clipping, error inflation, interval bounds.
+"""Convex-hull surrogate: the hull and its LP clipping.
 
 The surrogate g replaces the network f by projecting reduced logits onto
 the convex hull of reduced training logits; its deterministic reachset is
 the hull itself. A conformal hyper-rectangle over the residual q = f - g
-then inflates the hull (a Minkowski sum realized per component as interval
-addition), giving intervals on every logit with the full guarantee.
-``verify.run_surrogate_pipeline`` fits and calibrates it, and is the one
-place g is formed: ``clip_batch`` of the reduced logits, lifted back by
-the basis. This module holds the hull, the clip LP and the inflated set.
+then inflates the lifted hull (a Minkowski sum realized per component as
+interval addition, ``calibrate.ReachSet``), giving intervals on every
+logit with the full guarantee. ``verify.run_surrogate_pipeline`` fits and
+calibrates it, and is the one place g is formed: ``clip_batch`` of the
+reduced logits, lifted back by the basis. This module holds the hull and
+the clip LP.
 
 The projection finds the hull point nearest in l-inf norm. It is a
 small-row linear program (the hull may have thousands of generators but
@@ -33,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from .guarantees import GuaranteeSpec
 from .model import _ROW_BYTES
 from .pca import ProjectionBasis
 # not used here: perfbench/replay.py imports it from this module, until
@@ -43,7 +43,6 @@ from .perturb import PIPELINE_CHUNK
 __all__ = [
     "LpError",
     "HullModel",
-    "SurrogateReachSet",
     "clip_batch",
 ]
 
@@ -77,6 +76,8 @@ class HullModel:
     """
 
     points: np.ndarray  # (t, N)
+    # read by no one: perfbench/replay.py passes it to from_points, until
+    # ROADMAP direction 1b removes it
     basis: Optional[ProjectionBasis] = None
     _bary_solver: Optional[tuple] = None
 
@@ -356,47 +357,3 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
         points = hull.points[np.minimum(basis, hull.size - 1)]
         out[rows] = np.einsum("km,kmn->kn", weights, points)
     return out, residuals
-
-
-# ---------------------------------------------------------------------------
-# Surrogate model and its inflated reachset
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurrogateReachSet:
-    """Lifted hull inflated by the conformal error box.
-
-    Component k of the reachset projects to the interval
-    [error_center(k) + lift_lb(k) - sigma(k),
-     error_center(k) + lift_ub(k) + sigma(k)].
-    """
-
-    hull: HullModel
-    basis: ProjectionBasis
-    error_center: np.ndarray
-    error_sigma: np.ndarray
-    lift_lb: np.ndarray
-    lift_ub: np.ndarray
-    guarantee: GuaranteeSpec
-
-    def __post_init__(self):
-        n, N = self.basis.input_dim, self.basis.num_components
-        if self.hull.dim != N:
-            raise ValueError(f"hull dimension {self.hull.dim} != basis components {N}")
-        for name in ("error_center", "error_sigma", "lift_lb", "lift_ub"):
-            value = getattr(self, name)
-            if np.shape(value) != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {np.shape(value)}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(self.lift_lb > self.lift_ub):
-            raise ValueError("lift_lb must be <= lift_ub")
-        if np.any(self.error_sigma < 0):
-            raise ValueError("error_sigma must be non-negative")
-
-    def project_intervals(self):
-        return (
-            self.error_center + self.lift_lb - self.error_sigma,
-            self.error_center + self.lift_ub + self.error_sigma,
-        )

@@ -6,13 +6,13 @@ class's upper bound the pixel is unknown, otherwise it is robust or
 non-robust depending on whether the candidate matches the unperturbed
 prediction. Ties at equality are conservatively unknown.
 
-Both pipelines live here and share one conformal step: fit center and
-scales on the residuals of one seeded stage, then score the residuals of
-the ``calib`` stage, each stage read block by block in one pass without
-holding its (count, n) outputs. The naive box calibrates the raw outputs
-(the residual of the surrogate g = 0); the surrogate pipeline calibrates
-q = f - g of the convex-hull surrogate in ``hull``, whose basis and hull
-are the one place a stage's outputs are held whole (the ``train`` cloud).
+Both pipelines share one driver. A construction is a residual map y ->
+q = y - g(y) and lifts, the bounds of g's reachset; the driver fits center
+and scales of q on one seeded stage, scores q on the ``calib`` stage, each
+read block by block without holding its (count, n) outputs, and inflates
+the lifts by that box (``calibrate.ReachSet``). The naive box is g = 0:
+the identity map with zero lifts. The surrogate's g is the convex hull of
+``hull``, fitted on the ``train`` cloud, the one stage held whole.
 
 Each run's manifest is its one record: the seed, sizes, guarantee and
 perturbation that reproduce it, and under ``"stages"`` every stage it
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import center_and_scales, naive_reachset, stream_calibration
+from .calibrate import ReachSet, center_and_scales, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
-from .hull import HullModel, SurrogateReachSet, clip_batch
+from .hull import HullModel, clip_batch
 from .model import MlpNetwork, LogitTensor, infer, predict_mask, row_block, row_slices
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest, stage_outputs
@@ -170,12 +170,19 @@ def _lifted_blocks(V, A):
         yield block, np.matmul(V[block], A.T, out=buf[: block.stop - block.start])
 
 
-def _conformal_step(model, spec, seed, residual, fit, calib_size, source, stages):
-    """Center and scales of ``residual`` over the stage ``fit`` = (name,
-    stream, count), then the calibration set of ``calib_size`` residual
-    scores; both read each block as it arrives and keep none of them, and
-    both stages are recorded in ``stages``."""
-    name, stream, count = fit
+def _certify(model, spec, seed, epsilon, rank_ell, calib_size, fit, manifest):
+    """Check the output shape before the first draw; take (residual,
+    lift_lb, lift_ub, (name, stream, count)) from the construction's
+    ``fit``; fit center and scales of the residuals on that stage and
+    calibrate them on ``calib_size`` more, both recorded under
+    ``manifest["stages"]``; label the pixels and add the common keys."""
+    h, w, n = spec.base_image.height, spec.base_image.width, model.output_dim
+    if n % (h * w) != 0:
+        raise ValueError(f"output dim {n} is not a multiple of pixel count {h * w}")
+    shape = (h, w, n // (h * w))
+    guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
+    residual, lift_lb, lift_ub, (name, stream, count) = fit()
+    stages = manifest["stages"]
 
     def residuals(stage, k):
         # each residual is formed in the stage's one reused output buffer
@@ -183,24 +190,10 @@ def _conformal_step(model, spec, seed, residual, fit, calib_size, source, stages
 
     cs = _stage(name, lambda: center_and_scales(residuals(stream, count)), count, stages)
     calib = _stage(
-        "calibrate",
-        lambda: stream_calibration(residuals("calib", calib_size), cs, source),
-        calib_size,
-        stages,
+        "calibrate", lambda: stream_calibration(residuals("calib", calib_size), cs), calib_size, stages
     )
-    return cs, calib
-
-
-def _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest):
-    """Shared driver: check the output shape before the first draw, take
-    (reachset, center_scale, calibration) from ``build(guarantee)``, then
-    label the pixels and complete ``manifest`` with the common keys."""
-    h, w, n = spec.base_image.height, spec.base_image.width, model.output_dim
-    if n % (h * w) != 0:
-        raise ValueError(f"output dim {n} is not a multiple of pixel count {h * w}")
-    shape = (h, w, n // (h * w))
-    guarantee = guarantee_confidence(epsilon, rank_ell, calib_size)
-    reachset, cs, calib = build(guarantee)
+    sigma = cs.tau * calib.rank_score(rank_ell)
+    reachset = ReachSet(cs.center, sigma, lift_lb, lift_ub, guarantee)
     lo, hi = reachset.project_intervals()
     baseline = predict_mask(LogitTensor(*shape, infer(model, spec.base_image.data)))
     mask = pixel_status(lo.reshape(shape), hi.reshape(shape), baseline, guarantee)
@@ -224,7 +217,8 @@ def run_naive_pipeline(
     rank_ell: int,
     seed: int = 0,
 ):
-    """Hyper-rectangle reachset straight from raw-output scores.
+    """Hyper-rectangle reachset straight from raw-output scores: the
+    construction with g = 0, so zero lifts.
 
     Returns (reachset, mask, manifest); the manifest records every seed and
     size needed to reproduce the run bit for bit, and each stage's sample
@@ -233,14 +227,11 @@ def run_naive_pipeline(
     _check_sizes(seed, train_size=train_size)
     manifest = dict(pipeline="naive", seed=int(seed), train_size=int(train_size), stages=[])
 
-    def build(guarantee):
-        cs, calib = _conformal_step(
-            model, spec, seed, lambda Y: Y, ("train", "train", train_size),
-            calib_size, "raw-outputs", manifest["stages"],
-        )
-        return naive_reachset(calib, cs, guarantee), cs, calib
+    def fit():
+        n = model.output_dim
+        return (lambda Y: Y), np.zeros(n), np.zeros(n), ("train", "train", train_size)
 
-    return _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest)
+    return _certify(model, spec, seed, epsilon, rank_ell, calib_size, fit, manifest)
 
 
 def run_surrogate_pipeline(
@@ -275,7 +266,7 @@ def run_surrogate_pipeline(
 
     def train():
         # deflation reads the whole cloud: copy each block out of the
-        # stage's reused output buffer
+        # stage's reused output buffer; it is freed when this stage returns
         Y = np.empty((train_size, model.output_dim))
         row = 0
         for block in stage_outputs(model, spec, seed, "train", train_size):
@@ -284,17 +275,13 @@ def run_surrogate_pipeline(
         del block  # frees the stage's output buffer before deflation
         basis = deflate(Y, num_components)
         V = Y @ basis.matrix
-        hull = HullModel.from_points(V, basis=basis)
+        hull = HullModel.from_points(V)
         # bounds of the lifted cloud V @ A.T, one row block at a time
         lift_lb = np.full(model.output_dim, np.inf)
         lift_ub = np.full(model.output_dim, -np.inf)
         for _, lifted in _lifted_blocks(V, basis.matrix):
             np.minimum(lift_lb, lifted.min(axis=0), out=lift_lb)
             np.maximum(lift_ub, lifted.max(axis=0), out=lift_ub)
-        return basis, hull, lift_lb, lift_ub
-
-    def build(guarantee):
-        basis, hull, lift_lb, lift_ub = _stage("train", train, train_size, manifest["stages"])
         manifest["hull_degenerate"] = hull.degenerate
         manifest["deflation_converged"] = bool(basis.converged.all())
 
@@ -304,22 +291,12 @@ def run_surrogate_pipeline(
                 Y[rows] -= lifted
             return Y
 
-        cs, calib = _conformal_step(
-            model, spec, seed, residual, ("normalize", "aux", aux_size),
-            calib_size, "surrogate-errors", manifest["stages"],
-        )
-        reachset = SurrogateReachSet(
-            hull=hull,
-            basis=basis,
-            error_center=cs.center,
-            error_sigma=cs.tau * calib.rank_score(guarantee.rank_ell),
-            lift_lb=lift_lb,
-            lift_ub=lift_ub,
-            guarantee=guarantee,
-        )
-        return reachset, cs, calib
+        return residual, lift_lb, lift_ub, ("normalize", "aux", aux_size)
 
-    return _certify(model, spec, epsilon, rank_ell, calib_size, build, manifest)
+    def fit():
+        return _stage("train", train, train_size, manifest["stages"])
+
+    return _certify(model, spec, seed, epsilon, rank_ell, calib_size, fit, manifest)
 
 
 def conservatism_audit(

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: grids, exhaustive enumeration and
 dense eigendecompositions, kept free of the code paths they check. The
 inputs the tests share (a hand-built 4x4 model, benchmark instances), a
-file rewriter and a reader of the clip LP's weights are built here too.
+file rewriter, a reader of the clip LP's weights and a refit of the
+surrogate's basis and hull are built here too.
 """
 
 from itertools import combinations
@@ -78,6 +79,20 @@ def clip_weights(hull, V):
     rows, pos = np.nonzero(basis < hull.size)
     alpha[rows, basis[rows, pos]] = xB[rows, pos]
     return alpha, residuals
+
+
+def surrogate_fit(model, spec, seed, train_size, num_components):
+    """(basis, hull) of ``run_surrogate_pipeline``'s surrogate, refitted
+    from its seeded ``train`` stage: deflation and the hull of the reduced
+    cloud, which give the pipeline's bits. Not an oracle: it calls the code
+    the surrogate runs, for the parts its reachset does not keep."""
+    from conformal_reach.hull import HullModel
+    from conformal_reach.pca import deflate
+    from conformal_reach.perturb import stage_outputs
+
+    Y = np.vstack([B.copy() for B in stage_outputs(model, spec, seed, "train", train_size)])
+    basis = deflate(Y, num_components)
+    return basis, HullModel.from_points(Y @ basis.matrix)
 
 
 def synthetic_ssn_4x4():

@@ -3,6 +3,7 @@ import pytest
 
 from conformal_reach.calibrate import (
     CalibrationSet,
+    ReachSet,
     build_calibration,
     center_and_scales,
     naive_reachset,
@@ -178,6 +179,32 @@ class TestCalibrationSet:
         cs = center_and_scales(np.array([[0.0, 1.0], [2.0, 3.0]]))
         with pytest.raises(ValueError, match="finite"):
             build_calibration(np.array([[1.0, 2.0], [np.nan, 2.0], [0.5, 2.5]]), cs)
+
+
+def reach_set(**fields):
+    """A two-output ``ReachSet`` with the given fields replaced."""
+    parts = dict(
+        center=np.array([1.0, -1.0]), sigma=np.array([0.5, 0.0]),
+        lift_lb=np.zeros(2), lift_ub=np.zeros(2),
+        guarantee=guarantee_confidence(0.1, 9, 10),
+    )
+    return ReachSet(**dict(parts, **fields))
+
+
+class TestReachSet:
+    def test_zero_lift_is_the_box(self):
+        lo, hi = reach_set().project_intervals()
+        np.testing.assert_array_equal(lo, [0.5, -1.0])
+        np.testing.assert_array_equal(hi, [1.5, -1.0])
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(center=np.zeros((2, 1))), r"^center must be a vector, got shape \(2, 1\)$"),
+        (dict(lift_lb=np.array([0.0, 1.0])), "^lift_lb must be <= lift_ub$"),
+        (dict(sigma=np.array([0.5, -1e-300])), "^sigma must be non-negative$"),
+    ], ids=["matrix-center", "lifts-crossed", "negative-sigma"])
+    def test_rejects(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            reach_set(**fields)
 
 
 class TestNaiveReachset:

@@ -77,7 +77,7 @@ def run_case(name):
     lo, hi = reachset.project_intervals()
     out = {"status": mask.status, "lo": lo, "hi": hi}
     if pipeline == "surrogate":
-        out["error_sigma"] = reachset.error_sigma
+        out["error_sigma"] = reachset.sigma
     return out
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conformal_reach.calibrate import HyperRectReachSet, center_and_scales
+from conformal_reach.calibrate import ReachSet
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach import hull as hull_module
 from conformal_reach.hull import HullModel, LpError, clip_batch
@@ -19,6 +19,7 @@ from oracles import (
     dark16_instance,
     enumerate_lp_minimum,
     grid_clip_residual,
+    surrogate_fit,
 )
 
 
@@ -382,9 +383,7 @@ def dark16_clip_case(instance_seed):
     instance, formed as its pipeline forms them (N = 10); shared by the
     tests, which only read it."""
     _, model, spec = dark16_instance(instance_seed)
-    Y = next(stage_outputs(model, spec, instance_seed, "train", 1000))
-    basis = deflate(Y, 10)
-    hull = HullModel.from_points(Y @ basis.matrix)
+    basis, hull = surrogate_fit(model, spec, instance_seed, 1000, 10)
     C = next(stage_outputs(model, spec, instance_seed, "calib", 2000))
     return hull, C @ basis.matrix
 
@@ -405,7 +404,7 @@ def check_row_in_block_and_alone(hull, V, row):
     assert abs(alpha.sum() - 1.0) <= 1e-9
 
 
-VECTORS = ("error_center", "error_sigma", "lift_lb", "lift_ub")
+VECTORS = ("center", "sigma", "lift_lb", "lift_ub")
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +436,7 @@ class TestSurrogatePredict:
         X = rng.uniform(size=(30, 3))
         Y = infer(net, X)
         basis = deflate(Y, 2)
-        hull = HullModel.from_points(Y @ basis.matrix, basis=basis)
+        hull = HullModel.from_points(Y @ basis.matrix)
         g = surrogate_g(net, basis, hull, X[7:8])[0]
         np.testing.assert_allclose(g, Y[7] @ basis.matrix @ basis.matrix.T, atol=1e-6)
 
@@ -446,7 +445,7 @@ class TestSurrogatePredict:
         net = random_mlp([3, 8, 4], rng)
         Y = infer(net, rng.uniform(size=(25, 3)))
         basis = deflate(Y, 2)
-        hull = HullModel.from_points(Y @ basis.matrix, basis=basis)
+        hull = HullModel.from_points(Y @ basis.matrix)
         x = rng.uniform(size=3) * 3.0  # likely outside training range
         g = surrogate_g(net, basis, hull, x[None, :])[0]
         v_hat, _ = clip_row(infer(net, x) @ basis.matrix, hull)
@@ -458,7 +457,7 @@ class TestSurrogatePredict:
         Y = infer(net, rng.uniform(size=(50, 4)))
         basis = deflate(Y, 3)
         V = Y @ basis.matrix
-        hull = HullModel.from_points(V, basis=basis)
+        hull = HullModel.from_points(V)
         lifted = V @ basis.matrix.T
         lb, ub = lifted.min(axis=0), lifted.max(axis=0)
         G = surrogate_g(net, basis, hull, rng.uniform(size=(40, 4)) * 2)
@@ -479,15 +478,16 @@ class TestSurrogateReachset:
             net, spec, train_size=500, calib_size=2000, aux_size=300,
             num_components=2, epsilon=0.01, rank_ell=1800, seed=11,
         )[0]
+        basis, hull = surrogate_fit(net, spec, 11, 500, 2)
         lo, hi = sr.project_intervals()
         # sigma is bounded by the tiny aux-residual center offset, orders of
         # magnitude under the box scale
-        assert np.all(sr.error_sigma <= 1e-3)
+        assert np.all(sr.sigma <= 1e-3)
         np.testing.assert_allclose(lo, [0.0, 0.0], atol=0.05)
         np.testing.assert_allclose(hi, [1.0, 1.0], atol=0.05)
         # g equals f near the box center, where points certify interior
         X = np.full((5, 2), 0.5) + np.linspace(-0.05, 0.05, 5)[:, None]
-        np.testing.assert_allclose(surrogate_g(net, sr.basis, sr.hull, X), infer(net, X), atol=1e-9)
+        np.testing.assert_allclose(surrogate_g(net, basis, hull, X), infer(net, X), atol=1e-9)
 
     def test_interval_width_identity(self):
         rng = np.random.default_rng(7)
@@ -500,7 +500,7 @@ class TestSurrogateReachset:
         )[0]
         lo, hi = sr.project_intervals()
         np.testing.assert_allclose(
-            hi - lo, (sr.lift_ub - sr.lift_lb) + 2 * sr.error_sigma, rtol=1e-12
+            hi - lo, (sr.lift_ub - sr.lift_lb) + 2 * sr.sigma, rtol=1e-12
         )
 
     def test_soundness_chaining(self):
@@ -518,9 +518,9 @@ class TestSurrogateReachset:
 
         X = apply_batch(spec, sample_lambdas(spec, 2000, np.random.default_rng(99)))
         Y = infer(net, X)
-        G = surrogate_g(net, sr.basis, sr.hull, X)
+        G = surrogate_g(net, *surrogate_fit(net, spec, 13, 150, 2), X)
         q = Y - G
-        covered = np.all(np.abs(q - sr.error_center) <= sr.error_sigma, axis=1)
+        covered = np.all(np.abs(q - sr.center) <= sr.sigma, axis=1)
         inside = np.all((Y >= lo) & (Y <= hi), axis=1)
         assert np.all(inside[covered])
 
@@ -555,13 +555,9 @@ class TestSurrogateReachset:
             )
 
     def test_rejects_non_finite_vectors(self):
-        from conformal_reach.hull import SurrogateReachSet
-
-        hull = make_hull([[0.0, 1.0], [1.0, 0.0]])
-        basis = deflate(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
         fields = dict(
-            error_center=np.zeros(2),
-            error_sigma=np.ones(2),
+            center=np.zeros(2),
+            sigma=np.ones(2),
             lift_lb=np.zeros(2),
             lift_ub=np.ones(2),
         )
@@ -570,25 +566,13 @@ class TestSurrogateReachset:
                 vector = fields[name].copy()
                 vector[1] = bad
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
-                    SurrogateReachSet(
-                        hull=hull, basis=basis, guarantee=guarantee_confidence(0.1, 9, 10),
+                    ReachSet(
+                        guarantee=guarantee_confidence(0.1, 9, 10),
                         **dict(fields, **{name: vector}),
                     )
 
-
     # A reachset's parts are checked when it is built, whatever built it;
     # the load_ tests below replace one part of a pipeline's reachset.
-    @pytest.mark.parametrize("shape", ["one column", "three columns", "flat"])
-    def test_load_rejects_hull_of_wrong_width(self, reachset, shape):
-        points = reachset.hull.points
-        bad = {
-            "one column": points[:, :1],
-            "three columns": np.hstack([points, points[:, :1]]),
-            "flat": points.ravel(),
-        }[shape]
-        with pytest.raises(ValueError, match="^hull"):
-            dataclasses.replace(reachset, hull=HullModel.from_points(bad))
-
     @pytest.mark.parametrize("name", VECTORS)
     @pytest.mark.parametrize("fault", ["short", "long", "nan", "inf"])
     def test_load_rejects_bad_vector(self, reachset, name, fault):
@@ -600,7 +584,9 @@ class TestSurrogateReachset:
         else:
             vector = vector.copy()
             vector[1] = np.nan if fault == "nan" else np.inf
-        with pytest.raises(ValueError, match=f"^{name} must"):
+        # a center of the wrong length shows as sigma disagreeing with it
+        blamed = "sigma" if name == "center" and fault in ("short", "long") else name
+        with pytest.raises(ValueError, match=f"^{blamed} must"):
             dataclasses.replace(reachset, **{name: vector})
 
     @pytest.mark.parametrize("field, value", [
@@ -616,15 +602,9 @@ class TestSurrogateReachset:
 
 class TestProjectIntervals:
     def test_zero_sigma_is_lift_box(self):
-        hull = make_hull([[0.0, 1.0], [1.0, 0.0]])
-        basis = deflate(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
-        from conformal_reach.hull import SurrogateReachSet
-
-        sr = SurrogateReachSet(
-            hull=hull,
-            basis=basis,
-            error_center=np.zeros(2),
-            error_sigma=np.zeros(2),
+        sr = ReachSet(
+            center=np.zeros(2),
+            sigma=np.zeros(2),
             lift_lb=np.array([-1.0, 0.0]),
             lift_ub=np.array([2.0, 3.0]),
             guarantee=guarantee_confidence(0.1, 9, 10),
@@ -632,13 +612,3 @@ class TestProjectIntervals:
         lo, hi = sr.project_intervals()
         np.testing.assert_array_equal(lo, [-1.0, 0.0])
         np.testing.assert_array_equal(hi, [2.0, 3.0])
-
-    def test_hyperrect_dispatch(self):
-        rs = HyperRectReachSet(
-            center=np.array([1.0]),
-            sigma=np.array([0.5]),
-            guarantee=guarantee_confidence(0.1, 9, 10),
-        )
-        lo, hi = rs.project_intervals()
-        np.testing.assert_array_equal(lo, [0.5])
-        np.testing.assert_array_equal(hi, [1.5])

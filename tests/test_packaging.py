@@ -135,22 +135,40 @@ def test_package_does_no_file_io():
     assert not found, found
 
 
-# The one sampling stream: a stage's generator is made and drawn from only
-# inside ``perturb.stage_outputs``, so a second sampling loop fails here.
-STREAM_CALLS = {"stage_rng", "sample_lambdas"}
-
-
-def test_one_sampling_stream():
+def _calls_outside(names, home):
+    """Each call in the package of a function in ``names`` outside the
+    top-level definition ``home`` = (module, name)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            if (path.stem, getattr(top, "name", None)) == ("perturb", "stage_outputs"):
+            if (path.stem, getattr(top, "name", None)) == home:
                 continue
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
-                if getattr(func, "id", getattr(func, "attr", None)) in STREAM_CALLS:
+                if getattr(func, "id", getattr(func, "attr", None)) in names:
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+def test_one_sampling_stream():
+    # a stage's generator is made and drawn from only inside
+    # ``perturb.stage_outputs``, so a second sampling loop fails here
+    found = _calls_outside({"stage_rng", "sample_lambdas"}, ("perturb", "stage_outputs"))
     assert not found, found
+
+
+def test_one_certify_driver():
+    # center and scales are fitted, and a calibration set is scored, only
+    # inside ``verify._certify``, so a second construction loop fails here
+    found = _calls_outside({"center_and_scales", "stream_calibration"}, ("verify", "_certify"))
+    assert not found, found
+
+
+@pytest.mark.parametrize("name", ["HyperRectReachSet", "SurrogateReachSet", "_conformal_step"])
+def test_one_reachset_type(name):
+    # the naive box is the one ``calibrate.ReachSet`` with zero lifts
+    defined = [m for m in MODULES if hasattr(importlib.import_module(f"conformal_reach.{m}"), name)]
+    assert not defined, f"{name} is still defined in {defined}"
 
 
 def _passed():

@@ -17,10 +17,9 @@ import pytest
 
 from conformal_reach._seeds import stage_rng
 from conformal_reach.calibrate import center_and_scales, stream_calibration
-from conformal_reach.hull import HullModel, clip_batch
+from conformal_reach.hull import clip_batch
 from conformal_reach import model as model_module
 from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, block_rows, infer, random_mlp
-from conformal_reach.pca import deflate
 from conformal_reach.perturb import (
     PIPELINE_CHUNK,
     apply_batch,
@@ -35,7 +34,7 @@ from conformal_reach.verify import (
     run_surrogate_pipeline,
 )
 
-from oracles import dense_darkening_matrix
+from oracles import dense_darkening_matrix, surrogate_fit
 from test_golden import RTOL, ball_inputs, golden_inputs
 from test_perturb import selected_pixels
 
@@ -327,7 +326,8 @@ def test_blocked_residual_and_lift_match_whole_arrays(inputs):
         model, spec, train_size=t, calib_size=m, aux_size=aux, num_components=4,
         epsilon=0.05, rank_ell=ell, seed=seed,
     )
-    A, hull = reachset.basis.matrix, reachset.hull
+    basis, hull = surrogate_fit(model, spec, seed, t, 4)
+    A = basis.matrix
     Y = np.vstack([Y.copy() for Y in stage_outputs(model, spec, seed, "train", t)])
     lifted = (Y @ A) @ A.T
     np.testing.assert_array_equal(reachset.lift_lb, lifted.min(axis=0))
@@ -339,8 +339,8 @@ def test_blocked_residual_and_lift_match_whole_arrays(inputs):
 
     cs = center_and_scales(residuals("aux", aux))
     calib = stream_calibration(residuals("calib", m), cs)
-    np.testing.assert_array_equal(reachset.error_center, cs.center)
-    np.testing.assert_array_equal(reachset.error_sigma, cs.tau * calib.rank_score(ell))
+    np.testing.assert_array_equal(reachset.center, cs.center)
+    np.testing.assert_array_equal(reachset.sigma, cs.tau * calib.rank_score(ell))
 
 
 @pytest.mark.parametrize("norm", ["l_inf"])
@@ -350,9 +350,7 @@ def test_clip_batch_on_infer_chunks_matches_whole(inputs, norm):
     # rows share lockstep blocks with other neighbours than in one call on
     # the whole, and every product runs on other row counts
     model, spec = inputs()
-    train = np.vstack([Y.copy() for Y in stage_outputs(model, spec, 22, "train", 200)])
-    basis = deflate(train, 4)
-    hull = HullModel.from_points(train @ basis.matrix)
+    basis, hull = surrogate_fit(model, spec, 22, 200, 4)
     V = np.vstack([Y @ basis.matrix for Y in stage_outputs(model, spec, 22, "calib", 5000)])
     assert 0 < hull.interior_mask(V).sum() < V.shape[0]
     V_hat, residuals = clip_batch(V, hull, norm)

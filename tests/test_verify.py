@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conformal_reach import pca, verify
+from conformal_reach import _seeds, pca, verify
 from conformal_reach.calibrate import build_calibration, center_and_scales, naive_reachset
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.hull import clip_batch
-from conformal_reach.model import INFER_CHUNK, ImageTensor, MlpNetwork, random_mlp
+from conformal_reach.model import INFER_CHUNK, ImageTensor, MlpNetwork, infer, random_mlp
 from conformal_reach.perturb import (
     PIPELINE_CHUNK,
     PerturbationSpec,
     UNIFORM_BOX,
+    apply_batch,
     build_darkening,
     build_global_ball,
     spec_from_manifest,
@@ -29,21 +30,23 @@ from conformal_reach.verify import (
     run_surrogate_pipeline,
 )
 
-from oracles import darkening_grid_rv, synthetic_ssn_4x4
+from oracles import darkening_grid_rv, surrogate_fit, synthetic_ssn_4x4
+from test_golden import CASES, golden_inputs
 
 G = guarantee_confidence(0.05, 95, 100)
 
 
 def residual_blocks(model, spec, seed, stage, count, surrogate=None):
     """The blocks a pipeline scores on one stage, as new arrays that may be
-    kept: the raw outputs for the naive box, q = f - g for a surrogate
-    reachset."""
+    kept: the raw outputs for the naive box, q = f - g for the surrogate
+    of ``surrogate`` = (basis, hull)."""
     for Y in stage_outputs(model, spec, seed, stage, count):
         if surrogate is None:
             yield Y.copy()
         else:
-            A = surrogate.basis.matrix
-            yield Y - clip_batch(Y @ A, surrogate.hull)[0] @ A.T
+            basis, hull = surrogate
+            A = basis.matrix
+            yield Y - clip_batch(Y @ A, hull)[0] @ A.T
 
 
 def run_4x4(pipeline, spec=None, **overrides):
@@ -236,6 +239,76 @@ class TestNaivePipeline:
         np.testing.assert_array_equal(mask.status, status)
 
 
+@pytest.mark.parametrize("case", ["4x4", "golden-naive"])
+def test_naive_intervals_are_the_zero_lift_box(case):
+    # The naive box is the one ReachSet with zero lifts. Adding 0.0 is exact,
+    # so its intervals keep the bits of center -/+ sigma and of
+    # naive_reachset on the same calibration (the benchmark replay's path).
+    # Only a -0.0 center coordinate with zero half-width could differ: -0.0
+    # + 0.0 is +0.0, which flips the sign bit of that interval's ends.
+    if case == "4x4":
+        model, spec, (reachset, _, _) = run_4x4("naive")
+        args = dict(train_size=100, calib_size=200, seed=8)
+    else:
+        model, spec = golden_inputs()
+        args = CASES["naive"][2]
+        reachset, _, _ = run_naive_pipeline(model, spec, **args)
+    seed = args["seed"]
+    cs = center_and_scales(
+        np.vstack(list(residual_blocks(model, spec, seed, "train", args["train_size"])))
+    )
+    calib = build_calibration(
+        np.vstack(list(residual_blocks(model, spec, seed, "calib", args["calib_size"]))), cs
+    )
+    replayed = naive_reachset(calib, cs, reachset.guarantee).project_intervals()
+    box = reachset.center - reachset.sigma, reachset.center + reachset.sigma
+    for got, *wants in zip(reachset.project_intervals(), replayed, box):
+        for want in wants:
+            assert got.tobytes() == want.tobytes()
+
+
+def beta_law_ks(rank_ell):
+    """KS distance between Beta(95, 6) and the coverages of the naive boxes
+    of seeds 0-399, and its 1% critical value (0.081): a 1x1x1 image under
+    a radius-0.4 l-inf ball through a 1-8-3 network, train = m = 100, each
+    box's coverage measured on a grid of 100,001 coefficients. With ell =
+    95 and calib drawn apart from train, a coverage is distributed as
+    Beta(ell, m + 1 - ell)."""
+    from scipy.stats import beta, kstest, kstwo
+
+    model = random_mlp([1, 8, 3], np.random.default_rng(0))
+    spec = build_global_ball(ImageTensor(1, 1, 1, np.array([0.5])), "linf", 0.4)
+    Y = infer(model, apply_batch(spec, np.linspace(-0.4, 0.4, 100_001)[:, None]))
+    coverages = []
+    for seed in range(400):
+        reachset, _, _ = run_naive_pipeline(
+            model, spec, train_size=100, calib_size=100, epsilon=0.1,
+            rank_ell=rank_ell, seed=seed,
+        )
+        lo, hi = reachset.project_intervals()
+        coverages.append(np.mean(np.all((Y >= lo) & (Y <= hi), axis=1)))
+    return kstest(coverages, beta(95, 100 + 1 - 95).cdf).statistic, kstwo(400).ppf(0.99)
+
+
+def test_coverage_follows_beta_law():
+    # the guarantee's law through the real pipeline; reads 0.033
+    ks, critical = beta_law_ks(95)
+    assert ks < critical
+
+
+@pytest.mark.parametrize("mutant", ["rank-ell-minus-1", "calib-from-train-stream"])
+def test_beta_law_test_catches(monkeypatch, mutant):
+    # a rank off by one reads 0.195; calib drawn from train's stream, so
+    # with train = m both stages hold the same samples, reads 0.106
+    rank_ell = 95
+    if mutant == "rank-ell-minus-1":
+        rank_ell = 94
+    else:
+        monkeypatch.setitem(_seeds.STAGES, "calib", 0)
+    ks, critical = beta_law_ks(rank_ell)
+    assert ks > critical
+
+
 class TestSurrogatePipeline:
     def test_degenerate_box_reproduces_baseline(self):
         model, base = synthetic_ssn_4x4()
@@ -294,12 +367,13 @@ class TestSurrogatePipeline:
         model, spec, (reachset, _, manifest) = run_4x4(
             "surrogate", calib_size=m, epsilon=0.02, rank_ell=ell,
         )
-        blocks = list(residual_blocks(model, spec, 8, "calib", m, reachset))
+        fit = surrogate_fit(model, spec, 8, 100, 4)
+        blocks = list(residual_blocks(model, spec, 8, "calib", m, fit))
         assert [b.shape[0] for b in blocks] == [INFER_CHUNK] * 8 + [808]
-        cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 8, "aux", 80, reachset))))
-        calib = build_calibration(np.vstack(blocks), cs, source="surrogate-errors")
+        cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 8, "aux", 80, fit))))
+        calib = build_calibration(np.vstack(blocks), cs)
         assert manifest["rank_score"] == calib.rank_score(ell)
-        np.testing.assert_array_equal(reachset.error_sigma, cs.tau * calib.rank_score(ell))
+        np.testing.assert_array_equal(reachset.sigma, cs.tau * calib.rank_score(ell))
 
 
 # (pipeline, stage named in the error, sampling stream poisoned with a NaN)
@@ -459,15 +533,14 @@ def test_rerun_from_manifest_alone(pipeline, adversary):
 def test_manifest_scales_give_half_width(pipeline, fit_stream):
     # the common manifest keys, and half-width = rank score * tau bit for bit
     model, spec, (reachset, _, manifest) = run_4x4(pipeline)
-    surrogate = None if pipeline == "naive" else reachset
+    fit = None if pipeline == "naive" else surrogate_fit(model, spec, 8, 100, 4)
     count = 100 if pipeline == "naive" else 80
     cs = center_and_scales(
-        np.vstack(list(residual_blocks(model, spec, 8, fit_stream, count, surrogate)))
+        np.vstack(list(residual_blocks(model, spec, 8, fit_stream, count, fit)))
     )
     assert manifest["tau_star"] == cs.tau_star
     assert manifest["degenerate_scales"] == cs.degenerate
-    half = reachset.sigma if surrogate is None else reachset.error_sigma
-    np.testing.assert_array_equal(half, manifest["rank_score"] * cs.tau)
+    np.testing.assert_array_equal(reachset.sigma, manifest["rank_score"] * cs.tau)
     for key in ("guarantee", "perturbation", "seed", "train_size", "calib_size"):
         assert key in manifest
 
@@ -475,9 +548,10 @@ def test_manifest_scales_give_half_width(pipeline, fit_stream):
 def test_surrogate_manifest_flags(monkeypatch):
     # plain bools read off the hull and the basis; capping the ascent at
     # one step leaves a direction unconverged, and the flag shows it
-    _, _, (reachset, _, manifest) = run_4x4("surrogate")
-    flags = {"hull_degenerate": reachset.hull.degenerate,
-             "deflation_converged": reachset.basis.converged.all()}
+    model, spec, (_, _, manifest) = run_4x4("surrogate")
+    basis, hull = surrogate_fit(model, spec, 8, 100, 4)
+    flags = {"hull_degenerate": hull.degenerate,
+             "deflation_converged": basis.converged.all()}
     for key, want in flags.items():
         assert type(manifest[key]) is bool and manifest[key] == want, key
     assert manifest["deflation_converged"]
