@@ -37,7 +37,7 @@ import numpy as np
 from .model import _ROW_BYTES
 from .pca import ProjectionBasis
 # not used here: perfbench/replay.py imports it from this module, until
-# ROADMAP direction 1 removes that import
+# ROADMAP direction 1b removes that import
 from .perturb import PIPELINE_CHUNK
 
 __all__ = [

@@ -9,7 +9,7 @@ p the round's start vector and Z the (deflated) t x n cloud, so it is kept
 as a = beta p + Z^T u and each ascent step costs one product with the
 t x t Gram matrix G = Z Z^T, rebuilt from the deflated cloud every round;
 a itself is formed once per direction. Memory: the deflated copy of the
-cloud, one G per direction (no larger than the cloud when t <= n) and one
+cloud, one t x t G at a time (larger than the cloud when t > n) and one
 row block of the rank-one term removed from the copy. No mean subtraction
 anywhere: downstream algebra projects raw logit vectors through A, so the
 basis must describe second moments about the origin, not the mean. The
@@ -112,6 +112,7 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
         else:
             iterations[index] = _MAX_ITERS
         a = beta * p + Z.T @ u
+        del G  # the next direction's Gram must not form beside this one
         # re-orthogonalize against earlier directions; this only moves a by
         # float dust but keeps the pairwise-orthogonality contract unconditional
         for prev in cols:

@@ -328,14 +328,19 @@ def conservatism_audit(
     misses, rows = 0, row_block(n)
     emp_lo = np.full(n, np.inf)
     emp_hi = np.full(n, -np.inf)
-    # each row block is read once: the miss test and the envelope, whose
-    # min and max are exact in any order
+    # each row block is read once: the envelope, whose min and max are
+    # exact in any order, then the miss test on the columns where the
+    # block's envelope leaves the bounds. The negated test also keeps a
+    # column whose envelope is NaN, where another row may still miss.
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
         for start in range(0, Y.shape[0], rows):
             block = Y[start : start + rows]
-            misses += int(np.sum(np.any((block < y_lo) | (block > y_hi), axis=1)))
-            np.minimum(emp_lo, block.min(axis=0), out=emp_lo)
-            np.maximum(emp_hi, block.max(axis=0), out=emp_hi)
+            block_lo, block_hi = block.min(axis=0), block.max(axis=0)
+            cols = np.flatnonzero(~((block_lo >= y_lo) & (block_hi <= y_hi)))
+            sub = block[:, cols]
+            misses += int(np.sum(np.any((sub < y_lo[cols]) | (sub > y_hi[cols]), axis=1)))
+            np.minimum(emp_lo, block_lo, out=emp_lo)
+            np.maximum(emp_hi, block_hi, out=emp_hi)
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

@@ -133,15 +133,19 @@ class TestDeflate:
                 deflate(Z, bad)
         assert deflate(Z, np.int64(2)).num_components == 2
 
-    def test_memory_is_the_copy_the_gram_and_one_row_block(self):
-        # deflation holds its (t, n) copy of the cloud, the t x t Gram and
+    @pytest.mark.parametrize("t, n", [(300, 4000), (1000, 768)])
+    def test_memory_is_the_copy_the_gram_and_one_row_block(self, t, n):
+        # deflation holds its (t, n) copy of the cloud, one t x t Gram and
         # one (row_block(n), n) block of the rank-one term it removes, plus
-        # vectors; the whole (t, n) term beside them is over the budget
+        # vectors; the whole (t, n) term beside them is over the budget,
+        # and at t > n (surrogate-dark16-n10's train cloud) so is the next
+        # direction's Gram formed beside this one's
         rng = np.random.default_rng(26)
-        t, n = 300, 4000
         Z = rng.normal(size=(t, n)) + 1.0
         budget = 8 * (t * n + t * t + row_block(n) * n + 16 * (t + n))
         assert 8 * (2 * t * n + t * t) > budget
+        if t > n:
+            assert 8 * (t * n + 2 * t * t) > budget
         tracemalloc.start()
         try:
             deflate(Z, 2)

@@ -19,6 +19,7 @@ from conformal_reach._seeds import stage_rng
 from conformal_reach.calibrate import center_and_scales, stream_calibration
 from conformal_reach.hull import clip_batch
 from conformal_reach import model as model_module
+from conformal_reach import verify as verify_module
 from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, block_rows, infer, random_mlp
 from conformal_reach.perturb import (
     PIPELINE_CHUNK,
@@ -259,6 +260,46 @@ def test_audit_matches_the_stacked_stream(monkeypatch, kind):
     assert report.eps_hat == misses / count
     assert np.array_equal(report.empirical_lo, stack.min(axis=0))
     assert np.array_equal(report.empirical_hi, stack.max(axis=0))
+
+
+def test_audit_counts_misses_in_nan_columns(monkeypatch):
+    # the audit tests only the columns where a row block's envelope leaves
+    # [-1, 1]; in the middle block rows 1 and 2 miss in columns 0 and 2,
+    # row 3 in columns 1 and 3, and row 4 is NaN in column 2, so that
+    # column's envelope is NaN and row 2's miss must still count. The last
+    # block holds a NaN and a value on the bound, neither of them a miss.
+    nan = np.nan
+    blocks = [
+        np.array([[0.0, 0.5, -0.5, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2]]),
+        np.array([
+            [0.0, 0.0, 0.0, 0.0],
+            [-1.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0, 0.0],
+            [0.0, 1.5, 0.0, -3.0],
+            [0.0, 0.0, nan, 0.0],
+            [0.9, -0.9, 0.9, -0.9],
+        ]),
+        np.array([[nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    ]
+    stack = np.vstack(blocks)
+    lo, hi = np.full(4, -1.0), np.full(4, 1.0)
+
+    def stream(model, spec, seed, stage, count):
+        assert (stage, count) == ("audit", stack.shape[0])
+        out = np.empty_like(blocks[1])
+        for block in blocks:
+            out[: block.shape[0]] = block
+            yield out[: block.shape[0]]
+
+    monkeypatch.setattr(verify_module, "stage_outputs", stream)
+    model = random_mlp([4, 5, 4], np.random.default_rng(34))
+    spec = build_global_ball(ImageTensor(1, 2, 2, np.full(4, 0.5)), "linf", 0.1)
+    report = conservatism_audit(model, spec, lo, hi, stack.shape[0], seed=35)
+    misses = np.any((stack < lo) | (stack > hi), axis=1).sum()
+    assert misses == 3
+    assert report.eps_hat == misses / stack.shape[0]
+    assert np.array_equal(report.empirical_lo, stack.min(0), equal_nan=True)
+    assert np.array_equal(report.empirical_hi, stack.max(0), equal_nan=True)
 
 
 def test_l2_draw_holds_one_draw():

@@ -267,18 +267,30 @@ def test_naive_intervals_are_the_zero_lift_box(case):
             assert got.tobytes() == want.tobytes()
 
 
-def beta_law_ks(rank_ell):
-    """KS distance between Beta(95, 6) and the coverages of the naive boxes
-    of seeds 0-399, and its 1% critical value (0.081): a 1x1x1 image under
-    a radius-0.4 l-inf ball through a 1-8-3 network, train = m = 100, each
-    box's coverage measured on a grid of 100,001 coefficients. With ell =
-    95 and calib drawn apart from train, a coverage is distributed as
-    Beta(ell, m + 1 - ell)."""
-    from scipy.stats import beta, kstest, kstwo
-
+def law_instance(grid_size):
+    """The guarantee-law tests' instance: a 1x1x1 image under a radius-0.4
+    l-inf ball through a 1-8-3 network, and its outputs on a grid of
+    ``grid_size`` coefficients spanning the ball."""
     model = random_mlp([1, 8, 3], np.random.default_rng(0))
     spec = build_global_ball(ImageTensor(1, 1, 1, np.array([0.5])), "linf", 0.4)
-    Y = infer(model, apply_batch(spec, np.linspace(-0.4, 0.4, 100_001)[:, None]))
+    Y = infer(model, apply_batch(spec, np.linspace(-0.4, 0.4, grid_size)[:, None]))
+    return model, spec, Y
+
+
+def beta_law_ks(coverages):
+    """KS distance between Beta(95, 6) and the 400 ``coverages``, and its
+    1% critical value (0.081)."""
+    from scipy.stats import beta, kstest, kstwo
+
+    return kstest(coverages, beta(95, 100 + 1 - 95).cdf).statistic, kstwo(400).ppf(0.99)
+
+
+def naive_coverages(rank_ell):
+    """Coverages of the naive boxes of seeds 0-399 on the law instance,
+    train = m = 100, each measured on a grid of 100,001 coefficients. With
+    ell = 95 and calib drawn apart from train, a coverage is distributed as
+    Beta(ell, m + 1 - ell)."""
+    model, spec, Y = law_instance(100_001)
     coverages = []
     for seed in range(400):
         reachset, _, _ = run_naive_pipeline(
@@ -287,12 +299,12 @@ def beta_law_ks(rank_ell):
         )
         lo, hi = reachset.project_intervals()
         coverages.append(np.mean(np.all((Y >= lo) & (Y <= hi), axis=1)))
-    return kstest(coverages, beta(95, 100 + 1 - 95).cdf).statistic, kstwo(400).ppf(0.99)
+    return coverages
 
 
 def test_coverage_follows_beta_law():
     # the guarantee's law through the real pipeline; reads 0.033
-    ks, critical = beta_law_ks(95)
+    ks, critical = beta_law_ks(naive_coverages(95))
     assert ks < critical
 
 
@@ -305,7 +317,51 @@ def test_beta_law_test_catches(monkeypatch, mutant):
         rank_ell = 94
     else:
         monkeypatch.setitem(_seeds.STAGES, "calib", 0)
-    ks, critical = beta_law_ks(rank_ell)
+    ks, critical = beta_law_ks(naive_coverages(rank_ell))
+    assert ks > critical
+
+
+def surrogate_coverages(rank_ell):
+    """Coverages of seeds 0-399's surrogate runs on the law instance, train
+    = aux = m = 100 and one component, each measured on a grid of 10,001
+    coefficients: of the calibrated set {|q - center| <= sigma} of q = f -
+    g, which is distributed as Beta(ell, m + 1 - ell) when calib is drawn
+    apart from aux, and of the box, which contains the set's image."""
+    model, spec, Y = law_instance(10_001)
+    set_coverages, box_coverages = [], []
+    for seed in range(400):
+        reachset, _, _ = run_surrogate_pipeline(
+            model, spec, train_size=100, calib_size=100, aux_size=100,
+            num_components=1, epsilon=0.1, rank_ell=rank_ell, seed=seed,
+        )
+        basis, hull = surrogate_fit(model, spec, seed, 100, 1)
+        A = basis.matrix
+        q = Y - clip_batch(Y @ A, hull)[0] @ A.T
+        set_coverages.append(np.mean(np.all(np.abs(q - reachset.center) <= reachset.sigma, axis=1)))
+        lo, hi = reachset.project_intervals()
+        box_coverages.append(np.mean(np.all((Y >= lo) & (Y <= hi), axis=1)))
+    return np.array(set_coverages), np.array(box_coverages)
+
+
+def test_surrogate_coverage_follows_beta_law():
+    # the guarantee's law through the real surrogate pipeline reads 0.038;
+    # its box over-covers the set in every run
+    set_coverages, box_coverages = surrogate_coverages(95)
+    ks, critical = beta_law_ks(set_coverages)
+    assert ks < critical
+    assert np.all(box_coverages >= set_coverages)
+
+
+@pytest.mark.parametrize("mutant", ["rank-ell-minus-1", "calib-from-aux-stream"])
+def test_surrogate_beta_law_test_catches(monkeypatch, mutant):
+    # a rank off by one reads 0.202; calib drawn from aux's stream, so with
+    # aux = m both stages hold the same samples, reads 0.138
+    rank_ell = 95
+    if mutant == "rank-ell-minus-1":
+        rank_ell = 94
+    else:
+        monkeypatch.setitem(_seeds.STAGES, "calib", _seeds.STAGES["aux"])
+    ks, critical = beta_law_ks(surrogate_coverages(rank_ell)[0])
     assert ks > critical
 
 
