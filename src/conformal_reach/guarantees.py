@@ -63,7 +63,6 @@ _TINY = 1.0 / _HUGE
 _FLOOR = 2.0**-900
 _NEGLIGIBLE = 2.0**-56
 _LN2 = math.log(2.0)
-_CHERNOFF = 60 * _LN2
 
 
 def beta_cdf(x: float, a: int, b: int) -> float:
@@ -78,8 +77,7 @@ def beta_cdf(x: float, a: int, b: int) -> float:
     the two sides of the cut it sums the one without the mode, and
     returns that sum or one minus it, so values near 0 and near 1 both
     keep their precision. It touches only the terms that contribute: past
-    the mode it stops once the rest is below half an ulp, and it returns
-    1 at once when a Chernoff bound puts the rest below 2**-60.
+    the mode it stops once the rest is below half an ulp.
 
     Against 40-digit mpmath the relative error is at most 4.4e-15 for
     x = 0.99 and every ell in [m-100, m] at m = 700, 1000, 2000 and 8000,
@@ -105,13 +103,6 @@ def beta_cdf(x: float, a: int, b: int) -> float:
         q, cut, tail_below_cut, start = x, a, False, 0.0
     ratio = q / (1.0 - q)
     mode = math.floor((n + 1) * q)
-    if tail_below_cut and mode < cut < n:
-        # Chernoff: P[K >= cut] <= exp(-n D(cut/n || q)); below 2**-60 the
-        # tail K < cut rounds to 1
-        t = cut / n
-        divergence = t * math.log(t / q) + (1.0 - t) * math.log((1.0 - t) / (1.0 - q))
-        if n * divergence > _CHERNOFF:
-            return 1.0
     if start > _FLOOR:
         shift, term = 0, start  # P[K = k] is term * 2**shift
     else:

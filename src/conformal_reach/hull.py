@@ -121,23 +121,22 @@ def _inscribed_simplex(points: np.ndarray):
     if t < N + 1:
         return None
     centroid = points.mean(axis=0)
-    first = int(np.argmax(np.linalg.norm(points - centroid, axis=1)))
-    chosen = [first]
+    origin = points[int(np.argmax(np.linalg.norm(points - centroid, axis=1)))]
+    rel = points - origin
+    scale = max(np.linalg.norm(origin), 1.0)
+    chosen = []
     # grow by farthest point from the current affine hull
     Q = np.zeros((N, 0))
     for _ in range(N):
-        rel = points - points[chosen[0]]
         resid = rel - (rel @ Q) @ Q.T
         dist = np.linalg.norm(resid, axis=1)
         nxt = int(np.argmax(dist))
-        scale = max(np.linalg.norm(points[chosen[0]]), 1.0)
         if dist[nxt] <= 1e-12 * scale:
             return None
         chosen.append(nxt)
         q = resid[nxt] / dist[nxt]
         Q = np.column_stack([Q, q])
-    origin = points[chosen[0]]
-    T = (points[chosen[1:]] - origin).T  # (N, N)
+    T = rel[chosen].T  # (N, N)
     try:
         inv_T = np.linalg.inv(T)
     except np.linalg.LinAlgError:

@@ -55,10 +55,6 @@ class ProjectionBasis:
     converged: np.ndarray
 
     @property
-    def input_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def num_components(self) -> int:
         return self.matrix.shape[1]
 

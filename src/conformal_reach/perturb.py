@@ -1,10 +1,10 @@
 """Adversarial perturbation sets and their samplers.
 
 A perturbation set is a base image plus noise directions with a coefficient
-box: adversarial images are x + sum_i lambda(i) * noise_i. Two builders
-are provided: ``build_darkening``, the darkening adversary (dim bright
-pixels channel-wise), and ``build_global_ball``, a global l2 or l-inf ball
-whose noise basis is the identity and therefore never materialized. A
+box: adversarial images are x + sum_i lambda(i) * noise_i, lambda uniform
+on the box or on an l2 ball. ``build_darkening`` dims bright pixels
+channel-wise; ``build_global_ball`` makes a global l2 or l-inf ball (the
+box [-e, e]^n0) whose identity noise basis is never materialized. A
 darkening noise image has exactly one nonzero, so the set is stored as a
 signed selection, one (flat input index, value) pair per coefficient, and
 applied by scatter: no (r, n0) noise matrix is ever formed.
@@ -19,8 +19,8 @@ cuts each PIPELINE_CHUNK of a stage's seeded stream into blocks of
 ``model.block_rows`` rows, forms each block's images in one reused buffer
 and infers them into one reused output buffer, so the image block and the
 output buffer together take at most about ``model.BLOCK_BYTES``. A uniform
-box or l-inf ball is drawn one block at a time, so the stream holds one
-block's draw, one image block (for a global ball, the draw itself), one
+box is drawn one block at a time, so the stream holds one
+block's draw, one image block (for the implicit basis, the draw itself), one
 output buffer and about ``model._ROW_BYTES`` more per row block. Only an
 l2 ball holds a whole (k, r) draw, since its radii are drawn after all of
 its normals; it has r = n0, so there the draw is a (k, n0) array.
@@ -54,7 +54,6 @@ __all__ = [
 
 UNIFORM_BOX = "uniform-box"
 UNIFORM_L2_BALL = "uniform-l2-ball"
-UNIFORM_LINF_BALL = "uniform-linf-ball"
 
 DEFAULT_INTENSITY_THRESHOLD = 150.0 / 255.0
 
@@ -72,9 +71,9 @@ class PerturbationSpec:
     a batch is x plus ``lambda_k[i] * noise_value[i]`` at ``noise_index[i]``.
     Both are ``None`` for the implicit identity basis of a global ball
     (r = n0). Bounds are the componentwise coefficient box, finite; for
-    balls the box is the enclosing [-e, e] cube of the radius-e ball the
-    coefficients are drawn from. ``distribution`` is one of the three laws,
-    and an l2 ball has a ``radius``, positive as every given radius is.
+    an l2 ball it is the [-e, e] cube around the radius-e ball. There are
+    two laws, a uniform box (an l-inf ball is one) and an l2 ball, the
+    one spec with a ``radius``, positive as every given radius is.
     ``recipe`` holds the JSON-ready arguments
     of the builder call that made the spec, under its ``adversary`` name,
     and is ``None`` for a spec built directly.
@@ -92,7 +91,7 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.lambda_lower.shape != self.lambda_upper.shape:
             raise ValueError("lambda bound shapes differ")
-        laws = (UNIFORM_BOX, UNIFORM_L2_BALL, UNIFORM_LINF_BALL)
+        laws = (UNIFORM_BOX, UNIFORM_L2_BALL)
         if self.distribution not in laws:
             raise ValueError(f"distribution must be one of {laws}, got {self.distribution!r}")
         if self.radius is not None:
@@ -241,25 +240,23 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
     """Whole-image perturbation ball of the given radius around x.
 
     The noise basis is the identity (one unit direction per input
-    coordinate) kept implicit, so nothing quadratic in n0 is stored.
+    coordinate) kept implicit, so nothing quadratic in n0 is stored. An
+    l-inf ball is the uniform box [-e, e]^n0; only its recipe has a radius.
     """
     check_number("radius", radius, positive=True)
-    if norm == "l2":
-        dist = UNIFORM_L2_BALL
-    elif norm == "linf":
-        dist = UNIFORM_LINF_BALL
-    else:
+    if norm not in ("l2", "linf"):
         raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
     n0 = x.size
     e = float(radius)
+    l2 = norm == "l2"
     return PerturbationSpec(
         base_image=x,
         noise_index=None,
         noise_value=None,
         lambda_lower=np.full(n0, -e),
         lambda_upper=np.full(n0, e),
-        distribution=dist,
-        radius=e,
+        distribution=UNIFORM_L2_BALL if l2 else UNIFORM_BOX,
+        radius=e if l2 else None,
         recipe=dict(adversary="ball", norm=norm, radius=e),
     )
 

@@ -313,7 +313,7 @@ def conservatism_audit(
 
     The bounds must hold one value per network output, none NaN, with
     ``y_lo <= y_hi``; infinite bounds are allowed and flag the report
-    degenerate.
+    degenerate. A NaN or infinite audit output raises ``ValueError``.
     """
     _check_sizes(seed, sample_count=sample_count)
     n = model.output_dim
@@ -330,17 +330,19 @@ def conservatism_audit(
     emp_hi = np.full(n, -np.inf)
     # each row block is read once: the envelope, whose min and max are
     # exact in any order, then the miss test on the columns where the
-    # block's envelope leaves the bounds. The negated test also keeps a
-    # column whose envelope is NaN, where another row may still miss.
+    # block's envelope leaves the bounds
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
         for start in range(0, Y.shape[0], rows):
             block = Y[start : start + rows]
             block_lo, block_hi = block.min(axis=0), block.max(axis=0)
-            cols = np.flatnonzero(~((block_lo >= y_lo) & (block_hi <= y_hi)))
+            cols = np.flatnonzero((block_lo < y_lo) | (block_hi > y_hi))
             sub = block[:, cols]
             misses += int(np.sum(np.any((sub < y_lo[cols]) | (sub > y_hi[cols]), axis=1)))
             np.minimum(emp_lo, block_lo, out=emp_lo)
             np.maximum(emp_hi, block_hi, out=emp_hi)
+    # min and max carry NaN and +-inf into the envelope, so it sees them all
+    if not (np.all(np.isfinite(emp_lo)) and np.all(np.isfinite(emp_hi))):
+        raise ValueError("audit outputs must be finite: an audit output is NaN or infinite")
     certified = np.sum(y_hi - y_lo)
     degenerate = not np.isfinite(certified) or certified <= 0.0
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)

@@ -171,6 +171,20 @@ def test_one_reachset_type(name):
     assert not defined, f"{name} is still defined in {defined}"
 
 
+@pytest.mark.parametrize(
+    "owner, name",
+    [("guarantees", "_CHERNOFF"), ("perturb", "UNIFORM_LINF_BALL"), ("pca.ProjectionBasis", "input_dim")],
+)
+def test_no_duplicate_path(owner, name):
+    # beta_cdf's walk returns the Chernoff exit's 1.0 itself, an l-inf ball
+    # is the uniform box, and nothing reads a basis's input dimension
+    module, _, attr = owner.partition(".")
+    obj = importlib.import_module(f"conformal_reach.{module}")
+    if attr:
+        obj = getattr(obj, attr)
+    assert not hasattr(obj, name), f"{owner}.{name} is still defined"
+
+
 def _passed():
     """(function name, parameter name or position) for every argument a
     call in CALLERS passes, the function named bare or as an attribute."""

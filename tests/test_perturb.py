@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conformal_reach.model import ImageTensor
+from conformal_reach import model as model_module
+from conformal_reach.model import ImageTensor, random_mlp
 from conformal_reach.perturb import (
     UNIFORM_BOX,
     UNIFORM_L2_BALL,
-    UNIFORM_LINF_BALL,
     PerturbationSpec,
     apply_batch,
     build_darkening,
@@ -15,6 +15,7 @@ from conformal_reach.perturb import (
     sample_lambdas,
     spec_from_manifest,
     spec_manifest,
+    stage_outputs,
 )
 
 from oracles import dense_darkening_matrix, synthetic_ssn_4x4
@@ -172,6 +173,26 @@ class TestGlobalBall:
         spec = build_global_ball(bright_2x2(), "linf", 0.1)
         assert spec.noise_matrix is None
         assert spec.dim == 4
+
+    def test_linf_ball_is_a_box(self, monkeypatch):
+        # the l-inf ball is the uniform box [-e, e]^n0 with no radius, and
+        # its stream, in blocks of 4 and 5 rows, has the bits of that box
+        # built directly
+        img = bright_2x2()
+        spec = build_global_ball(img, "linf", 0.1)
+        assert spec.distribution == UNIFORM_BOX
+        assert spec.radius is None
+        box = PerturbationSpec(
+            base_image=img, noise_index=None, noise_value=None,
+            lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1),
+            distribution=UNIFORM_BOX,
+        )
+        model = random_mlp([img.size, 5, 3], np.random.default_rng(19))
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 4 * 8 * (img.size + 3))
+        got = [Y.copy() for Y in stage_outputs(model, spec, 20, "train", 9)]
+        want = [Y.copy() for Y in stage_outputs(model, box, 20, "train", 9)]
+        assert [Y.shape[0] for Y in got] == [Y.shape[0] for Y in want] == [4, 5]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestSample:
@@ -376,7 +397,7 @@ class TestBoundsValidation:
             ("gaussian", None, "^distribution must be one of .*, got 'gaussian'$"),
             (UNIFORM_L2_BALL, None, "^radius must be given for an l2 ball$"),
             (UNIFORM_L2_BALL, -1.0, "^radius must be positive, got -1.0$"),
-            (UNIFORM_LINF_BALL, 0.0, "^radius must be positive, got 0.0$"),
+            (UNIFORM_BOX, 0.0, "^radius must be positive, got 0.0$"),
         ],
         ids=["unknown-law", "l2-without-radius", "negative-radius", "zero-radius"],
     )

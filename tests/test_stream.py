@@ -262,31 +262,14 @@ def test_audit_matches_the_stacked_stream(monkeypatch, kind):
     assert np.array_equal(report.empirical_hi, stack.max(axis=0))
 
 
-def test_audit_counts_misses_in_nan_columns(monkeypatch):
-    # the audit tests only the columns where a row block's envelope leaves
-    # [-1, 1]; in the middle block rows 1 and 2 miss in columns 0 and 2,
-    # row 3 in columns 1 and 3, and row 4 is NaN in column 2, so that
-    # column's envelope is NaN and row 2's miss must still count. The last
-    # block holds a NaN and a value on the bound, neither of them a miss.
-    nan = np.nan
-    blocks = [
-        np.array([[0.0, 0.5, -0.5, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2]]),
-        np.array([
-            [0.0, 0.0, 0.0, 0.0],
-            [-1.5, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 2.0, 0.0],
-            [0.0, 1.5, 0.0, -3.0],
-            [0.0, 0.0, nan, 0.0],
-            [0.9, -0.9, 0.9, -0.9],
-        ]),
-        np.array([[nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
-    ]
-    stack = np.vstack(blocks)
-    lo, hi = np.full(4, -1.0), np.full(4, 1.0)
+def _audit_blocks(monkeypatch, blocks):
+    """The audit's report against [-1, 1] on a fake stream that yields
+    ``blocks`` in turn from one reused buffer, as ``stage_outputs`` does."""
+    count = sum(len(block) for block in blocks)
 
-    def stream(model, spec, seed, stage, count):
-        assert (stage, count) == ("audit", stack.shape[0])
-        out = np.empty_like(blocks[1])
+    def stream(model, spec, seed, stage, n):
+        assert (stage, n) == ("audit", count)
+        out = np.empty_like(max(blocks, key=len))
         for block in blocks:
             out[: block.shape[0]] = block
             yield out[: block.shape[0]]
@@ -294,12 +277,48 @@ def test_audit_counts_misses_in_nan_columns(monkeypatch):
     monkeypatch.setattr(verify_module, "stage_outputs", stream)
     model = random_mlp([4, 5, 4], np.random.default_rng(34))
     spec = build_global_ball(ImageTensor(1, 2, 2, np.full(4, 0.5)), "linf", 0.1)
-    report = conservatism_audit(model, spec, lo, hi, stack.shape[0], seed=35)
-    misses = np.any((stack < lo) | (stack > hi), axis=1).sum()
+    return conservatism_audit(model, spec, np.full(4, -1.0), np.full(4, 1.0), count, seed=35)
+
+
+def _miss_blocks():
+    # in the middle block rows 1 and 2 miss in columns 0 and 2, and row 3
+    # in both columns 1 and 3; the last block holds a value on the bound,
+    # which is no miss
+    return [
+        np.array([[0.0, 0.5, -0.5, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2]]),
+        np.array([
+            [0.0, 0.0, 0.0, 0.0],
+            [-1.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0, 0.0],
+            [0.0, 1.5, 0.0, -3.0],
+            [0.0, 0.0, 0.5, 0.0],
+            [0.9, -0.9, 0.9, -0.9],
+        ]),
+        np.array([[0.3, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    ]
+
+
+def test_audit_counts_misses_in_tested_columns(monkeypatch):
+    # the audit tests only the columns where a row block's envelope leaves
+    # [-1, 1]
+    blocks = _miss_blocks()
+    stack = np.vstack(blocks)
+    report = _audit_blocks(monkeypatch, blocks)
+    misses = np.any(np.abs(stack) > 1.0, axis=1).sum()
     assert misses == 3
     assert report.eps_hat == misses / stack.shape[0]
-    assert np.array_equal(report.empirical_lo, stack.min(0), equal_nan=True)
-    assert np.array_equal(report.empirical_hi, stack.max(0), equal_nan=True)
+    assert np.array_equal(report.empirical_lo, stack.min(0))
+    assert np.array_equal(report.empirical_hi, stack.max(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_audit_rejects_a_non_finite_output(monkeypatch, bad):
+    # a non-finite output is refused, not counted as covered: row 4 of the
+    # middle block turns NaN or infinite in column 2, where row 2 misses
+    blocks = _miss_blocks()
+    blocks[1][4, 2] = bad
+    with pytest.raises(ValueError, match="^audit outputs must be finite: an audit output is NaN or infinite$"):
+        _audit_blocks(monkeypatch, blocks)
 
 
 def test_l2_draw_holds_one_draw():
