@@ -2,12 +2,13 @@
 
 A perturbation set is a base image plus noise directions with a coefficient
 box: adversarial images are x + sum_i lambda(i) * noise_i, lambda uniform
-on the box or on an l2 ball. ``build_darkening`` dims bright pixels
-channel-wise; ``build_global_ball`` makes a global l2 or l-inf ball (the
-box [-e, e]^n0) whose identity noise basis is never materialized. A
-darkening noise image has exactly one nonzero, so the set is stored as a
-signed selection, one (flat input index, value) pair per coefficient, and
-applied by scatter: no (r, n0) noise matrix is ever formed.
+on the box, or on the l2 ball of the set's radius if it has one.
+``build_darkening`` dims bright pixels channel-wise; ``build_global_ball``
+makes a global l2 or l-inf ball (the box [-e, e]^n0, with no radius) whose
+identity noise basis is never materialized. A darkening noise image has
+exactly one nonzero, so the set is stored as a signed selection, one (flat
+input index, value) pair per coefficient, and applied by scatter: no
+(r, n0) noise matrix is ever formed.
 
 A spec records the builder call that made it as its ``recipe``. The run
 manifest writes that call (``spec_manifest``) and a rerun makes it again
@@ -52,9 +53,6 @@ __all__ = [
     "DEFAULT_INTENSITY_THRESHOLD",
 ]
 
-UNIFORM_BOX = "uniform-box"
-UNIFORM_L2_BALL = "uniform-l2-ball"
-
 DEFAULT_INTENSITY_THRESHOLD = 150.0 / 255.0
 
 # Sampling happens in fixed-size blocks so that a run is reproducible from
@@ -69,14 +67,15 @@ class PerturbationSpec:
     Noise image i is zero except at flat input index ``noise_index[i]``,
     where it equals ``noise_value[i]``; indices are distinct, so image k of
     a batch is x plus ``lambda_k[i] * noise_value[i]`` at ``noise_index[i]``.
-    Both are ``None`` for the implicit identity basis of a global ball
-    (r = n0). Bounds are the componentwise coefficient box, finite; for
-    an l2 ball it is the [-e, e] cube around the radius-e ball. There are
-    two laws, a uniform box (an l-inf ball is one) and an l2 ball, the
-    one spec with a ``radius``, positive as every given radius is.
-    ``recipe`` holds the JSON-ready arguments
-    of the builder call that made the spec, under its ``adversary`` name,
-    and is ``None`` for a spec built directly.
+    Both are ``None`` for the implicit identity basis of a global ball,
+    which has r = n0. Bounds are the componentwise coefficient box, finite.
+    A spec with a ``radius`` (positive) is the uniform l2 ball of that
+    radius over its r coefficients, whose bounds no draw reads
+    (``build_global_ball`` sets the [-e, e] cube around the ball); a spec
+    without one is the uniform box of its bounds (an l-inf ball is one).
+    ``recipe`` holds the JSON-ready arguments of the builder call that
+    made the spec, under its ``adversary`` name, and is ``None`` for a
+    spec built directly.
     """
 
     base_image: ImageTensor
@@ -84,20 +83,14 @@ class PerturbationSpec:
     noise_value: Optional[np.ndarray]
     lambda_lower: np.ndarray
     lambda_upper: np.ndarray
-    distribution: str
     radius: Optional[float] = None
     recipe: Optional[dict] = None
 
     def __post_init__(self):
         if self.lambda_lower.shape != self.lambda_upper.shape:
             raise ValueError("lambda bound shapes differ")
-        laws = (UNIFORM_BOX, UNIFORM_L2_BALL)
-        if self.distribution not in laws:
-            raise ValueError(f"distribution must be one of {laws}, got {self.distribution!r}")
         if self.radius is not None:
             check_number("radius", self.radius, positive=True)
-        elif self.distribution == UNIFORM_L2_BALL:
-            raise ValueError("radius must be given for an l2 ball")
         for name in ("lambda_lower", "lambda_upper"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -107,6 +100,9 @@ class PerturbationSpec:
         if (idx is None) != (val is None):
             raise ValueError("give both noise_index and noise_value, or neither")
         if idx is None:
+            n0 = self.base_image.size
+            if self.dim != n0:
+                raise ValueError(f"an implicit basis needs r = n0, got r = {self.dim}, n0 = {n0}")
             return
         r = (self.dim,)
         if idx.shape != r or val.shape != r:
@@ -227,7 +223,6 @@ def build_darkening(
         noise_value=-x.data[cols],
         lambda_lower=min_darkening / values.reshape(-1),
         lambda_upper=np.ones(values.size),
-        distribution=UNIFORM_BOX,
         recipe=dict(
             adversary="darkening", pixel_fraction=float(pixel_fraction),
             intensity_threshold=float(intensity_threshold),
@@ -240,33 +235,33 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
     """Whole-image perturbation ball of the given radius around x.
 
     The noise basis is the identity (one unit direction per input
-    coordinate) kept implicit, so nothing quadratic in n0 is stored. An
-    l-inf ball is the uniform box [-e, e]^n0; only its recipe has a radius.
+    coordinate) kept implicit, so nothing quadratic in n0 is stored. An l2
+    ball's spec has the radius; an l-inf ball is the uniform box
+    [-e, e]^n0, and only its recipe has one.
     """
     check_number("radius", radius, positive=True)
     if norm not in ("l2", "linf"):
         raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
     n0 = x.size
     e = float(radius)
-    l2 = norm == "l2"
     return PerturbationSpec(
         base_image=x,
         noise_index=None,
         noise_value=None,
         lambda_lower=np.full(n0, -e),
         lambda_upper=np.full(n0, e),
-        distribution=UNIFORM_L2_BALL if l2 else UNIFORM_BOX,
-        radius=e if l2 else None,
+        radius=e if norm == "l2" else None,
         recipe=dict(adversary="ball", norm=norm, radius=e),
     )
 
 
 def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
-    """(count, r) i.i.d. coefficient draws from the spec's distribution,
-    taken from the numpy Generator ``rng``."""
+    """(count, r) i.i.d. coefficient draws, taken from the numpy Generator
+    ``rng``: uniform on the l2 ball of the spec's radius if it has one, and
+    on its box [lambda_lower, lambda_upper] otherwise."""
     check_integer("count", count, 1)
     r = spec.dim
-    if spec.distribution != UNIFORM_L2_BALL:
+    if spec.radius is None:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
     # normalized and scaled in place, row norms one row block at a time
     # (each row's norm has the same bits however rows are blocked), so no
@@ -291,8 +286,8 @@ def stage_outputs(
 
     A block's coefficients are the rows that ``sample_lambdas`` would give
     its PIPELINE_CHUNK, bit for bit: numpy fills a uniform draw one value at
-    a time from the stream, so a uniform law draws each block only when it
-    is requested, while an l2 ball draws its whole chunk, whose blocks are
+    a time from the stream, so a box draws each block only when it is
+    requested, while an l2 ball draws its whole chunk, whose blocks are
     views of it. Each block is a view of one (min(rows + 1, count), n)
     output buffer, valid only until the next one is requested: a consumer
     that keeps rows copies them."""
@@ -302,7 +297,7 @@ def stage_outputs(
     out = None
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
-        chunk = sample_lambdas(spec, k, rng) if spec.distribution == UNIFORM_L2_BALL else None
+        chunk = None if spec.radius is None else sample_lambdas(spec, k, rng)
         for block in row_slices(k, rows):
             if chunk is None:
                 lams = sample_lambdas(spec, block.stop - block.start, rng)

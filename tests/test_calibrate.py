@@ -206,6 +206,34 @@ class TestReachSet:
         with pytest.raises(ValueError, match=match):
             reach_set(**fields)
 
+    @pytest.mark.parametrize("name", ["center", "sigma", "lift_lb", "lift_ub"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "short", "long"])
+    def test_rejects_bad_vector(self, name, fault):
+        vector = getattr(reach_set(), name)
+        if fault == "short":
+            vector = vector[:-1]
+        elif fault == "long":
+            vector = np.append(vector, 0.0)
+        else:
+            vector = vector.copy()
+            vector[1] = float(fault)
+        # a center of the wrong length shows as sigma disagreeing with it
+        if fault in ("short", "long"):
+            blamed = "sigma" if name == "center" else name
+            match = f"^{blamed} must have the shape"
+        else:
+            match = f"^{name} must be finite$"
+        with pytest.raises(ValueError, match=match):
+            reach_set(**{name: vector})
+
+    def test_zero_sigma_is_lift_box(self):
+        lo, hi = reach_set(
+            center=np.zeros(2), sigma=np.zeros(2),
+            lift_lb=np.array([-1.0, 0.0]), lift_ub=np.array([2.0, 3.0]),
+        ).project_intervals()
+        np.testing.assert_array_equal(lo, [-1.0, 0.0])
+        np.testing.assert_array_equal(hi, [2.0, 3.0])
+
 
 class TestNaiveReachset:
     def test_hand_box(self):

@@ -175,6 +175,16 @@ class TestGuaranteeConfidence:
         g = guarantee_confidence(0.01, np.int64(920), np.int32(921))
         assert g.confidence_delta2 == guarantee_confidence(0.01, 920, 921).confidence_delta2
 
+    @pytest.mark.parametrize("field, value", [
+        ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
+        ("epsilon", 1.5), ("epsilon", None),
+    ])
+    def test_rejects_non_integer_rank(self, field, value):
+        args = dict(epsilon=0.05, rank_ell=95, calib_size_m=100)
+        reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "(real number|lie in)"}
+        with pytest.raises(ValueError, match=rf"^{field} must .*{reason[field]}"):
+            guarantee_confidence(**dict(args, **{field: value}))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             guarantee_confidence(0.1, 0, 10)

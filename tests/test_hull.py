@@ -1,12 +1,9 @@
-import dataclasses
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conformal_reach.calibrate import ReachSet
-from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach import hull as hull_module
 from conformal_reach.hull import HullModel, LpError, clip_batch
 from conformal_reach.model import ImageTensor, MlpNetwork, infer, random_mlp
@@ -404,24 +401,6 @@ def check_row_in_block_and_alone(hull, V, row):
     assert abs(alpha.sum() - 1.0) <= 1e-9
 
 
-VECTORS = ("center", "sigma", "lift_lb", "lift_ub")
-
-
-@pytest.fixture(scope="module")
-def reachset():
-    return small_surrogate(20)
-
-
-def small_surrogate(seed):
-    """Surrogate reachset of a 3 -> 4 network under an l-inf ball."""
-    net = random_mlp([3, 8, 4], np.random.default_rng(seed))
-    spec = build_global_ball(ImageTensor(1, 1, 3, np.full(3, 0.5)), "linf", 0.3)
-    return run_surrogate_pipeline(
-        net, spec, train_size=80, calib_size=100, aux_size=50,
-        num_components=2, epsilon=0.05, rank_ell=95, seed=15,
-    )[0]
-
-
 def surrogate_g(model, basis, hull, X):
     """g on the rows of X as ``run_surrogate_pipeline`` forms it: the
     reduced logits clipped onto the hull, lifted back by the basis."""
@@ -553,62 +532,3 @@ class TestSurrogateReachset:
                 net, spec, train_size=5, calib_size=100, aux_size=10,
                 num_components=2, epsilon=0.01, rank_ell=99, seed=1,
             )
-
-    def test_rejects_non_finite_vectors(self):
-        fields = dict(
-            center=np.zeros(2),
-            sigma=np.ones(2),
-            lift_lb=np.zeros(2),
-            lift_ub=np.ones(2),
-        )
-        for name in fields:
-            for bad in (np.nan, np.inf, -np.inf):
-                vector = fields[name].copy()
-                vector[1] = bad
-                with pytest.raises(ValueError, match=f"{name} must be finite"):
-                    ReachSet(
-                        guarantee=guarantee_confidence(0.1, 9, 10),
-                        **dict(fields, **{name: vector}),
-                    )
-
-    # A reachset's parts are checked when it is built, whatever built it;
-    # the load_ tests below replace one part of a pipeline's reachset.
-    @pytest.mark.parametrize("name", VECTORS)
-    @pytest.mark.parametrize("fault", ["short", "long", "nan", "inf"])
-    def test_load_rejects_bad_vector(self, reachset, name, fault):
-        vector = getattr(reachset, name)
-        if fault == "short":
-            vector = vector[:-1]
-        elif fault == "long":
-            vector = np.append(vector, 0.0)
-        else:
-            vector = vector.copy()
-            vector[1] = np.nan if fault == "nan" else np.inf
-        # a center of the wrong length shows as sigma disagreeing with it
-        blamed = "sigma" if name == "center" and fault in ("short", "long") else name
-        with pytest.raises(ValueError, match=f"^{blamed} must"):
-            dataclasses.replace(reachset, **{name: vector})
-
-    @pytest.mark.parametrize("field, value", [
-        ("rank_ell", 94.5), ("rank_ell", 95.0), ("rank_ell", True), ("calib_size_m", 100.0),
-        ("epsilon", 1.5), ("epsilon", None),
-    ])
-    def test_load_rejects_non_integer_rank(self, reachset, field, value):
-        g = reachset.guarantee
-        args = dict(epsilon=g.epsilon, rank_ell=g.rank_ell, calib_size_m=g.calib_size_m)
-        reason = {"rank_ell": "integer", "calib_size_m": "integer", "epsilon": "(real number|lie in)"}
-        with pytest.raises(ValueError, match=rf"^{field} must .*{reason[field]}"):
-            guarantee_confidence(**dict(args, **{field: value}))
-
-class TestProjectIntervals:
-    def test_zero_sigma_is_lift_box(self):
-        sr = ReachSet(
-            center=np.zeros(2),
-            sigma=np.zeros(2),
-            lift_lb=np.array([-1.0, 0.0]),
-            lift_ub=np.array([2.0, 3.0]),
-            guarantee=guarantee_confidence(0.1, 9, 10),
-        )
-        lo, hi = sr.project_intervals()
-        np.testing.assert_array_equal(lo, [-1.0, 0.0])
-        np.testing.assert_array_equal(hi, [2.0, 3.0])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -173,16 +174,26 @@ def test_one_reachset_type(name):
 
 @pytest.mark.parametrize(
     "owner, name",
-    [("guarantees", "_CHERNOFF"), ("perturb", "UNIFORM_LINF_BALL"), ("pca.ProjectionBasis", "input_dim")],
+    [
+        ("guarantees", "_CHERNOFF"),
+        ("perturb", "UNIFORM_LINF_BALL"),
+        ("perturb", "UNIFORM_BOX"),
+        ("perturb", "UNIFORM_L2_BALL"),
+        ("perturb.PerturbationSpec", "distribution"),
+        ("pca.ProjectionBasis", "input_dim"),
+    ],
 )
 def test_no_duplicate_path(owner, name):
     # beta_cdf's walk returns the Chernoff exit's 1.0 itself, an l-inf ball
-    # is the uniform box, and nothing reads a basis's input dimension
+    # is the uniform box, a spec's law is whether it has a radius, and
+    # nothing reads a basis's input dimension. A dataclass field without a
+    # default is no class attribute, so fields are read as well
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"conformal_reach.{module}")
     if attr:
         obj = getattr(obj, attr)
-    assert not hasattr(obj, name), f"{owner}.{name} is still defined"
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    assert not hasattr(obj, name) and name not in fields, f"{owner}.{name} is still defined"
 
 
 def _passed():

@@ -6,8 +6,6 @@ import pytest
 from conformal_reach import model as model_module
 from conformal_reach.model import ImageTensor, random_mlp
 from conformal_reach.perturb import (
-    UNIFORM_BOX,
-    UNIFORM_L2_BALL,
     PerturbationSpec,
     apply_batch,
     build_darkening,
@@ -18,7 +16,7 @@ from conformal_reach.perturb import (
     stage_outputs,
 )
 
-from oracles import dense_darkening_matrix, synthetic_ssn_4x4
+from oracles import dense_darkening_matrix, l2_ball_draw, synthetic_ssn_4x4
 
 THRESH = 150.0 / 255.0
 
@@ -180,12 +178,10 @@ class TestGlobalBall:
         # built directly
         img = bright_2x2()
         spec = build_global_ball(img, "linf", 0.1)
-        assert spec.distribution == UNIFORM_BOX
         assert spec.radius is None
         box = PerturbationSpec(
             base_image=img, noise_index=None, noise_value=None,
             lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1),
-            distribution=UNIFORM_BOX,
         )
         model = random_mlp([img.size, 5, 3], np.random.default_rng(19))
         monkeypatch.setattr(model_module, "BLOCK_BYTES", 4 * 8 * (img.size + 3))
@@ -196,6 +192,22 @@ class TestGlobalBall:
 
 
 class TestSample:
+    def test_radius_makes_the_l2_ball(self):
+        # a selection spec with a radius draws the l2 ball over its r
+        # coefficients, whatever its box; without one it draws the box
+        spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
+        parts = dict(
+            base_image=spec.base_image, noise_index=spec.noise_index,
+            noise_value=spec.noise_value, lambda_lower=spec.lambda_lower,
+            lambda_upper=spec.lambda_upper,
+        )
+        ball = sample_lambdas(PerturbationSpec(**parts, radius=0.2), 300, np.random.default_rng(26))
+        np.testing.assert_array_equal(ball, l2_ball_draw(0.2, 300, 2, np.random.default_rng(26)))
+        assert np.all(np.linalg.norm(ball, axis=1) <= 0.2)
+        box = sample_lambdas(PerturbationSpec(**parts), 300, np.random.default_rng(26))
+        want = np.random.default_rng(26).uniform(spec.lambda_lower, spec.lambda_upper, (300, 2))
+        np.testing.assert_array_equal(box, want)
+
     def test_deterministic_from_seed(self):
         spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
         la = sample_lambdas(spec, 3, np.random.default_rng(42))
@@ -221,7 +233,6 @@ class TestSample:
             noise_value=spec.noise_value,
             lambda_lower=lo,
             lambda_upper=lo,
-            distribution=UNIFORM_BOX,
         )
         lams = sample_lambdas(frozen, 10, np.random.default_rng(15))
         np.testing.assert_array_equal(lams, np.tile(lo, (10, 1)))
@@ -259,7 +270,6 @@ def test_manifest_round_trip():
         man2 = spec_manifest(ball)
         assert man2 == {"image_shape": [2, 2, 1], "adversary": "ball", "norm": norm, "radius": 0.25}
         rebuilt2 = spec_from_manifest(json.loads(json.dumps(man2)), img)
-        assert rebuilt2.distribution == ball.distribution
         assert rebuilt2.radius == ball.radius
         np.testing.assert_array_equal(rebuilt2.lambda_lower, ball.lambda_lower)
         np.testing.assert_array_equal(rebuilt2.lambda_upper, ball.lambda_upper)
@@ -319,7 +329,6 @@ class TestScatterMatchesDense:
             noise_value=spec.noise_value,
             lambda_lower=lo,
             lambda_upper=lo,
-            distribution=UNIFORM_BOX,
         )
         lams = sample_lambdas(frozen, 5, np.random.default_rng(23))
         dense = dense_darkening_matrix(base, selected_pixels(spec))
@@ -341,7 +350,6 @@ class TestSelectionValidation:
             noise_value=value,
             lambda_lower=np.zeros(2),
             lambda_upper=np.ones(2),
-            distribution=UNIFORM_BOX,
         )
 
     def test_accepts_valid_selection(self):
@@ -362,6 +370,8 @@ class TestSelectionValidation:
             (np.array([0.0, 2.0]), np.array([-0.9, -0.8]), "integer"),
             (np.array([0, 2]), None, "neither"),
             (None, np.array([-0.9, -0.8]), "neither"),
+            # an implicit basis is refused when built, not at its first draw
+            (None, None, "^an implicit basis needs r = n0, got r = 2, n0 = 4$"),
         ],
     )
     def test_rejects_bad_selection(self, index, value, match):
@@ -388,26 +398,16 @@ class TestBoundsValidation:
         with pytest.raises(ValueError, match=f"^{key} must be finite$"):
             PerturbationSpec(
                 base_image=bright_2x2(), noise_index=np.array([0, 2]),
-                noise_value=np.array([-0.9, -0.8]), distribution=UNIFORM_BOX, **bounds,
+                noise_value=np.array([-0.9, -0.8]), **bounds,
             )
 
-    @pytest.mark.parametrize(
-        "law, radius, match",
-        [
-            ("gaussian", None, "^distribution must be one of .*, got 'gaussian'$"),
-            (UNIFORM_L2_BALL, None, "^radius must be given for an l2 ball$"),
-            (UNIFORM_L2_BALL, -1.0, "^radius must be positive, got -1.0$"),
-            (UNIFORM_BOX, 0.0, "^radius must be positive, got 0.0$"),
-        ],
-        ids=["unknown-law", "l2-without-radius", "negative-radius", "zero-radius"],
-    )
-    def test_spec_law_must_be_sampleable(self, law, radius, match):
+    @pytest.mark.parametrize("radius", [-1.0, 0.0], ids=["negative-radius", "zero-radius"])
+    def test_spec_law_must_be_sampleable(self, radius):
         # a directly built spec is checked before its first stage samples it
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^radius must be positive, got {radius!r}$"):
             PerturbationSpec(
                 base_image=bright_2x2(), noise_index=None, noise_value=None,
-                lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1),
-                distribution=law, radius=radius,
+                lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1), radius=radius,
             )
 
 
@@ -523,7 +523,6 @@ class TestManifestValidation:
             man = spec_manifest(PerturbationSpec(
                 base_image=img, noise_index=spec.noise_index, noise_value=spec.noise_value,
                 lambda_lower=spec.lambda_lower, lambda_upper=spec.lambda_upper,
-                distribution=UNIFORM_BOX,
             ))
             assert man == {"image_shape": [3, 3, 1], "adversary": None}
             expected = None

@@ -12,7 +12,6 @@ from conformal_reach.model import INFER_CHUNK, ImageTensor, MlpNetwork, infer, r
 from conformal_reach.perturb import (
     PIPELINE_CHUNK,
     PerturbationSpec,
-    UNIFORM_BOX,
     apply_batch,
     build_darkening,
     build_global_ball,
@@ -178,7 +177,6 @@ class TestNaivePipeline:
             noise_value=spec.noise_value,
             lambda_lower=np.zeros(2),
             lambda_upper=np.zeros(2),
-            distribution=UNIFORM_BOX,
         )
         _, mask, _ = run_naive_pipeline(
             model, frozen, train_size=50, calib_size=100, epsilon=0.05,
@@ -375,7 +373,6 @@ class TestSurrogatePipeline:
             noise_value=spec.noise_value,
             lambda_lower=np.zeros(2),
             lambda_upper=np.zeros(2),
-            distribution=UNIFORM_BOX,
         )
         _, mask, _ = run_surrogate_pipeline(
             model, frozen, train_size=50, calib_size=100, aux_size=30,
