@@ -20,11 +20,7 @@ solved in lockstep blocks sized by bytes, each row with its own basis,
 pivot rules and refactorization schedule, so a row's result does not
 depend on its block (see ``clip_batch``). ``clip_batch`` is the one
 entry point: it forms each clipped point from its row's weights on the
-simplex.
-It skips the LP whenever a point certifies as interior via barycentric
-coordinates against a greedily chosen inscribed simplex of hull points;
-the certificate is exact containment in a sub-hull, so it never loosens
-results, and the hull itself always keeps every training point.
+simplex. Every row takes the LP, a point inside the hull like any other.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ __all__ = [
 _RED_COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _STALL_LIMIT = 24
-_INTERIOR_MARGIN = 1e-9
 # Pivots between refactorizations of the clip simplex's basis inverses.
 _REFACTOR_EVERY = 16
 # A pivot this small next to its column's largest entry may be noise.
@@ -69,30 +64,27 @@ class LpError(RuntimeError):
 class HullModel:
     """Convex hull of the t reduced training logits (rows of ``points``).
 
-    Keeps every training point as a generator. A max-volume inscribed
-    simplex of them certifies interior points cheaply; ``degenerate`` flags
-    clouds too flat to build one (clipping still works, every query just
-    takes the LP route).
+    Keeps every training point as a generator. ``degenerate`` flags clouds
+    whose affine rank is below N, a flat hull in the reduced space;
+    clipping works on them all the same.
     """
 
     points: np.ndarray  # (t, N)
+    degenerate: bool
     # read by no one: perfbench/replay.py passes it to from_points, until
     # ROADMAP direction 1b removes it
     basis: Optional[ProjectionBasis] = None
-    _bary_solver: Optional[tuple] = None
 
     @classmethod
     def from_points(cls, points: np.ndarray, basis=None) -> "HullModel":
         points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] < 1:
+        if points.ndim != 2 or 0 in points.shape:
             raise ValueError("hull needs a non-empty (t, N) point array")
         if not np.all(np.isfinite(points)):
             raise ValueError("hull points must be finite")
-        return cls(points=points, basis=basis, _bary_solver=_inscribed_simplex(points))
-
-    @property
-    def degenerate(self) -> bool:
-        return self._bary_solver is None
+        t, N = points.shape
+        flat = t <= N or np.linalg.matrix_rank(points[1:] - points[0]) < N
+        return cls(points=points, degenerate=bool(flat), basis=basis)
 
     @property
     def size(self) -> int:
@@ -102,46 +94,11 @@ class HullModel:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    # read by no one: perfbench/replay.py counts its hits, until ROADMAP
+    # direction 1b removes that span
     def interior_mask(self, V: np.ndarray) -> np.ndarray:
-        """True where the inscribed simplex certifies containment."""
-        if self._bary_solver is None:
-            return np.zeros(V.shape[0], dtype=bool)
-        origin, inv_T = self._bary_solver
-        W = (V - origin) @ inv_T.T  # barycentric coordinates (minus first)
-        w0 = 1.0 - W.sum(axis=1)
-        return (
-            np.all(W >= _INTERIOR_MARGIN, axis=1) & (w0 >= _INTERIOR_MARGIN)
-        )
-
-
-def _inscribed_simplex(points: np.ndarray):
-    """Barycentric solver (origin, inverse edge matrix) of a greedy
-    max-volume simplex of hull points; None when degenerate."""
-    t, N = points.shape
-    if t < N + 1:
-        return None
-    centroid = points.mean(axis=0)
-    origin = points[int(np.argmax(np.linalg.norm(points - centroid, axis=1)))]
-    rel = points - origin
-    scale = max(np.linalg.norm(origin), 1.0)
-    chosen = []
-    # grow by farthest point from the current affine hull
-    Q = np.zeros((N, 0))
-    for _ in range(N):
-        resid = rel - (rel @ Q) @ Q.T
-        dist = np.linalg.norm(resid, axis=1)
-        nxt = int(np.argmax(dist))
-        if dist[nxt] <= 1e-12 * scale:
-            return None
-        chosen.append(nxt)
-        q = resid[nxt] / dist[nxt]
-        Q = np.column_stack([Q, q])
-    T = rel[chosen].T  # (N, N)
-    try:
-        inv_T = np.linalg.inv(T)
-    except np.linalg.LinAlgError:
-        return None
-    return origin, inv_T
+        """No row: every row takes the clip LP."""
+        return np.zeros(V.shape[0], dtype=bool)
 
 
 class _ClipProblem:
@@ -224,30 +181,22 @@ class _ClipProblem:
         least reduced cost c - y A. Dantzig pricing takes the most negative
         column; rows flagged in ``bland`` take the first negative one."""
         N, t = self.N, self.t
-        k = y.shape[0]
-        # alpha columns (P; -P; 1^T) have cost 0 and are priced apart from
-        # the epigraph and slack columns, so no (k, cols) array is formed
-        red_a = (y[:, N : 2 * N] - y[:, :N]) @ self.P
-        red_a -= y[:, 2 * N :]
-        red_s = np.empty((k, 1 + 2 * N))
+        red = np.empty((y.shape[0], t + 2 * N + 1))
+        # alpha columns (P; -P; 1^T) have cost 0
+        np.matmul(y[:, N : 2 * N] - y[:, :N], self.P, out=red[:, :t])
+        red[:, :t] -= y[:, 2 * N :]
         # the epigraph column has cost 1 and -1 in every row it bounds
-        red_s[:, 0] = 1.0 + y[:, : 2 * N].sum(axis=1)
+        red[:, t] = 1.0 + y[:, : 2 * N].sum(axis=1)
         # slack columns are the identity
-        red_s[:, 1:] = -y[:, : 2 * N]
+        red[:, t + 1 :] = -y[:, : 2 * N]
         # basic columns price at exactly zero
-        row, pos = np.nonzero(basis < t)
-        red_a[row, basis[row, pos]] = 0.0
-        row, pos = np.nonzero(basis >= t)
-        red_s[row, basis[row, pos] - t] = 0.0
-        rows = np.arange(k)
-        q_a, q_s = red_a.argmin(axis=1), red_s.argmin(axis=1)
-        low_a, low_s = red_a[rows, q_a], red_s[rows, q_s]
-        # equal minima go to the alpha column, the lower index
-        q = np.where(low_s < low_a, t + q_s, q_a)
+        np.put_along_axis(red, basis, 0.0, axis=1)
+        # equal minima go to the lower index, an alpha column before the rest
+        q = red.argmin(axis=1)
+        low = np.take_along_axis(red, q[:, None], axis=1)[:, 0]
         if bland.any():
-            negative = np.hstack([red_a[bland], red_s[bland]]) < -_RED_COST_TOL
-            q[bland] = np.argmax(negative, axis=1)
-        return q, np.minimum(low_a, low_s)
+            q[bland] = np.argmax(red[bland] < -_RED_COST_TOL, axis=1)
+        return q, low
 
     def solve_block(self, V: np.ndarray):
         """Clip the rows of V (k, N). Returns each row's optimal basis (k, M),
@@ -318,18 +267,17 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     """Project (k, N) points onto the hull in l-inf norm; returns (V_hat,
     residuals).
 
-    Interior points certified by the inscribed simplex keep their exact
-    coordinates with residual zero; the remainder go through the LP in
-    lockstep blocks of ``_ClipProblem.rows`` rows, in input order. A
-    row's result does not depend on its block: the stacked inverses and
-    solves are formed matrix by matrix, and the one product across rows,
-    the (k, N) @ (N, t) pricing, gave each row the same bits at every
-    block size tried (1, 2, 64, 262 and 1024 rows of surrogate-dark16-n10,
-    two instances of which a test in ``tests/test_hull.py`` checks). Each
-    LP row's point is formed from its basic weights (the solve clips them
-    at 0) divided by their sum, so it is a convex combination of hull
-    points even where rounding in the final solve moves the weights off
-    the simplex.
+    Every row goes through the LP, in lockstep blocks of
+    ``_ClipProblem.rows`` rows cut from the rows in order. A row's result
+    does not depend on its block: the stacked inverses and solves are
+    formed matrix by matrix, and the one product across rows, the
+    (k, N) @ (N, t) pricing, gave each row the same bits at every block
+    size tried (1, 2, 64, 262 and 1024 rows of surrogate-dark16-n10, two
+    instances of which a test in ``tests/test_hull.py`` checks). Each
+    row's point is formed from its basic weights (the solve clips them at
+    0) divided by their sum, so it is a convex combination of hull points
+    even where rounding in the final solve moves the weights off the
+    simplex.
 
     ``norm`` is only checked: the LP has the one l-inf form, and anything
     but "l_inf" raises ValueError. It stays because the benchmark's replay
@@ -344,11 +292,10 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     if bad.size:
         raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
     problem = _ClipProblem(hull)
-    out = V.copy()
-    residuals = np.zeros(V.shape[0])
-    todo = np.nonzero(~hull.interior_mask(V))[0]
-    for start in range(0, todo.size, problem.rows):
-        rows = todo[start : start + problem.rows]
+    out = np.empty_like(V)
+    residuals = np.empty(V.shape[0])
+    for start in range(0, V.shape[0], problem.rows):
+        rows = slice(start, start + problem.rows)
         basis, xB, residuals[rows] = problem.solve_block(V[rows])
         # basic alpha columns weigh their hull points; the others weigh 0
         weights = np.where(basis < hull.size, xB, 0.0)

@@ -68,7 +68,8 @@ class PerturbationSpec:
     where it equals ``noise_value[i]``; indices are distinct, so image k of
     a batch is x plus ``lambda_k[i] * noise_value[i]`` at ``noise_index[i]``.
     Both are ``None`` for the implicit identity basis of a global ball,
-    which has r = n0. Bounds are the componentwise coefficient box, finite.
+    which has r = n0. Bounds are the componentwise coefficient box: two
+    finite vectors of shape (r,).
     A spec with a ``radius`` (positive) is the uniform l2 ball of that
     radius over its r coefficients, whose bounds no draw reads
     (``build_global_ball`` sets the [-e, e] cube around the ball); a spec
@@ -87,8 +88,9 @@ class PerturbationSpec:
     recipe: Optional[dict] = None
 
     def __post_init__(self):
-        if self.lambda_lower.shape != self.lambda_upper.shape:
-            raise ValueError("lambda bound shapes differ")
+        lower, upper = self.lambda_lower.shape, self.lambda_upper.shape
+        if len(lower) != 1 or upper != lower:
+            raise ValueError(f"lambda bounds must both have shape (r,), got {lower} and {upper}")
         if self.radius is not None:
             check_number("radius", self.radius, positive=True)
         for name in ("lambda_lower", "lambda_upper"):

@@ -80,7 +80,7 @@ class TestClip:
         v_hat, residual = clip_row(v, hull)
         assert residual <= 1e-7
         np.testing.assert_allclose(v_hat, v, atol=1e-7)
-        # the LP's own weights, which the interior test lets clip_batch skip
+        # the weights of the LP that clip_batch solves for this row too
         (alpha,), (lp_residual,) = clip_weights(hull, v)
         assert lp_residual <= 1e-7
         assert np.all(alpha >= -1e-9)
@@ -128,20 +128,6 @@ class TestClip:
             assert abs(residuals[i] - res) <= 1e-8
             np.testing.assert_allclose(V_hat[i], v_hat, atol=1e-7)
 
-    def test_interior_fast_path_consistency(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(200, 2))
-        hull = make_hull(pts)
-        V = rng.normal(size=(500, 2)) * 0.3  # mostly interior
-        inside = hull.interior_mask(V)
-        assert inside.sum() > 100  # fast path actually exercised
-        V_hat, residuals = clip_batch(V, hull)
-        np.testing.assert_array_equal(V_hat[inside], V[inside])
-        assert np.all(residuals[inside] == 0.0)
-        # certified-interior points must truly have zero LP residual
-        _, lp_residuals = clip_weights(hull, V[inside][:20])
-        assert np.all(lp_residuals <= 1e-7)
-
 
 class TestClipValidation:
     def test_rejects_non_finite_points(self):
@@ -163,12 +149,34 @@ class TestClipValidation:
             with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
                 clip_batch(bad, hull)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,)])
+    def test_rejects_empty_hull(self, shape):
+        # a hull of no points, or of points with no coordinate, has no LP
+        with pytest.raises(ValueError, match=r"^hull needs a non-empty \(t, N\) point array$"):
+            make_hull(np.zeros(shape))
+
     def test_rejects_wrong_width_on_degenerate_hull(self):
-        # two points in 3-D: no inscribed simplex, so every query takes the LP
+        # two points in 3-D: a flat hull, which clips all the same
         hull = make_hull([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         assert hull.degenerate
         with pytest.raises(ValueError, match=r"shape \(k, 3\)"):
             clip_batch(np.zeros((5, 2)), hull)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degenerate_is_affine_rank_below_dim(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 8))
+    # t <= N points span at most t - 1 < N affine dimensions
+    for t in range(1, N + 1):
+        assert make_hull(rng.normal(size=(t, N))).degenerate
+    # many points on a random k-dimensional affine subspace, k < N
+    for k in range(N):
+        flat = rng.normal(size=N) + rng.normal(size=(4 * N, k)) @ rng.normal(size=(k, N))
+        assert make_hull(flat).degenerate
+    # generic clouds of more than N points
+    for t in (N + 1, 4 * N):
+        assert not make_hull(rng.normal(size=(t, N))).degenerate
 
 
 def mixed_queries(points, rng, count):
@@ -365,13 +373,10 @@ def clip_rows(hull):
 
 def pipeline_block(hull, V, row):
     """(start, block) of the lockstep block that ``clip_batch(V, hull)``
-    solves ``row`` of V in, when no row up to that block's end is
-    interior (blocks are cut from the rows that take the LP)."""
+    solves ``row`` of V in (blocks are cut from the rows in order)."""
     rows = clip_rows(hull)
     start = row - row % rows
-    block = V[start : start + rows]
-    assert not hull.interior_mask(V[: start + block.shape[0]]).any()
-    return start, block
+    return start, V[start : start + rows]
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,7 +469,7 @@ class TestSurrogateReachset:
         assert np.all(sr.sigma <= 1e-3)
         np.testing.assert_allclose(lo, [0.0, 0.0], atol=0.05)
         np.testing.assert_allclose(hi, [1.0, 1.0], atol=0.05)
-        # g equals f near the box center, where points certify interior
+        # g equals f near the box center, inside the hull
         X = np.full((5, 2), 0.5) + np.linspace(-0.05, 0.05, 5)[:, None]
         np.testing.assert_allclose(surrogate_g(net, basis, hull, X), infer(net, X), atol=1e-9)
 

@@ -181,13 +181,17 @@ def test_one_reachset_type(name):
         ("perturb", "UNIFORM_L2_BALL"),
         ("perturb.PerturbationSpec", "distribution"),
         ("pca.ProjectionBasis", "input_dim"),
+        ("hull", "_inscribed_simplex"),
+        ("hull", "_INTERIOR_MARGIN"),
+        ("hull.HullModel", "_bary_solver"),
     ],
 )
 def test_no_duplicate_path(owner, name):
     # beta_cdf's walk returns the Chernoff exit's 1.0 itself, an l-inf ball
-    # is the uniform box, a spec's law is whether it has a radius, and
-    # nothing reads a basis's input dimension. A dataclass field without a
-    # default is no class attribute, so fields are read as well
+    # is the uniform box, a spec's law is whether it has a radius, nothing
+    # reads a basis's input dimension, and every clip row takes the LP, with
+    # no inscribed-simplex fast path. A dataclass field without a default
+    # is no class attribute, so fields are read as well
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"conformal_reach.{module}")
     if attr:

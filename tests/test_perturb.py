@@ -401,6 +401,26 @@ class TestBoundsValidation:
                 noise_value=np.array([-0.9, -0.8]), **bounds,
             )
 
+    @pytest.mark.parametrize(
+        "index, value, lower, upper",
+        [
+            # an implicit basis over a 2x2 image, r = n0 = 4 rows of one column
+            (None, None, np.zeros((4, 1)), np.ones((4, 1))),
+            (np.array([0, 2]), np.array([-0.9, -0.8]), np.zeros((2, 3)), np.ones((2, 3))),
+            (np.array([0, 2]), np.array([-0.9, -0.8]), np.zeros(2), np.ones(3)),
+            (np.array([0, 2]), np.array([-0.9, -0.8]), np.float64(0.0), np.float64(1.0)),
+        ],
+        ids=["column", "matrix", "lengths-differ", "scalar"],
+    )
+    def test_spec_bounds_must_be_vectors(self, index, value, lower, upper):
+        # bounds that are not of shape (r,) are refused when built, not by
+        # numpy's broadcast error at the first draw
+        with pytest.raises(ValueError, match=r"^lambda bounds must both have shape \(r,\), got "):
+            PerturbationSpec(
+                base_image=bright_2x2(), noise_index=index, noise_value=value,
+                lambda_lower=lower, lambda_upper=upper,
+            )
+
     @pytest.mark.parametrize("radius", [-1.0, 0.0], ids=["negative-radius", "zero-radius"])
     def test_spec_law_must_be_sampleable(self, radius):
         # a directly built spec is checked before its first stage samples it
