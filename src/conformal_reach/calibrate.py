@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guarantees import GuaranteeSpec
-from .model import row_block
+from .model import row_block, row_slices
 
 __all__ = [
     "CenterScale",
@@ -62,9 +62,6 @@ class CalibrationSet:
     """Sorted nonconformity scores with multiset semantics."""
 
     scores: np.ndarray  # ascending
-    # read by no one: perfbench/replay.py passes it to build_calibration,
-    # until ROADMAP direction 1b removes both
-    source: str = "raw-outputs"
 
     def __post_init__(self):
         if self.scores.ndim != 1 or self.scores.shape[0] < 1:
@@ -185,18 +182,18 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
     k = ys.shape[0]
     scores = np.empty(k)
     rows = row_block(ys.shape[1])
-    buf = np.empty((min(k, rows),) + ys.shape[1:])
-    for start in range(0, k, rows):
-        block = ys[start : start + rows]
-        dev = buf[: block.shape[0]]
-        np.subtract(block, cs.center, out=dev)
+    buf = np.empty((min(k, rows + 1),) + ys.shape[1:])
+    for block in row_slices(k, rows):
+        dev = buf[: block.stop - block.start]
+        np.subtract(ys[block], cs.center, out=dev)
         np.abs(dev, out=dev)
         np.divide(dev, cs.tau, out=dev)
-        np.max(dev, axis=1, out=scores[start : start + rows])
+        np.max(dev, axis=1, out=scores[block])
     return scores
 
 
-# perfbench/replay.py is its one caller, until ROADMAP direction 1b removes it
+# perfbench/replay.py is its one caller, and ``source`` is read by no one,
+# until ROADMAP direction 1b removes both
 def build_calibration(
     outputs: np.ndarray, cs: CenterScale, source: str = "raw-outputs"
 ) -> CalibrationSet:
@@ -204,7 +201,7 @@ def build_calibration(
     ys = np.asarray(outputs, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1:
         raise ValueError("outputs must be a non-empty (m, n) array")
-    return CalibrationSet(np.sort(nonconformity_batch(ys, cs), kind="stable"), source)
+    return CalibrationSet(np.sort(nonconformity_batch(ys, cs), kind="stable"))
 
 
 def stream_calibration(blocks, cs: CenterScale) -> CalibrationSet:

@@ -26,12 +26,10 @@ simplex. Every row takes the LP, a point inside the hull like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .model import _ROW_BYTES
-from .pca import ProjectionBasis
+from .model import _ROW_BYTES, row_slices
 # not used here: perfbench/replay.py imports it from this module, until
 # ROADMAP direction 1b removes that import
 from .perturb import PIPELINE_CHUNK
@@ -71,10 +69,9 @@ class HullModel:
 
     points: np.ndarray  # (t, N)
     degenerate: bool
-    # read by no one: perfbench/replay.py passes it to from_points, until
-    # ROADMAP direction 1b removes it
-    basis: Optional[ProjectionBasis] = None
 
+    # ``basis`` is read by no one: perfbench/replay.py passes it, until
+    # ROADMAP direction 1b removes it
     @classmethod
     def from_points(cls, points: np.ndarray, basis=None) -> "HullModel":
         points = np.asarray(points, dtype=np.float64)
@@ -84,7 +81,7 @@ class HullModel:
             raise ValueError("hull points must be finite")
         t, N = points.shape
         flat = t <= N or np.linalg.matrix_rank(points[1:] - points[0]) < N
-        return cls(points=points, degenerate=bool(flat), basis=basis)
+        return cls(points=points, degenerate=bool(flat))
 
     @property
     def size(self) -> int:
@@ -128,10 +125,10 @@ class _ClipProblem:
     basis singular. Rows leave the block when optimal; each one's
     reported point is then solved afresh from its final basis.
 
-    A block has ``rows`` queries, as many as keep each (k, t) pricing
-    array and the (k, M, M) inverses within _ROW_BYTES: a pass costs some
-    fifty numpy calls whatever k is, and the block runs until its slowest
-    row is optimal.
+    A block has ``rows`` queries (one more if it takes a lone last
+    row), as many as keep each (k, t) pricing array and the (k, M, M)
+    inverses within _ROW_BYTES: a pass costs some fifty numpy calls
+    whatever k is, and the block runs until its slowest row is optimal.
     """
 
     def __init__(self, hull: HullModel):
@@ -268,7 +265,7 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     residuals).
 
     Every row goes through the LP, in lockstep blocks of
-    ``_ClipProblem.rows`` rows cut from the rows in order. A row's result
+    ``_ClipProblem.rows`` rows cut by ``row_slices``. A row's result
     does not depend on its block: the stacked inverses and solves are
     formed matrix by matrix, and the one product across rows, the
     (k, N) @ (N, t) pricing, gave each row the same bits at every block
@@ -294,8 +291,7 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     problem = _ClipProblem(hull)
     out = np.empty_like(V)
     residuals = np.empty(V.shape[0])
-    for start in range(0, V.shape[0], problem.rows):
-        rows = slice(start, start + problem.rows)
+    for rows in row_slices(V.shape[0], problem.rows):
         basis, xB, residuals[rows] = problem.solve_block(V[rows])
         # basic alpha columns weigh their hull points; the others weigh 0
         weights = np.where(basis < hull.size, xB, 0.0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import row_block
+from .model import row_block, row_slices
 from ._seeds import check_integer
 
 __all__ = ["ProjectionBasis", "deflate"]
@@ -122,9 +122,8 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
         cols.append(a)
         # one row block of the rank-one term at a time, so no (t, n)
         # temporary forms beside Z and G; each entry is rounded the same
-        rows = row_block(n)
-        for start in range(0, t, rows):
-            Z[start : start + rows] -= np.outer(w[start : start + rows], a)
+        for rows in row_slices(t, row_block(n)):
+            Z[rows] -= np.outer(w[rows], a)
 
     return ProjectionBasis(
         matrix=np.stack(cols, axis=1),

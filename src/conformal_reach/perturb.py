@@ -269,10 +269,8 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     # (each row's norm has the same bits however rows are blocked), so no
     # second (count, r) array forms beside the draw
     g = rng.standard_normal((count, r))
-    rows = row_block(r)
-    for start in range(0, count, rows):
-        block = g[start : start + rows]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    for rows in row_slices(count, row_block(r)):
+        g[rows] /= np.linalg.norm(g[rows], axis=1, keepdims=True)
     radii = spec.radius * rng.random(count) ** (1.0 / r)
     g *= radii[:, None]
     return g

@@ -171,12 +171,14 @@ def _lifted_blocks(V, A):
 
 
 def _certify(model, spec, seed, epsilon, rank_ell, calib_size, fit, manifest):
-    """Check the output shape before the first draw; take (residual,
-    lift_lb, lift_ub, (name, stream, count)) from the construction's
-    ``fit``; fit center and scales of the residuals on that stage and
-    calibrate them on ``calib_size`` more, both recorded under
+    """Check the input and output sizes before the first draw; take
+    (residual, lift_lb, lift_ub, (name, stream, count)) from the
+    construction's ``fit``; fit center and scales of the residuals on that
+    stage and calibrate them on ``calib_size`` more, both recorded under
     ``manifest["stages"]``; label the pixels and add the common keys."""
     h, w, n = spec.base_image.height, spec.base_image.width, model.output_dim
+    if model.input_dim != spec.base_image.size:
+        raise ValueError(f"input dim {model.input_dim} != image size {spec.base_image.size}")
     if n % (h * w) != 0:
         raise ValueError(f"output dim {n} is not a multiple of pixel count {h * w}")
     shape = (h, w, n // (h * w))
@@ -325,15 +327,17 @@ def conservatism_audit(
         raise ValueError("bounds must not be NaN")
     if np.any(y_lo > y_hi):
         raise ValueError("y_lo must be <= y_hi componentwise")
-    misses, rows = 0, row_block(n)
+    if model.input_dim != spec.base_image.size:
+        raise ValueError(f"input dim {model.input_dim} != image size {spec.base_image.size}")
+    misses = 0
     emp_lo = np.full(n, np.inf)
     emp_hi = np.full(n, -np.inf)
     # each row block is read once: the envelope, whose min and max are
     # exact in any order, then the miss test on the columns where the
     # block's envelope leaves the bounds
     for Y in stage_outputs(model, spec, seed, "audit", sample_count):
-        for start in range(0, Y.shape[0], rows):
-            block = Y[start : start + rows]
+        for rows in row_slices(Y.shape[0], row_block(n)):
+            block = Y[rows]
             block_lo, block_hi = block.min(axis=0), block.max(axis=0)
             cols = np.flatnonzero((block_lo < y_lo) | (block_hi > y_hi))
             sub = block[:, cols]
@@ -344,7 +348,7 @@ def conservatism_audit(
     if not (np.all(np.isfinite(emp_lo)) and np.all(np.isfinite(emp_hi))):
         raise ValueError("audit outputs must be finite: an audit output is NaN or infinite")
     certified = np.sum(y_hi - y_lo)
-    degenerate = not np.isfinite(certified) or certified <= 0.0
+    degenerate = bool(not np.isfinite(certified) or certified <= 0.0)
     ratio = 0.0 if degenerate else float(np.sum(emp_hi - emp_lo) / certified)
     return ConservatismReport(
         eps_hat=misses / sample_count,

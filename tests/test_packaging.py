@@ -184,20 +184,38 @@ def test_one_reachset_type(name):
         ("hull", "_inscribed_simplex"),
         ("hull", "_INTERIOR_MARGIN"),
         ("hull.HullModel", "_bary_solver"),
+        ("calibrate.CalibrationSet", "source"),
+        ("hull.HullModel", "basis"),
     ],
 )
 def test_no_duplicate_path(owner, name):
     # beta_cdf's walk returns the Chernoff exit's 1.0 itself, an l-inf ball
     # is the uniform box, a spec's law is whether it has a radius, nothing
-    # reads a basis's input dimension, and every clip row takes the LP, with
-    # no inscribed-simplex fast path. A dataclass field without a default
-    # is no class attribute, so fields are read as well
+    # reads a basis's input dimension, every clip row takes the LP, with
+    # no inscribed-simplex fast path, and no field stores an argument that
+    # nothing reads. A dataclass field without a default is no class
+    # attribute, so fields are read as well
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"conformal_reach.{module}")
     if attr:
         obj = getattr(obj, attr)
     fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
     assert not hasattr(obj, name) and name not in fields, f"{owner}.{name} is still defined"
+
+
+def test_rows_are_cut_one_way():
+    # row blocks are cut by ``model.row_slices``, which joins a lone last
+    # row to the block before it; the one hand-stepped loop is the
+    # stream's PIPELINE_CHUNK, whose lone last row must stay alone, or an
+    # l2 ball's first PIPELINE_CHUNK draws would depend on the count
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+        and len(node.args) == 3 and ast.unparse(node.args[2]) != "PIPELINE_CHUNK"
+    ]
+    assert not found, found
 
 
 def _passed():

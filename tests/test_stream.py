@@ -18,6 +18,7 @@ import pytest
 from conformal_reach._seeds import stage_rng
 from conformal_reach.calibrate import center_and_scales, stream_calibration
 from conformal_reach.hull import clip_batch
+from conformal_reach import hull as hull_module
 from conformal_reach import model as model_module
 from conformal_reach import verify as verify_module
 from conformal_reach.model import _ROW_BLOCK, INFER_CHUNK, ImageTensor, block_rows, infer, random_mlp
@@ -159,24 +160,25 @@ def test_memory_grows_with_block_bytes(monkeypatch):
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
 
-PIPELINES = {
-    "naive": (run_naive_pipeline, {}),
-    "surrogate": (run_surrogate_pipeline, dict(aux_size=150, num_components=4)),
-}
+PIPELINES = {"naive": run_naive_pipeline, "surrogate": run_surrogate_pipeline}
+# (train, aux, calib, audit) sample counts: even ones, and odd ones that
+# leave every row-block loop a lone last row to join the block before it
+SIZES = [(300, 150, 400, 300), (301, 151, 401, 301)]
 
 
-def certify_and_audit(model, spec, kinds=tuple(PIPELINES)):
+def certify_and_audit(model, spec, kinds=tuple(PIPELINES), sizes=SIZES[0]):
     """Intervals and labels of each pipeline in ``kinds``, and the audit of
     each, as a flat dict of arrays."""
+    train, aux, calib, audit_count = sizes
     out = {}
     for kind in kinds:
-        run, extra = PIPELINES[kind]
-        reachset, mask, _ = run(
-            model, spec, train_size=300, calib_size=400, epsilon=0.05, rank_ell=390,
+        extra = dict(aux_size=aux, num_components=4) if kind == "surrogate" else {}
+        reachset, mask, _ = PIPELINES[kind](
+            model, spec, train_size=train, calib_size=calib, epsilon=0.05, rank_ell=390,
             seed=25, **extra,
         )
         lo, hi = reachset.project_intervals()
-        audit = conservatism_audit(model, spec, lo, hi, 300, seed=26)
+        audit = conservatism_audit(model, spec, lo, hi, audit_count, seed=26)
         out.update({
             f"{kind}.lo": lo, f"{kind}.hi": hi, f"{kind}.status": mask.status,
             f"{kind}.eps_hat": np.array(audit.eps_hat),
@@ -192,14 +194,17 @@ INPUTS = pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["d
 @INPUTS
 @pytest.mark.parametrize("row_bytes", [1, 4096])
 def test_row_budget_keeps_every_byte(monkeypatch, inputs, row_bytes):
-    # row blocks of 2 to 4 rows for scores, l2 row norms, miss tests and
-    # lifted points: each row's result is computed on its own, and the
-    # lift's (rows, N) x (N, n) product has N = 4 terms a row
-    want = certify_and_audit(*inputs())
+    # row blocks of 2 to 4 rows for scores, l2 row norms, deflation, clip
+    # LPs, miss tests and lifted points, at both size sets: each row's
+    # result is computed on its own, and the lift's (rows, N) x (N, n)
+    # product has N = 4 terms a row
+    want = [certify_and_audit(*inputs(), sizes=sizes) for sizes in SIZES]
     monkeypatch.setattr(model_module, "_ROW_BYTES", row_bytes)
-    got = certify_and_audit(*inputs())
-    for key in want:
-        assert got[key].tobytes() == want[key].tobytes(), key
+    monkeypatch.setattr(hull_module, "_ROW_BYTES", row_bytes)
+    for sizes, expected in zip(SIZES, want):
+        got = certify_and_audit(*inputs(), sizes=sizes)
+        for key in expected:
+            assert got[key].tobytes() == expected[key].tobytes(), (sizes, key)
 
 
 def test_stream_budget_keeps_every_byte_of_a_wide_model(monkeypatch):

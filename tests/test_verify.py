@@ -521,6 +521,25 @@ def test_bad_seed_rejected_before_any_draw(monkeypatch, call, bad):
             run_4x4(call, seed=bad)
 
 
+@pytest.mark.parametrize("call", ["naive", "surrogate", "audit"])
+def test_bad_input_dim_rejected_before_any_draw(monkeypatch, call):
+    # a 15-input model on the 16-pixel 4x4 image, with its 48 outputs
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    _, base = synthetic_ssn_4x4()
+    spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
+    model = random_mlp([15, 48], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^input dim 15 != image size 16$"):
+        if call == "audit":
+            conservatism_audit(model, spec, np.zeros(48), np.ones(48), 10, seed=0)
+        elif call == "naive":
+            run_naive_pipeline(model, spec, 100, 200, 0.05, 190)
+        else:
+            run_surrogate_pipeline(model, spec, 100, 200, 80, 4, 0.05, 190)
+
+
 @pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
 def test_numpy_integer_sizes_accepted(pipeline):
     # numpy integers give the same run, and a manifest of plain Python
@@ -630,6 +649,16 @@ class TestConservatismAudit:
         assert report.eps_hat == 0.0
         assert report.bound_ratio == 0.0
         assert report.degenerate
+
+    @pytest.mark.parametrize("bound", [1.0, 0.0, np.inf], ids=["finite", "zero-width", "infinite"])
+    def test_degenerate_is_a_python_bool(self, bound):
+        n = self.model.output_dim
+        report = conservatism_audit(
+            self.model, self.spec, np.full(n, -bound), np.full(n, bound),
+            sample_count=50, seed=16,
+        )
+        assert type(report.degenerate) is bool
+        assert report.degenerate is (bound != 1.0)
 
     def test_self_consistency_ratio_one(self):
         # audit against bounds equal to the empirical min/max of the very
