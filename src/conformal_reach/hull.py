@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _ROW_BYTES, row_slices
+from . import model
+from .model import row_slices
 # not used here: perfbench/replay.py imports it from this module, until
 # ROADMAP direction 1b removes that import
 from .perturb import PIPELINE_CHUNK
@@ -127,8 +128,9 @@ class _ClipProblem:
 
     A block has ``rows`` queries (one more if it takes a lone last
     row), as many as keep each (k, t) pricing array and the (k, M, M)
-    inverses within _ROW_BYTES: a pass costs some fifty numpy calls
-    whatever k is, and the block runs until its slowest row is optimal.
+    inverses within ``model._ROW_BYTES`` (read when the problem is built):
+    a pass costs some fifty numpy calls whatever k is, and the block runs
+    until its slowest row is optimal.
     """
 
     def __init__(self, hull: HullModel):
@@ -149,7 +151,7 @@ class _ClipProblem:
         self.columns = A.T.copy()  # row j is column j of A
         self.c = c
         self.max_iters = 50 * (cols + M) + 200
-        self.rows = max(2, _ROW_BYTES // (8 * max(t, M * M)))
+        self.rows = max(2, model._ROW_BYTES // (8 * max(t, M * M)))
 
     def initial_basis(self, V: np.ndarray) -> np.ndarray:
         """Feasible bases (k, M) at the hull vertex nearest to each row of V."""

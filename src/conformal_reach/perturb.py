@@ -24,7 +24,8 @@ box is drawn one block at a time, so the stream holds one
 block's draw, one image block (for the implicit basis, the draw itself), one
 output buffer and about ``model._ROW_BYTES`` more per row block. Only an
 l2 ball holds a whole (k, r) draw, since its radii are drawn after all of
-its normals; it has r = n0, so there the draw is a (k, n0) array.
+its normals; with the implicit basis its images are that (k, n0) draw, and
+its outputs overwrite a pad before the draw and the rows already inferred.
 ``apply_batch`` forms one batch of images with the stream's image helper.
 Perturbed intensities are deliberately not clamped to [0, 1]: the
 darkening construction is in-range by design, and clamping would destroy
@@ -265,13 +266,17 @@ def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
     r = spec.dim
     if spec.radius is None:
         return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
-    # normalized and scaled in place, row norms one row block at a time
-    # (each row's norm has the same bits however rows are blocked), so no
-    # second (count, r) array forms beside the draw
-    g = rng.standard_normal((count, r))
-    for rows in row_slices(count, row_block(r)):
+    return _ball_draws(spec, rng.standard_normal((count, r)), rng)
+
+
+def _ball_draws(spec: PerturbationSpec, g: np.ndarray, rng) -> np.ndarray:
+    """Make the (k, r) normals ``g``, just drawn from ``rng``, uniform on
+    the spec's l2 ball in place: row norms one row block at a time (a row's
+    norm has the same bits however rows are blocked), then radii from ``rng``."""
+    k, r = g.shape
+    for rows in row_slices(k, row_block(r)):
         g[rows] /= np.linalg.norm(g[rows], axis=1, keepdims=True)
-    radii = spec.radius * rng.random(count) ** (1.0 / r)
+    radii = spec.radius * rng.random(k) ** (1.0 / r)
     g *= radii[:, None]
     return g
 
@@ -288,16 +293,30 @@ def stage_outputs(
     its PIPELINE_CHUNK, bit for bit: numpy fills a uniform draw one value at
     a time from the stream, so a box draws each block only when it is
     requested, while an l2 ball draws its whole chunk, whose blocks are
-    views of it. Each block is a view of one (min(rows + 1, count), n)
-    output buffer, valid only until the next one is requested: a consumer
-    that keeps rows copies them."""
+    views of it. Each block is a view of one (size, n) output buffer,
+    size = min(rows + 1, count), valid only until the next one is
+    requested: a consumer may write into it, and one that keeps rows
+    copies them. For an implicit-basis l2 ball that buffer is the start of
+    one stage buffer, a pad of size * max(0, n - r) floats and then the
+    chunk's draw: m rows ending at draw row e write m * n <= pad + e * r
+    floats, over rows ``infer`` has read, in one product, before it writes."""
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
     size = min(rows + 1, count)
-    out = None
+    r, n = spec.dim, model.output_dim
+    buf = out = None
+    shared = spec.radius is not None and spec.noise_index is None
+    if shared:
+        pad = size * max(0, n - r)
+        stage_buf = np.empty(pad + min(PIPELINE_CHUNK, count) * r)
+        out = stage_buf[: size * n].reshape(size, n)
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
-        chunk = None if spec.radius is None else sample_lambdas(spec, k, rng)
+        if shared:
+            chunk = stage_buf[pad : pad + k * r].reshape(k, r)
+            _ball_draws(spec, rng.standard_normal(out=chunk), rng)
+        else:
+            chunk = None if spec.radius is None else sample_lambdas(spec, k, rng)
         for block in row_slices(k, rows):
             if chunk is None:
                 lams = sample_lambdas(spec, block.stop - block.start, rng)
@@ -305,16 +324,16 @@ def stage_outputs(
                 lams = chunk[block]
             if out is None:
                 # both buffers are taken after the first draw, so that a
-                # ball's (k, n0) draw can reuse memory the previous stage
+                # selection's l2 draw can reuse memory the previous stage
                 # freed; taken first, they often left the draw none, and
                 # peak RSS hung on heap layout
                 buf = _base_rows(spec, size)
-                out = np.empty((size, model.output_dim))
+                out = np.empty((size, n))
             X = _images(spec, lams, buf)
             yield infer(model, X, out=out[: X.shape[0]])
             # the images may be the draw itself: free it before the next draw
             del lams, X
-        # an l2 chunk's draw goes before the next chunk's draw is taken
+        # a selection's l2 draw goes before the next chunk's draw is taken
         del chunk
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conformal_reach import hull as hull_module
+from conformal_reach import model as model_module
 from conformal_reach.hull import HullModel, LpError, clip_batch
 from conformal_reach.model import ImageTensor, MlpNetwork, infer, random_mlp
 from conformal_reach.pca import deflate
@@ -217,7 +218,7 @@ class TestLockstep:
         hull = make_hull(pts)
         # a budget of 64 rows of the (k, M, M) inverses, M = 13, so that
         # three blocks take a few hundred queries, not thousands
-        monkeypatch.setattr(hull_module, "_ROW_BYTES", 8 * 13 * 13 * 64)
+        monkeypatch.setattr(model_module, "_ROW_BYTES", 8 * 13 * 13 * 64)
         rows = clip_rows(hull)
         assert rows == 64
         V = mixed_queries(pts, rng, 2 * rows + 37)  # three blocks
@@ -355,7 +356,7 @@ class TestLockstep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - V_hat.nbytes - residuals.nbytes < 3 * hull_module._ROW_BYTES
+            assert peak - V_hat.nbytes - residuals.nbytes < 3 * model_module._ROW_BYTES
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
 

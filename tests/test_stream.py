@@ -69,29 +69,59 @@ SPECS = {
 def test_matches_unfused_chain(monkeypatch, kind, count, rows, sizes):
     # ``rows`` given, BLOCK_BYTES cuts the stream to blocks of that many
     # rows: a uniform law is drawn in those blocks, the last block of a
-    # draw may take a lone leftover row, and a draw may be one row alone
+    # draw may take a lone leftover row, and a draw may be one row alone.
+    # Each case runs three models: one narrower than its input; one wider
+    # (n = 160 > n0 = 108), so that an l2 ball's outputs start in the pad
+    # before its draw; and one layer, whose one product reads images that
+    # overlap the outputs it writes
     img = _image(6, 6, 3, seed=1)
     spec = SPECS[kind](img)
-    model = random_mlp([img.size, 12, 9], np.random.default_rng(2))
-    if rows is not None:
-        monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + 9))
-        assert block_rows(model) == rows
-    # the reference images come from the oracle, not the stream's image helper
-    rng = stage_rng(11, "calib")
+    for layers in ([img.size, 12, 9], [img.size, 12, 160], [img.size, 160]):
+        model = random_mlp(layers, np.random.default_rng(2))
+        if rows is not None:
+            monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + layers[-1]))
+            assert block_rows(model) == rows
+        blocks, last = [], None
+        for Y in stage_outputs(model, spec, 11, "calib", count):
+            # every block is a view of the one buffer the stage owns
+            assert last is None or np.shares_memory(Y, last)
+            blocks.append(Y.copy())
+            last = Y
+        assert [b.shape[0] for b in blocks] == sizes
+        want = _unfused_outputs(model, spec, 11, count)
+        np.testing.assert_array_equal(np.vstack(blocks), want, err_msg=str(layers))
+
+
+def _unfused_outputs(model, spec, seed, count):
+    """The calib stage's outputs from the unfused chain: ``sample_lambdas``
+    per PIPELINE_CHUNK, the oracle's images and ``infer``."""
+    img = spec.base_image
+    rng = stage_rng(seed, "calib")
     dense = None if spec.noise_index is None else dense_darkening_matrix(img, selected_pixels(spec))
     ref = []
     for s in range(0, count, PIPELINE_CHUNK):
         lams = sample_lambdas(spec, min(PIPELINE_CHUNK, count - s), rng)
         ref.append(infer(model, img.data + (lams if dense is None else lams @ dense)))
-    ref = np.vstack(ref)
-    blocks, last = [], None
-    for Y in stage_outputs(model, spec, 11, "calib", count):
-        # every block is a view of the one buffer the stage owns
-        assert last is None or np.shares_memory(Y, last)
-        blocks.append(Y.copy())
-        last = Y
-    assert [b.shape[0] for b in blocks] == sizes
-    np.testing.assert_array_equal(np.vstack(blocks), ref)
+    return np.vstack(ref)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_consumer_may_overwrite_each_block(monkeypatch, kind):
+    # a consumer that writes NaN over every block it is given sees the
+    # blocks of one that copies them: its writes reach no row the stream
+    # has yet to infer, in two chunks of 5-row blocks ending in a lone draw
+    img = _image(6, 6, 3, seed=1)
+    spec = SPECS[kind](img)
+    count = PIPELINE_CHUNK + 1
+    for layers in ([img.size, 12, 160], [img.size, 160]):
+        model = random_mlp(layers, np.random.default_rng(2))
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 5 * 8 * (img.size + layers[-1]))
+        kept = [Y.copy() for Y in stage_outputs(model, spec, 11, "calib", count)]
+        spoiled = []
+        for Y in stage_outputs(model, spec, 11, "calib", count):
+            spoiled.append(Y.copy())
+            Y[:] = np.nan
+        np.testing.assert_array_equal(np.vstack(spoiled), np.vstack(kept), err_msg=str(layers))
 
 
 def traced_peak(fn):
@@ -197,14 +227,23 @@ def test_row_budget_keeps_every_byte(monkeypatch, inputs, row_bytes):
     # row blocks of 2 to 4 rows for scores, l2 row norms, deflation, clip
     # LPs, miss tests and lifted points, at both size sets: each row's
     # result is computed on its own, and the lift's (rows, N) x (N, n)
-    # product has N = 4 terms a row
+    # product has N = 4 terms a row. The one patch of model._ROW_BYTES
+    # cuts the clip LP's lockstep blocks too, which the spy records.
     want = [certify_and_audit(*inputs(), sizes=sizes) for sizes in SIZES]
     monkeypatch.setattr(model_module, "_ROW_BYTES", row_bytes)
-    monkeypatch.setattr(hull_module, "_ROW_BYTES", row_bytes)
+    clip_rows = []
+    build = hull_module._ClipProblem.__init__
+
+    def spy(problem, hull):
+        build(problem, hull)
+        clip_rows.append(problem.rows)
+
+    monkeypatch.setattr(hull_module._ClipProblem, "__init__", spy)
     for sizes, expected in zip(SIZES, want):
         got = certify_and_audit(*inputs(), sizes=sizes)
         for key in expected:
             assert got[key].tobytes() == expected[key].tobytes(), (sizes, key)
+    assert clip_rows and set(clip_rows) == {2}, clip_rows
 
 
 def test_stream_budget_keeps_every_byte_of_a_wide_model(monkeypatch):
@@ -354,19 +393,22 @@ def test_ball_stream_holds_one_draw(norm):
 
 def test_surrogate_pipeline_and_audit_hold_draw_and_output_buffer():
     # l2 ball on a 16x16x3 image (r = n0 = 768) through a 4-class model
-    # (n = 1024), with calib and audit streams of m = 3000 rows. The
-    # budget is the largest draw D, one (INFER_CHUNK, n) output buffer B,
-    # the train stage's cloud, deflation copy and outer product plus its
-    # t x t Gram (T), and a slack of four (_ROW_BLOCK, r + n) blocks: 31.5
-    # MiB. One more draw-sized or (INFER_CHUNK, n) array is over it.
+    # (n = 1024), with calib and audit streams of m = 3000 rows. Each
+    # block's outputs are written over the draw's inferred rows and a pad
+    # before them, so the budget is the largest draw D, that pad P of
+    # min(INFER_CHUNK + 1, m) rows of n - n0 floats, the train stage's
+    # cloud, deflation copy and outer product plus its t x t Gram (T), and
+    # a slack of two (_ROW_BLOCK, r + n) blocks: 23.75 MiB. A separate
+    # (INFER_CHUNK, n) output buffer B beside the draw is over it.
     img = _image(16, 16, 3, seed=12)
     spec = build_global_ball(img, "l2", 0.3)
     model = random_mlp([img.size, 16, 4 * 256], np.random.default_rng(13))
     n0, n, t, m = img.size, model.output_dim, 100, 3000
     D, B = m * n0 * 8, INFER_CHUNK * n * 8
+    P = min(INFER_CHUNK + 1, m) * (n - n0) * 8
     T = 3 * t * n * 8 + t * t * 8
-    budget = D + B + T + 4 * _ROW_BLOCK * (n0 + n) * 8
-    assert D + 2 * B > budget
+    budget = D + P + T + 2 * _ROW_BLOCK * (n0 + n) * 8
+    assert D + B > budget
 
     def certify_and_audit():
         reachset, _, _ = run_surrogate_pipeline(
