@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import row_slices
+from .model import row_block, row_slices
 # not used here: perfbench/replay.py imports it from this module, until
 # ROADMAP direction 1b removes that import
 from .perturb import PIPELINE_CHUNK
@@ -157,15 +157,20 @@ class _ClipProblem:
         """Feasible bases (k, M) at the hull vertex nearest to each row of V."""
         P, t, N = self.P, self.t, self.N
         k = V.shape[0]
-        # l-inf distance to every hull point, one coordinate at a time into
-        # two (k, t) buffers, so the block never holds a (k, N, t) array
-        dist = np.abs(V[:, :1] - P[0])
-        gap = np.empty_like(dist)
-        for i in range(1, N):
-            np.subtract(V[:, i : i + 1], P[i], out=gap)
-            np.abs(gap, out=gap)
-            np.maximum(dist, gap, out=dist)
-        j0 = np.argmin(dist, axis=1)
+        # l-inf distance to every hull point, one row block and one
+        # coordinate at a time into two (row_block(t), t) buffers, so the
+        # pricing array stays the block's one (k, t) array; max(0, |x|) is
+        # |x| exactly, so each row's distances and j0 keep their bits
+        j0 = np.empty(k, dtype=np.int64)
+        dist, gap = np.empty((2, min(row_block(t) + 1, k), t))
+        for rows in row_slices(k, row_block(t)):
+            d, g = dist[: rows.stop - rows.start], gap[: rows.stop - rows.start]
+            d.fill(0.0)
+            for i in range(N):
+                np.subtract(V[rows, i : i + 1], P[i], out=g)
+                np.abs(g, out=g)
+                np.maximum(d, g, out=d)
+            j0[rows] = np.argmin(d, axis=1)
         r = V - P[:, j0].T
         i0 = np.argmax(np.abs(r), axis=1)
         binding = r[np.arange(k), i0] <= 0

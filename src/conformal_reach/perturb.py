@@ -299,7 +299,9 @@ def stage_outputs(
     copies them. For an implicit-basis l2 ball that buffer is the start of
     one stage buffer, a pad of size * max(0, n - r) floats and then the
     chunk's draw: m rows ending at draw row e write m * n <= pad + e * r
-    floats, over rows ``infer`` has read, in one product, before it writes."""
+    floats, over rows ``infer`` has read, in one product, before it writes.
+    ``count`` must be a positive integer; the first ``next()`` checks it."""
+    check_integer("count", count, 1)
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
     size = min(rows + 1, count)

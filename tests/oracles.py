@@ -243,7 +243,8 @@ def zspace_deflate(Z, num_components, step_size=10.0, max_iters=10_000, tol=1e-1
     """Deflation power ascent carried out directly on the (t, n) cloud.
 
     Reference for ``pca.deflate``, which runs the same ascent on the t x t
-    Gram matrix: same start vector (normalized cloud sum, else the first
+    Gram matrix when t <= n and, with these bits, on the cloud when t > n:
+    same start vector (normalized cloud sum, else the first
     Cartesian direction with a residual against the found ones), same
     step, stopping test, re-orthogonalization and sign convention, but
     every product is taken against Z itself. Returns

@@ -6,7 +6,8 @@ import pytest
 from conformal_reach import pca
 from conformal_reach.model import row_block
 from conformal_reach.pca import deflate
-from oracles import zspace_deflate
+from oracles import dark16_instance, surrogate_fit, zspace_deflate
+from test_hull import CLIP_LP_CASES
 
 
 def set_ascent(monkeypatch, **constants):
@@ -134,18 +135,19 @@ class TestDeflate:
         assert deflate(Z, np.int64(2)).num_components == 2
 
     @pytest.mark.parametrize("t, n", [(300, 4000), (1000, 768)])
-    def test_memory_is_the_copy_the_gram_and_one_row_block(self, t, n):
-        # deflation holds its (t, n) copy of the cloud, one t x t Gram and
-        # one (row_block(n), n) block of the rank-one term it removes, plus
-        # vectors; the whole (t, n) term beside them is over the budget,
-        # and at t > n (surrogate-dark16-n10's train cloud) so is the next
-        # direction's Gram formed beside this one's
+    def test_memory_is_the_copy_one_row_block_and_a_gram_only_if_t_le_n(self, t, n):
+        # deflation holds its (t, n) copy of the cloud and one
+        # (row_block(n), n) block of the rank-one term it removes, plus
+        # vectors, and one t x t Gram only when t <= n; the whole (t, n)
+        # term beside them is over the budget, and at t > n
+        # (surrogate-dark16-n10's train cloud) so is a Gram beside the copy
         rng = np.random.default_rng(26)
         Z = rng.normal(size=(t, n)) + 1.0
-        budget = 8 * (t * n + t * t + row_block(n) * n + 16 * (t + n))
-        assert 8 * (2 * t * n + t * t) > budget
+        gram = t * t if t <= n else 0
+        budget = 8 * (t * n + gram + row_block(n) * n + 16 * (t + n))
+        assert 8 * (2 * t * n + gram) > budget
         if t > n:
-            assert 8 * (t * n + 2 * t * t) > budget
+            assert 8 * (t * n + t * t) > budget
         tracemalloc.start()
         try:
             deflate(Z, 2)
@@ -153,6 +155,17 @@ class TestDeflate:
         finally:
             tracemalloc.stop()
         assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+    def test_dark16_basis_within_rounding_of_the_gram_form(self):
+        # surrogate-dark16-n10 instance seed 3990686019 (t = 1000 > n = 768):
+        # deflation of its live train cloud takes the iterations, and the
+        # basis to 1e-12, of the Gram-form ascent stored from commit 4383880
+        _, model, spec = dark16_instance(3990686019)
+        basis, _ = surrogate_fit(model, spec, 3990686019, 1000, 10)
+        with np.load(CLIP_LP_CASES) as stored:
+            np.testing.assert_array_equal(basis.iterations, stored["iterations_3990686019"])
+            np.testing.assert_allclose(basis.matrix, stored["basis_3990686019"], rtol=0, atol=1e-12)
+        assert np.all(basis.converged)
 
     def test_nonfinite_rejected(self):
         Z = np.ones((3, 3))
@@ -162,17 +175,23 @@ class TestDeflate:
 
 
 class TestGramAscentMatchesZSpace:
-    """``deflate`` runs the ascent on the t x t Gram matrix; the oracle runs
-    it on the t x n cloud, passed the constants that ``deflate`` reads.
-    Both must take the same steps."""
+    """The oracle runs the ascent on the t x n cloud, passed the constants
+    that ``deflate`` reads. At t > n ``deflate`` runs the same ascent, so
+    every output must be the oracle's bit for bit; at t <= n it runs on the
+    t x t Gram matrix and must take the same steps, with the basis equal
+    to 1e-12."""
 
     def assert_matches_oracle(self, Z, N):
         basis = deflate(Z, N)
         matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations, iterations)
         np.testing.assert_array_equal(basis.converged, converged)
-        np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
+        if Z.shape[0] > Z.shape[1]:
+            np.testing.assert_array_equal(basis.matrix, matrix)
+            np.testing.assert_array_equal(basis.rayleigh, rayleigh)
+        else:
+            np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
 
     def test_fewer_samples_than_dimensions(self):
         rng = np.random.default_rng(20)
@@ -211,7 +230,9 @@ class TestGramAscentMatchesZSpace:
         assert np.all(np.isfinite(basis.rayleigh))
         np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(6), atol=1e-10)
         assert np.all(basis.rayleigh[3:] < 1e-20 * basis.rayleigh[0])
+        # t = 30 > n = 12: the first three directions are the oracle's bits
         matrix, rayleigh, iterations, converged = zspace_deflate(Z, 3, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations[:3], iterations)
-        np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)
+        np.testing.assert_array_equal(basis.converged[:3], converged)
+        np.testing.assert_array_equal(basis.matrix[:, :3], matrix)
+        np.testing.assert_array_equal(basis.rayleigh[:3], rayleigh)

@@ -10,6 +10,7 @@ budget. Its consumers
 in row blocks beside the draw and the output buffer, with the bits of
 their whole-array forms."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -479,3 +480,21 @@ def test_lone_row_of_a_draw_takes_the_matrix_product():
     first = sample_lambdas(spec, PIPELINE_CHUNK, rng)
     lams = np.vstack([first[-1:], sample_lambdas(spec, 1, rng)])
     assert last[0].tobytes() == infer(wide, apply_batch(spec, lams))[1].tobytes()
+
+
+@pytest.mark.parametrize("law", ["darkening-box", "selection-l2", "implicit-l2"])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
+def test_count_is_checked_at_the_first_block(law, count):
+    # every law refuses a count that is not a positive integer with the
+    # same error, raised when the first block is requested
+    img = _image(4, 4, 1, seed=36)
+    darkening = build_darkening(img, 0.2, rng_seed=37)
+    spec = {
+        "darkening-box": darkening,
+        "selection-l2": dataclasses.replace(darkening, radius=0.1),
+        "implicit-l2": build_global_ball(img, "l2", 0.1),
+    }[law]
+    model = random_mlp([img.size, 5, 3], np.random.default_rng(38))
+    stream = stage_outputs(model, spec, 39, "calib", count)
+    with pytest.raises(ValueError, match=f"^count must be a positive integer, got {count!r}$"):
+        next(stream)
