@@ -193,7 +193,7 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
 
 
 # perfbench/replay.py is its one caller, and ``source`` is read by no one,
-# until ROADMAP direction 1b removes both
+# until ROADMAP direction 16 removes both
 def build_calibration(
     outputs: np.ndarray, cs: CenterScale, source: str = "raw-outputs"
 ) -> CalibrationSet:
@@ -215,7 +215,7 @@ def stream_calibration(blocks, cs: CenterScale) -> CalibrationSet:
     return CalibrationSet(scores=np.sort(np.concatenate(scores), kind="stable"))
 
 
-# perfbench/replay.py is its one caller, until ROADMAP direction 1b removes it
+# perfbench/replay.py is its one caller, until ROADMAP direction 16 removes it
 def naive_reachset(
     calib: CalibrationSet, cs: CenterScale, guarantee: GuaranteeSpec
 ) -> ReachSet:

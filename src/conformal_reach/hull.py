@@ -32,7 +32,7 @@ import numpy as np
 from . import model
 from .model import row_block, row_slices
 # not used here: perfbench/replay.py imports it from this module, until
-# ROADMAP direction 1b removes that import
+# ROADMAP direction 16 removes that import
 from .perturb import PIPELINE_CHUNK
 
 __all__ = [
@@ -72,7 +72,7 @@ class HullModel:
     degenerate: bool
 
     # ``basis`` is read by no one: perfbench/replay.py passes it, until
-    # ROADMAP direction 1b removes it
+    # ROADMAP direction 16 removes it
     @classmethod
     def from_points(cls, points: np.ndarray, basis=None) -> "HullModel":
         points = np.asarray(points, dtype=np.float64)
@@ -93,7 +93,7 @@ class HullModel:
         return self.points.shape[1]
 
     # read by no one: perfbench/replay.py counts its hits, until ROADMAP
-    # direction 1b removes that span
+    # direction 16 removes that span
     def interior_mask(self, V: np.ndarray) -> np.ndarray:
         """No row: every row takes the clip LP."""
         return np.zeros(V.shape[0], dtype=bool)

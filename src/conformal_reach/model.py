@@ -137,7 +137,7 @@ class ImageTensor:
 
 
 # perfbench/replay.py reads it from outside the package, until ROADMAP
-# direction 1b removes that import
+# direction 16 removes that import
 @dataclass(frozen=True)
 class LogitTensor:
     """h x w x L logits, flattened so that entry ((i-1)*w + (j-1))*L + l

@@ -3,21 +3,21 @@
 Directions are extracted one at a time: projected gradient ascent on the
 uncentered second-moment objective J(a) = (1/t) sum_j (a^T z_j)^2 over the
 unit sphere (a damped power iteration), then removal of the found
-component from every vector before the next round. The n x n moment
-matrix is never formed. The ascent has two forms, chosen by the cloud's
-shape alone, whose steps agree up to rounding. When t <= n the iterate,
-which lies in span{p} + rowspace(Z) (p the round's start vector, Z the
-deflated t x n cloud), is kept as a = beta p + Z^T u, and each step costs
-one product with the t x t Gram matrix G = Z Z^T, rebuilt from the
-deflated cloud every round; a itself is formed once per direction. When
-t > n, where G would be larger than the cloud, each step takes its two
-products with Z itself. Memory: the deflated (t, n) copy of the cloud,
-one row block of the rank-one term removed from it, vectors, and one
-t x t G at a time only when t <= n. No mean subtraction
-anywhere: downstream algebra projects raw logit vectors through A, so the
-basis must describe second moments about the origin, not the mean. The
-ascent's step, cap and tolerance are module constants. A basis is not
-saved: rerunning the pipeline from its manifest rebuilds it bit for bit.
+component. The n x n moment matrix is never formed. The ascent has two
+forms, whose steps agree up to rounding. When t <= n it runs in the
+eigenbasis of one Gram matrix Y Y^T = U diag(lam) U^T of the read-only
+(t, n) cloud Y: the iterate a = Y^T U c is kept as c, so Y a = U (lam c),
+|a|^2 = c . lam c, and a step is O(t N) elementwise work. It holds the
+Gram, its eigendecomposition and LAPACK's workspace (about 5 t^2 floats),
+and no copy of the cloud. ``eigh`` is O(t^3): at t in the thousands it
+would cost more than the ascent. When t > n, and from the first direction
+past the Gram's numerical rank or whose start (the column sum less the
+found directions) vanishes, each step takes two products with a (t, n)
+copy of the cloud deflated one row block at a time; that form holds the
+copy and one row block. No mean is subtracted: downstream algebra
+projects raw logit vectors through A, so the basis describes second
+moments about the origin. A basis is not saved: rerunning the pipeline
+from its manifest rebuilds it bit for bit.
 """
 
 from __future__ import annotations
@@ -65,14 +65,13 @@ class ProjectionBasis:
 def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
     """Extract the top ``num_components`` = N principal directions of the
     (t, n) cloud ``train_vectors``, with 1 <= N <= min(n, t). The cloud is
-    read only (an internal copy is deflated)."""
-    Z = np.asarray(train_vectors, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[0] < 1:
+    read only (the cloud form deflates an internal copy)."""
+    Y = np.asarray(train_vectors, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError("train_vectors must be a non-empty (t, n) array")
-    if not np.all(np.isfinite(Z)):
+    if not np.all(np.isfinite(Y)):
         raise ValueError("train_vectors must be finite")
-    Z = Z.copy()  # checked first, so the check's (t, n) mask is freed
-    t, n = Z.shape
+    t, n = Y.shape
     check_integer("num_components", num_components, 1)
     if num_components > min(n, t):
         raise ValueError(
@@ -84,27 +83,37 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
     rayleigh = np.empty(num_components)
     iterations = np.zeros(num_components, dtype=np.int64)
     converged = np.zeros(num_components, dtype=bool)
-    gram = t <= n  # else the t x t Gram is larger than the cloud
+    Z = Y.copy() if t > n else None  # the cloud form's deflated copy
+    if Z is None:
+        lam, U = np.linalg.eigh(Y @ Y.T)
+        # eigenvalues within eigh's error of 0 are rounding: past that
+        # numerical rank only dust is left to ascend, which the cloud form takes
+        rank = np.count_nonzero(lam > t * np.finfo(float).eps * lam[-1])
+        lam = np.maximum(lam, 0.0)  # a PSD Gram's negative eigenvalues are rounding
+        # found direction j is a_j = Y^T U C[j], and <a_j, Y^T U c> = W[j] @ c
+        C, W = np.zeros((num_components, t)), np.zeros((num_components, t))
+        ysum, csum = Y.sum(axis=0), U.sum(axis=0)  # the column sum Y^T 1, and as c
 
     for index in range(num_components):
-        p = _initial_direction(Z, cols, n)
-        w = Z @ p  # Z a
-        if gram:
-            # a = beta * p + Z^T u, so Z a = beta * Zp + G u
-            zp, pp, G = w, float(p @ p), Z @ Z.T
-            beta, u = 1.0, np.zeros(t)
+        if Z is None and (index >= rank or np.linalg.norm(_project(ysum, cols)) < _INIT_FALLBACK_NORM):
+            Z = Y.copy()  # the cloud form from here on
+            for a in cols:
+                _remove(Z, a)
+        if Z is None:
+            c = csum - C[:index].T @ (W[:index] @ csum)
+            c /= np.sqrt(float(c @ (lam * c)))
+            w = lam * c  # U^T Y a
         else:
-            a = p
+            a = _initial_direction(Z, cols, n)
+            w = Z @ a
         j_prev = float(w @ w) / t
         for it in range(1, _MAX_ITERS + 1):
             # a += step * grad / (2 J) with grad = 2 Z^T w / t
-            if gram:
-                u = u + _STEP_SIZE * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
-                Gu = G @ u
-                norm = np.sqrt(beta * beta * pp + 2.0 * beta * float(zp @ u) + float(u @ Gu))
-                beta /= norm
-                u /= norm
-                w = beta * zp + Gu / norm
+            if Z is None:
+                c = c + _STEP_SIZE * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
+                c -= C[:index].T @ (W[:index] @ c)
+                c /= np.sqrt(float(c @ (lam * c)))
+                w = lam * c
             else:
                 a = a + _STEP_SIZE * (2.0 * (Z.T @ w) / t) / max(2.0 * j_prev, _TINY)
                 a /= np.linalg.norm(a)
@@ -117,48 +126,66 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
             j_prev = j_cur
         else:
             iterations[index] = _MAX_ITERS
-        if gram:
-            a = beta * p + Z.T @ u
-            del G  # the next direction's Gram must not form beside this one
-        # re-orthogonalize against earlier directions; this only moves a by
-        # float dust but keeps the pairwise-orthogonality contract unconditional
-        for prev in cols:
-            a = a - (prev @ a) * prev
-        a /= np.linalg.norm(a)
+        if Z is None:
+            a = Y.T @ (U @ c)
+        # re-orthogonalize against earlier directions; this moves a by float
+        # dust, unless the cloud's rank has run out and the ascent climbed
+        # back into them, when the Cartesian completion replaces a
+        before = np.linalg.norm(a)
+        a = _project(a, cols)
+        norm = np.linalg.norm(a)
+        if norm <= 0.5 * before:
+            a, norm = _cartesian(cols, n), 1.0
+        a /= norm
         # sign convention: largest-magnitude entry positive, comparable runs
-        if a[np.argmax(np.abs(a))] < 0:
-            a = -a
-        w = Z @ a
+        sign = -1.0 if a[np.argmax(np.abs(a))] < 0 else 1.0
+        a = sign * a
+        if Z is None:
+            C[index] = sign * c / norm
+            w = W[index] = lam * C[index]
+        else:
+            w = _remove(Z, a)
         rayleigh[index] = float(w @ w) / t
         cols.append(a)
-        # one row block of the rank-one term at a time, so no (t, n)
-        # temporary forms beside Z; each entry is rounded the same
-        for rows in row_slices(t, row_block(n)):
-            Z[rows] -= np.outer(w[rows], a)
 
     return ProjectionBasis(
-        matrix=np.stack(cols, axis=1),
-        rayleigh=rayleigh,
-        iterations=iterations,
-        converged=converged,
+        matrix=np.stack(cols, axis=1), rayleigh=rayleigh, iterations=iterations, converged=converged
     )
 
 
+def _remove(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Deflate Z by the unit direction a in place and return the old Z a.
+    One row block of the rank-one term at a time, so no (t, n) temporary
+    forms beside Z; each entry is rounded the same."""
+    w = Z @ a
+    for rows in row_slices(Z.shape[0], row_block(Z.shape[1])):
+        Z[rows] -= np.outer(w[rows], a)
+    return w
+
+
 def _initial_direction(Z: np.ndarray, cols, n: int) -> np.ndarray:
-    """Deterministic start: normalized vector sum of the stage's cloud,
-    which already lies orthogonal to every extracted direction. Falls back
-    to the first Cartesian direction with a nonzero residual against the
-    extracted ones when the sum degenerates."""
+    """Deterministic start: the stage's normalized column sum, orthogonal to
+    every extracted direction, or the Cartesian completion if it vanishes."""
     a = Z.sum(axis=0)
     norm = np.linalg.norm(a)
-    if norm >= _INIT_FALLBACK_NORM:
-        return a / norm
+    return a / norm if norm >= _INIT_FALLBACK_NORM else _cartesian(cols, n)
+
+
+def _cartesian(cols, n: int) -> np.ndarray:
+    """The first Cartesian direction with a residual against the extracted
+    ones, that residual normalized."""
     for k in range(n):
         a = np.zeros(n)
         a[k] = 1.0
-        for prev in cols:
-            a = a - (prev @ a) * prev
+        a = _project(a, cols)
         norm = np.linalg.norm(a)
         if norm >= 1e-8:
             return a / norm
     raise ValueError("could not construct an initial direction")
+
+
+def _project(a: np.ndarray, cols) -> np.ndarray:
+    """a less its components along the orthonormal ``cols``, one at a time."""
+    for prev in cols:
+        a = a - (prev @ a) * prev
+    return a

@@ -135,18 +135,22 @@ class TestDeflate:
         assert deflate(Z, np.int64(2)).num_components == 2
 
     @pytest.mark.parametrize("t, n", [(300, 4000), (1000, 768)])
-    def test_memory_is_the_copy_one_row_block_and_a_gram_only_if_t_le_n(self, t, n):
-        # deflation holds its (t, n) copy of the cloud and one
-        # (row_block(n), n) block of the rank-one term it removes, plus
-        # vectors, and one t x t Gram only when t <= n; the whole (t, n)
-        # term beside them is over the budget, and at t > n
-        # (surrogate-dark16-n10's train cloud) so is a Gram beside the copy
+    def test_memory_is_a_gram_eigenbasis_if_t_le_n_else_the_copy_and_one_row_block(self, t, n):
+        # at t <= n deflation holds the t x t Gram and its eigenvectors
+        # (LAPACK's workspace is not traced) plus vectors, and no (t, n)
+        # copy: a copy beside them is over the budget. At t > n
+        # (surrogate-dark16-n10's train cloud) it holds its (t, n) copy of
+        # the cloud and one (row_block(n), n) block of the rank-one term it
+        # removes, plus vectors; the whole (t, n) term, or a Gram, beside
+        # the copy is over the budget
         rng = np.random.default_rng(26)
         Z = rng.normal(size=(t, n)) + 1.0
-        gram = t * t if t <= n else 0
-        budget = 8 * (t * n + gram + row_block(n) * n + 16 * (t + n))
-        assert 8 * (2 * t * n + gram) > budget
-        if t > n:
+        if t <= n:
+            budget = 8 * (3 * t * t + 16 * (t + n))
+            assert 8 * (t * n + 2 * t * t) > budget
+        else:
+            budget = 8 * (t * n + row_block(n) * n + 16 * (t + n))
+            assert 8 * (2 * t * n) > budget
             assert 8 * (t * n + t * t) > budget
         tracemalloc.start()
         try:
@@ -155,6 +159,20 @@ class TestDeflate:
         finally:
             tracemalloc.stop()
         assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("shape", [(20, 40), (12, 30), (30, 12)], ids=["t<n", "t<n-zero-sums", "t>n"])
+    def test_read_only_cloud_is_left_unchanged(self, shape):
+        # the eigen form reads the cloud itself, the cloud form copies it
+        rng = np.random.default_rng(27)
+        Z = rng.normal(size=shape) * np.linspace(3.0, 0.2, shape[1]) + 0.4
+        if shape == (12, 30):
+            Z = np.stack([Z[:6] - 0.4, 0.4 - Z[:6]], axis=1).reshape(12, 30)
+            assert np.all(Z.sum(axis=0) == 0.0)
+        before = Z.tobytes()
+        Z.flags.writeable = False
+        basis = deflate(Z, 4)
+        assert Z.tobytes() == before
+        np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(4), atol=1e-10)
 
     def test_dark16_basis_within_rounding_of_the_gram_form(self):
         # surrogate-dark16-n10 instance seed 3990686019 (t = 1000 > n = 768):
@@ -167,6 +185,31 @@ class TestDeflate:
             np.testing.assert_allclose(basis.matrix, stored["basis_3990686019"], rtol=0, atol=1e-12)
         assert np.all(basis.converged)
 
+    @pytest.mark.parametrize(
+        "Z",
+        [np.ones((4, 6)), np.ones((3, 3)), 1e3 * np.outer([1.0, 2.0], [1.0, -1.0, 2.0, 0.0, 1.0, 1.0])],
+        ids=["ones-4x6", "ones-3x3", "outer-2x6"],
+    )
+    def test_rank_one_cloud_gives_orthonormal_columns(self, Z):
+        # the second direction has only rounding noise to ascend, which can
+        # climb back into the first (the ones clouds) or, in the Gram's
+        # eigenbasis, leave no eigenvalue above rounding (the outer product)
+        basis = deflate(Z, 2)
+        np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(2), rtol=0, atol=1e-10)
+        assert np.all(np.isfinite(basis.rayleigh))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("t, n, r, N", [(20, 40, 3, 6), (12, 12, 2, 5), (30, 12, 3, 6), (8, 50, 1, 4)])
+    def test_rank_r_cloud_gives_orthonormal_columns(self, t, n, r, N, scale):
+        # N > r directions asked, on both sides of t = n: those past the
+        # rank come from rounding noise and must still be orthonormal
+        rng = np.random.default_rng(28)
+        Z = scale * rng.normal(size=(t, r)) @ rng.normal(size=(r, n))
+        basis = deflate(Z, N)
+        np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(N), rtol=0, atol=1e-10)
+        assert np.all(np.isfinite(basis.rayleigh))
+        assert np.all(basis.rayleigh[r:] < 1e-20 * basis.rayleigh[0])
+
     def test_nonfinite_rejected(self):
         Z = np.ones((3, 3))
         Z[1, 1] = np.nan
@@ -174,29 +217,39 @@ class TestDeflate:
             deflate(Z, 1)
 
 
-class TestGramAscentMatchesZSpace:
+class TestEigenAscentMatchesZSpace:
     """The oracle runs the ascent on the t x n cloud, passed the constants
-    that ``deflate`` reads. At t > n ``deflate`` runs the same ascent, so
-    every output must be the oracle's bit for bit; at t <= n it runs on the
-    t x t Gram matrix and must take the same steps, with the basis equal
-    to 1e-12."""
+    that ``deflate`` reads. At t > n, and at t <= n when the column sums
+    vanish, ``deflate`` runs the same ascent on its copy of the cloud, so
+    every output must be the oracle's bit for bit. Otherwise at t <= n it
+    runs in the eigenbasis of the t x t Gram matrix and must take the same
+    steps, with the basis equal to 1e-12 and the Rayleigh values to 1e-12
+    relative."""
 
     def assert_matches_oracle(self, Z, N):
         basis = deflate(Z, N)
         matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations, iterations)
         np.testing.assert_array_equal(basis.converged, converged)
-        if Z.shape[0] > Z.shape[1]:
+        if Z.shape[0] > Z.shape[1] or not np.any(Z.sum(axis=0)):
             np.testing.assert_array_equal(basis.matrix, matrix)
             np.testing.assert_array_equal(basis.rayleigh, rayleigh)
         else:
             np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
             np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
+        return basis
 
     def test_fewer_samples_than_dimensions(self):
         rng = np.random.default_rng(20)
         Z = rng.normal(size=(25, 60)) * np.linspace(3.0, 0.2, 60) + 0.4
         self.assert_matches_oracle(Z, 5)
+
+    def test_decaying_spectrum_many_steps(self):
+        # t = 200 <= n = 800, five directions that take from 19 to 330 steps
+        rng = np.random.default_rng(29)
+        Z = rng.normal(size=(200, 800)) * 0.98 ** np.arange(800) + 0.05
+        basis = self.assert_matches_oracle(Z, 5)
+        assert basis.iterations.min() < 25 and basis.iterations.max() > 300
 
     def test_more_samples_than_dimensions(self):
         rng = np.random.default_rng(21)
@@ -217,8 +270,9 @@ class TestGramAscentMatchesZSpace:
         X = rng.normal(size=(6, 30)) * np.linspace(3.0, 0.2, 30)
         Z = np.stack([X, -X], axis=1).reshape(12, 30)
         set_ascent(monkeypatch, _STEP_SIZE=0.5, _MAX_ITERS=3)
-        self.assert_matches_oracle(Z, 3)
-        assert not np.any(deflate(Z, 3).converged)
+        assert Z.shape[0] <= Z.shape[1] and not np.any(Z.sum(axis=0))
+        basis = self.assert_matches_oracle(Z, 3)  # bit for bit: the cloud form
+        assert not np.any(basis.converged)
 
     def test_rank_deficient_cloud(self):
         # rank 3, six directions asked: the last three come from a cloud
