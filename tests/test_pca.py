@@ -135,18 +135,20 @@ class TestDeflate:
         assert deflate(Z, np.int64(2)).num_components == 2
 
     @pytest.mark.parametrize("t, n", [(300, 4000), (1000, 768)])
-    def test_memory_is_a_gram_eigenbasis_if_t_le_n_else_the_copy_and_one_row_block(self, t, n):
-        # at t <= n deflation holds the t x t Gram and its eigenvectors
-        # (LAPACK's workspace is not traced) plus vectors, and no (t, n)
-        # copy: a copy beside them is over the budget. At t > n
-        # (surrogate-dark16-n10's train cloud) it holds its (t, n) copy of
-        # the cloud and one (row_block(n), n) block of the rank-one term it
-        # removes, plus vectors; the whole (t, n) term, or a Gram, beside
+    def test_memory_is_the_copy_one_row_block_and_a_gram_only_if_t_le_n(self, t, n):
+        # deflation holds at most its (t, n) copy of the cloud, one
+        # (row_block(n), n) block of the rank-one term it removes and a
+        # t x t Gram only when t <= n, plus vectors. At t <= n it now holds
+        # less: the Gram and its eigenvectors (LAPACK's workspace is not
+        # traced) and no (t, n) copy, so a copy beside them is over the
+        # budget. At t > n (surrogate-dark16-n10's train cloud) it holds the
+        # copy and one row block; the whole (t, n) term, or a Gram, beside
         # the copy is over the budget
         rng = np.random.default_rng(26)
         Z = rng.normal(size=(t, n)) + 1.0
         if t <= n:
             budget = 8 * (3 * t * t + 16 * (t + n))
+            assert budget <= 8 * (t * n + t * t + row_block(n) * n + 16 * (t + n))
             assert 8 * (t * n + 2 * t * t) > budget
         else:
             budget = 8 * (t * n + row_block(n) * n + 16 * (t + n))
