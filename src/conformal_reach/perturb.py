@@ -2,30 +2,28 @@
 
 A perturbation set is a base image plus noise directions with a coefficient
 box: adversarial images are x + sum_i lambda(i) * noise_i, lambda uniform
-on the box, or on the l2 ball of the set's radius if it has one.
-``build_darkening`` dims bright pixels channel-wise; ``build_global_ball``
-makes a global l2 or l-inf ball (the box [-e, e]^n0, with no radius) whose
-identity noise basis is never materialized. A darkening noise image has
-exactly one nonzero, so the set is stored as a signed selection, one (flat
-input index, value) pair per coefficient, and applied by scatter: no
-(r, n0) noise matrix is ever formed.
+on the box, or, for a set with a radius, on the global l2 ball of that
+radius. ``build_darkening`` dims bright pixels channel-wise;
+``build_global_ball`` makes a global l2 or l-inf ball (the box [-e, e]^n0,
+with no radius) whose identity noise basis is never materialized. A
+darkening noise image has exactly one nonzero, so the set is stored as a
+signed selection, one (flat input index, value) pair per coefficient, and
+applied by scatter: no (r, n0) noise matrix is ever formed.
 
 A spec records the builder call that made it as its ``recipe``. The run
-manifest writes that call (``spec_manifest``) and a rerun makes it again
-(``spec_from_manifest``), so the builders hold the only checks on an
-adversary's arguments.
+manifest writes that call (``spec_manifest``) if making it again rebuilds
+the spec, and a rerun makes it again (``spec_from_manifest``), so the
+builders hold the only checks on an adversary's arguments.
 
-The pipelines draw their samples from one stream, ``stage_outputs``. It
-cuts each PIPELINE_CHUNK of a stage's seeded stream into blocks of
-``model.block_rows`` rows, forms each block's images in one reused buffer
-and infers them into one reused output buffer, so the image block and the
-output buffer together take at most about ``model.BLOCK_BYTES``. A uniform
-box is drawn one block at a time, so the stream holds one
-block's draw, one image block (for the implicit basis, the draw itself), one
-output buffer and about ``model._ROW_BYTES`` more per row block. Only an
-l2 ball holds a whole (k, r) draw, since its radii are drawn after all of
-its normals; with the implicit basis its images are that (k, n0) draw, and
-its outputs overwrite a pad before the draw and the rows already inferred.
+The pipelines draw their samples from one stream, ``stage_outputs``: it
+takes its buffers once, before its first draw, and cuts each
+PIPELINE_CHUNK of a stage's seeded stream into ``model.block_rows``-row
+blocks in one of two regimes. A uniform box is drawn a block at a time,
+so the stream holds one block's draw, one image block (for the implicit
+basis, the draw itself) and one output buffer, about ``model.BLOCK_BYTES``
+at most, and ``model._ROW_BYTES`` more per row block. The l2 ball holds a
+whole (k, n0) draw, as its radii follow all of its normals; its images
+are that draw, and its outputs overwrite a pad before it and inferred rows.
 ``apply_batch`` forms one batch of images with the stream's image helper.
 Perturbed intensities are deliberately not clamped to [0, 1]: the
 darkening construction is in-range by design, and clamping would destroy
@@ -71,9 +69,9 @@ class PerturbationSpec:
     Both are ``None`` for the implicit identity basis of a global ball,
     which has r = n0. Bounds are the componentwise coefficient box: two
     finite vectors of shape (r,).
-    A spec with a ``radius`` (positive) is the uniform l2 ball of that
-    radius over its r coefficients, whose bounds no draw reads
-    (``build_global_ball`` sets the [-e, e] cube around the ball); a spec
+    A spec with a ``radius`` (positive) is the global uniform l2 ball of
+    that radius, on the implicit basis, whose bounds no draw reads
+    (``build_global_ball`` sets the [-e, e] cube around it); a spec
     without one is the uniform box of its bounds (an l-inf ball is one).
     ``recipe`` holds the JSON-ready arguments of the builder call that
     made the spec, under its ``adversary`` name, and is ``None`` for a
@@ -94,6 +92,8 @@ class PerturbationSpec:
             raise ValueError(f"lambda bounds must both have shape (r,), got {lower} and {upper}")
         if self.radius is not None:
             check_number("radius", self.radius, positive=True)
+            if self.noise_index is not None:
+                raise ValueError("a radius makes the global l2 ball, which takes no noise_index")
         for name in ("lambda_lower", "lambda_upper"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -290,64 +290,58 @@ def stage_outputs(
     from the stage's seeded stream.
 
     A block's coefficients are the rows that ``sample_lambdas`` would give
-    its PIPELINE_CHUNK, bit for bit: numpy fills a uniform draw one value at
-    a time from the stream, so a box draws each block only when it is
-    requested, while an l2 ball draws its whole chunk, whose blocks are
-    views of it. Each block is a view of one (size, n) output buffer,
-    size = min(rows + 1, count), valid only until the next one is
+    its PIPELINE_CHUNK, bit for bit. Its two regimes take their buffers
+    before the first draw. A box draws each block when it is requested (numpy
+    fills a uniform draw one value at a time), into one (size, n) output
+    buffer, size = min(rows + 1, count). The l2 ball draws each chunk into
+    one stage buffer after a pad of size * max(0, n - r) floats, and its
+    outputs overwrite the buffer's start: m rows ending at draw row e write
+    m * n <= pad + e * r floats, over rows ``infer`` has read, in one
+    product, before it writes. A block is valid only until the next one is
     requested: a consumer may write into it, and one that keeps rows
-    copies them. For an implicit-basis l2 ball that buffer is the start of
-    one stage buffer, a pad of size * max(0, n - r) floats and then the
-    chunk's draw: m rows ending at draw row e write m * n <= pad + e * r
-    floats, over rows ``infer`` has read, in one product, before it writes.
-    ``count`` must be a positive integer; the first ``next()`` checks it."""
+    copies them. ``count`` must be a positive integer; the first
+    ``next()`` checks it."""
     check_integer("count", count, 1)
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
     size = min(rows + 1, count)
     r, n = spec.dim, model.output_dim
-    buf = out = None
-    shared = spec.radius is not None and spec.noise_index is None
-    if shared:
+    buf = _base_rows(spec, size)
+    ball = spec.radius is not None
+    if ball:
         pad = size * max(0, n - r)
         stage_buf = np.empty(pad + min(PIPELINE_CHUNK, count) * r)
         out = stage_buf[: size * n].reshape(size, n)
+    else:
+        out = np.empty((size, n))
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
-        if shared:
+        if ball:
             chunk = stage_buf[pad : pad + k * r].reshape(k, r)
             _ball_draws(spec, rng.standard_normal(out=chunk), rng)
-        else:
-            chunk = None if spec.radius is None else sample_lambdas(spec, k, rng)
         for block in row_slices(k, rows):
-            if chunk is None:
-                lams = sample_lambdas(spec, block.stop - block.start, rng)
-            else:
-                lams = chunk[block]
-            if out is None:
-                # both buffers are taken after the first draw, so that a
-                # selection's l2 draw can reuse memory the previous stage
-                # freed; taken first, they often left the draw none, and
-                # peak RSS hung on heap layout
-                buf = _base_rows(spec, size)
-                out = np.empty((size, n))
+            lams = chunk[block] if ball else sample_lambdas(spec, block.stop - block.start, rng)
             X = _images(spec, lams, buf)
             yield infer(model, X, out=out[: X.shape[0]])
             # the images may be the draw itself: free it before the next draw
             del lams, X
-        # a selection's l2 draw goes before the next chunk's draw is taken
-        del chunk
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:
     """JSON-ready record of the builder call that made ``spec``: the image
     shape, the ``adversary`` and the builder's arguments, from which
     ``spec_from_manifest`` and the base image rebuild the exact input set.
-    A spec built directly records ``adversary: None`` and cannot be
-    rebuilt."""
+    The call is made again: a spec it does not rebuild, such as one built
+    directly or by ``dataclasses.replace``, records ``adversary: None``."""
     image = spec.base_image
-    recipe = spec.recipe if spec.recipe is not None else {"adversary": None}
-    return {"image_shape": [image.height, image.width, image.channels], **recipe}
+    manifest = {"image_shape": [image.height, image.width, image.channels], "adversary": None}
+    try:
+        rebuilt = spec_from_manifest({**manifest, **(spec.recipe or {})}, image)
+    except ValueError:
+        return manifest
+    fields = ("noise_index", "noise_value", "lambda_lower", "lambda_upper", "radius")
+    same = all(np.array_equal(getattr(spec, f), getattr(rebuilt, f)) for f in fields)
+    return {**manifest, **spec.recipe} if same else manifest
 
 
 def spec_from_manifest(manifest: dict, base_image: ImageTensor) -> PerturbationSpec:

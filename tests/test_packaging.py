@@ -58,9 +58,6 @@ CALLERS = [
     *PACKAGE.glob("*.py"),
     *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
 ]
-# Public names kept without a caller: a spec's rebuild from its manifest,
-# the run's one record, which reproduces the run.
-KEPT = ("spec_from_manifest",)
 
 
 def _reads(path):
@@ -93,22 +90,8 @@ def test_all_names_have_callers(name):
         if not (path == own and owner == read)
     }
     module = importlib.import_module(f"conformal_reach.{name}")
-    unused = [n for n in getattr(module, "__all__", ()) if n not in read and n not in KEPT]
+    unused = [n for n in getattr(module, "__all__", ()) if n not in read]
     assert not unused, f"{name}.__all__ lists names only tests use: {unused}"
-
-
-def test_kept_names_have_no_caller():
-    # a kept name that gains a caller leaves the list
-    read = {read for path in CALLERS for read, owner in _reads(path) if owner != read}
-    assert not set(KEPT) & read, sorted(set(KEPT) & read)
-
-
-def test_kept_names_are_public():
-    public = set()
-    for name in MODULES:
-        module = importlib.import_module(f"conformal_reach.{name}")
-        public.update(getattr(module, "__all__", ()))
-    assert set(KEPT) <= public, sorted(set(KEPT) - public)
 
 
 # Calls and imports that read or write files. A run's one record is its
@@ -216,6 +199,22 @@ def test_rows_are_cut_one_way():
         and len(node.args) == 3 and ast.unparse(node.args[2]) != "PIPELINE_CHUNK"
     ]
     assert not found, found
+
+
+def test_stream_takes_its_buffers_once():
+    # ``stage_outputs`` takes its image and output buffers before its first
+    # draw; a buffer taken inside its chunk or block loop (a lazy buffer,
+    # or one per chunk) fails here
+    tree = ast.parse((PACKAGE / "perturb.py").read_text())
+    stream = next(top for top in tree.body if getattr(top, "name", None) == "stage_outputs")
+    found = {
+        f"perturb.py:{node.lineno}: {ast.unparse(node.func)}"
+        for loop in ast.walk(stream) if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in {"np.empty", "np.zeros", "_base_rows"}
+    }
+    assert not found, sorted(found)
 
 
 def _passed():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -193,19 +194,18 @@ class TestGlobalBall:
 
 class TestSample:
     def test_radius_makes_the_l2_ball(self):
-        # a selection spec with a radius draws the l2 ball over its r
+        # a spec with a radius draws the global l2 ball over its r = n0
         # coefficients, whatever its box; without one it draws the box
-        spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
+        lower, upper = np.array([-0.3, 0.05]), np.array([0.1, 0.4])
         parts = dict(
-            base_image=spec.base_image, noise_index=spec.noise_index,
-            noise_value=spec.noise_value, lambda_lower=spec.lambda_lower,
-            lambda_upper=spec.lambda_upper,
+            base_image=ImageTensor.from_array(np.array([[[0.9], [0.8]]])),
+            noise_index=None, noise_value=None, lambda_lower=lower, lambda_upper=upper,
         )
         ball = sample_lambdas(PerturbationSpec(**parts, radius=0.2), 300, np.random.default_rng(26))
         np.testing.assert_array_equal(ball, l2_ball_draw(0.2, 300, 2, np.random.default_rng(26)))
         assert np.all(np.linalg.norm(ball, axis=1) <= 0.2)
         box = sample_lambdas(PerturbationSpec(**parts), 300, np.random.default_rng(26))
-        want = np.random.default_rng(26).uniform(spec.lambda_lower, spec.lambda_upper, (300, 2))
+        want = np.random.default_rng(26).uniform(lower, upper, (300, 2))
         np.testing.assert_array_equal(box, want)
 
     def test_deterministic_from_seed(self):
@@ -430,6 +430,15 @@ class TestBoundsValidation:
                 lambda_lower=np.full(4, -0.1), lambda_upper=np.full(4, 0.1), radius=radius,
             )
 
+    def test_radius_takes_no_selection(self):
+        # a radius makes the global l2 ball on the implicit basis, so a
+        # selection with one is refused when built, not drawn as a ball
+        spec = build_darkening(bright_2x2(), 1.0, min_darkening=0.05, rng_seed=1)
+        with pytest.raises(
+            ValueError, match="^a radius makes the global l2 ball, which takes no noise_index$"
+        ):
+            dataclasses.replace(spec, radius=0.1)
+
 
 class TestManifestValidation:
     def manifest(self):
@@ -553,3 +562,31 @@ class TestManifestValidation:
         ):
             spec_from_manifest(man, img)
 
+    @pytest.mark.parametrize("builder", ["darkening", "l2-ball", "linf-ball"])
+    def test_builder_manifest_records_its_call_and_rebuilds(self, builder):
+        # a builder's spec records its recipe unchanged, and the recipe
+        # makes the same input set again
+        img = bright_2x2()
+        spec = {
+            "darkening": lambda: build_darkening(img, 1.0, min_darkening=0.05, rng_seed=1),
+            "l2-ball": lambda: build_global_ball(img, "l2", 0.5),
+            "linf-ball": lambda: build_global_ball(img, "linf", 0.1),
+        }[builder]()
+        man = spec_manifest(spec)
+        assert man == {"image_shape": [2, 2, 1], **spec.recipe}
+        rebuilt = spec_from_manifest(man, img)
+        for field in ("noise_index", "noise_value", "lambda_lower", "lambda_upper", "radius"):
+            np.testing.assert_array_equal(getattr(rebuilt, field), getattr(spec, field))
+
+    @pytest.mark.parametrize("edit", ["l2-radius", "linf-to-l2", "darkening-bound"])
+    def test_replaced_spec_records_no_adversary(self, edit):
+        # dataclasses.replace keeps the builder's recipe, which no longer
+        # makes the spec: recording it would rerun another input set
+        img = bright_2x2()
+        darkening = build_darkening(img, 1.0, min_darkening=0.05, rng_seed=1)
+        spec = {
+            "l2-radius": lambda: dataclasses.replace(build_global_ball(img, "l2", 0.5), radius=0.05),
+            "linf-to-l2": lambda: dataclasses.replace(build_global_ball(img, "linf", 0.1), radius=0.1),
+            "darkening-bound": lambda: dataclasses.replace(darkening, lambda_upper=np.full(2, 0.5)),
+        }[edit]()
+        assert spec_manifest(spec) == {"image_shape": [2, 2, 1], "adversary": None}
