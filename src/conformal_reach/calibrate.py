@@ -155,7 +155,6 @@ def center_and_scales(train_outputs) -> CenterScale:
                 total += Y[row]
             t += Y.shape[0]
             i += 1
-            del Y  # free this block before the stream builds the next
     if total is None:
         raise ValueError("train_outputs holds no block")
     c = total / t
@@ -211,7 +210,6 @@ def stream_calibration(blocks, cs: CenterScale) -> CalibrationSet:
     scores = []
     for Y in blocks:
         scores.append(nonconformity_batch(Y, cs))
-        del Y  # free this block before the stream builds the next
     return CalibrationSet(scores=np.sort(np.concatenate(scores), kind="stable"))
 
 

@@ -295,11 +295,15 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     bad = np.nonzero(~np.all(np.isfinite(V), axis=1))[0]
     if bad.size:
         raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
-    problem = _ClipProblem(hull)
+    # the LP's tolerances are absolute, so a hull and queries below scale 1
+    # are solved at scale 1; the l-inf projection commutes with scaling
+    scale = min(1.0, max(np.abs(hull.points).max(), np.abs(V).max(initial=0.0))) or 1.0
+    problem = _ClipProblem(HullModel(hull.points / scale, hull.degenerate))
     out = np.empty_like(V)
     residuals = np.empty(V.shape[0])
     for rows in row_slices(V.shape[0], problem.rows):
-        basis, xB, residuals[rows] = problem.solve_block(V[rows])
+        basis, xB, residuals[rows] = problem.solve_block(V[rows] / scale)
+        residuals[rows] *= scale
         # basic alpha columns weigh their hull points; the others weigh 0
         weights = np.where(basis < hull.size, xB, 0.0)
         weights /= weights.sum(axis=1, keepdims=True)

@@ -118,11 +118,19 @@ class ImageTensor:
             raise ValueError(
                 f"data length {self.data.shape} != h*w*nc = {expected}"
             )
+        # perturbations subtract and scale pixel values: an integer image
+        # would wrap around or truncate them
+        if self.data.dtype != np.float64:
+            raise ValueError(f"image data must be float64, got {self.data.dtype}")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("image data must be finite")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ImageTensor":
         """Build from an (h, w) or (h, w, nc) array."""
         arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim not in (2, 3):
+            raise ValueError(f"image must be an (h, w) or (h, w, nc) array, got shape {arr.shape}")
         if arr.ndim == 2:
             arr = arr[:, :, None]
         h, w, nc = arr.shape

@@ -3,21 +3,22 @@
 Directions are extracted one at a time: projected gradient ascent on the
 uncentered second-moment objective J(a) = (1/t) sum_j (a^T z_j)^2 over the
 unit sphere (a damped power iteration), then removal of the found
-component. The n x n moment matrix is never formed. The ascent has two
+component. The n x n moment matrix is never formed, and neither is a copy
+of the read-only (t, n) cloud Y: the deflated cloud is Z = Y P, with P the
+projection off the found directions, so Z a = Y P a. The ascent has two
 forms, whose steps agree up to rounding. When t <= n it runs in the
-eigenbasis of one Gram matrix Y Y^T = U diag(lam) U^T of the read-only
-(t, n) cloud Y: the iterate a = Y^T U c is kept as c, so Y a = U (lam c),
-|a|^2 = c . lam c, and a step is O(t N) elementwise work. It holds the
-Gram, its eigendecomposition and LAPACK's workspace (about 5 t^2 floats),
-and no copy of the cloud. ``eigh`` is O(t^3): at t in the thousands it
-would cost more than the ascent. When t > n, and from the first direction
-past the Gram's numerical rank or whose start (the column sum less the
-found directions) vanishes, each step takes two products with a (t, n)
-copy of the cloud deflated one row block at a time; that form holds the
-copy and one row block. No mean is subtracted: downstream algebra
-projects raw logit vectors through A, so the basis describes second
-moments about the origin. A basis is not saved: rerunning the pipeline
-from its manifest rebuilds it bit for bit.
+eigenbasis of one Gram matrix Y Y^T = U diag(lam) U^T: the iterate
+a = Y^T U c is kept as c, so Y a = U (lam c), |a|^2 = c . lam c, and a
+step is O(t N) elementwise work. It holds the Gram, its eigendecomposition
+and LAPACK's workspace (about 5 t^2 floats). ``eigh`` is O(t^3): at t in
+the thousands it would cost more than the ascent. When t > n, and from
+the first direction past the Gram's numerical rank or whose start (the
+column sum less the found directions) vanishes, each step takes w = Y a
+and the gradient Y^T w with the found directions projected out, so it
+holds only vectors. No mean is subtracted: downstream algebra projects
+raw logit vectors through A, so the basis describes second moments about
+the origin. A basis is not saved: rerunning the pipeline from its
+manifest rebuilds it bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import row_block, row_slices
 from ._seeds import check_integer
 
 __all__ = ["ProjectionBasis", "deflate"]
@@ -65,7 +65,7 @@ class ProjectionBasis:
 def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
     """Extract the top ``num_components`` = N principal directions of the
     (t, n) cloud ``train_vectors``, with 1 <= N <= min(n, t). The cloud is
-    read only (the cloud form deflates an internal copy)."""
+    read only and never copied."""
     Y = np.asarray(train_vectors, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError("train_vectors must be a non-empty (t, n) array")
@@ -83,8 +83,9 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
     rayleigh = np.empty(num_components)
     iterations = np.zeros(num_components, dtype=np.int64)
     converged = np.zeros(num_components, dtype=bool)
-    Z = Y.copy() if t > n else None  # the cloud form's deflated copy
-    if Z is None:
+    ysum = Y.sum(axis=0)  # the column sum Y^T 1
+    eigen = t <= n
+    if eigen:
         lam, U = np.linalg.eigh(Y @ Y.T)
         # eigenvalues within eigh's error of 0 are rounding: past that
         # numerical rank only dust is left to ascend, which the cloud form takes
@@ -92,32 +93,31 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
         lam = np.maximum(lam, 0.0)  # a PSD Gram's negative eigenvalues are rounding
         # found direction j is a_j = Y^T U C[j], and <a_j, Y^T U c> = W[j] @ c
         C, W = np.zeros((num_components, t)), np.zeros((num_components, t))
-        ysum, csum = Y.sum(axis=0), U.sum(axis=0)  # the column sum Y^T 1, and as c
+        csum = U.sum(axis=0)  # Y^T 1 as c
 
     for index in range(num_components):
-        if Z is None and (index >= rank or np.linalg.norm(_project(ysum, cols)) < _INIT_FALLBACK_NORM):
-            Z = Y.copy()  # the cloud form from here on
-            for a in cols:
-                _remove(Z, a)
-        if Z is None:
+        start = _project(ysum, cols)
+        start_norm = np.linalg.norm(start)
+        eigen = eigen and index < rank and start_norm >= _INIT_FALLBACK_NORM
+        if eigen:
             c = csum - C[:index].T @ (W[:index] @ csum)
             c /= np.sqrt(float(c @ (lam * c)))
             w = lam * c  # U^T Y a
-        else:
-            a = _initial_direction(Z, cols, n)
-            w = Z @ a
+        else:  # the cloud form from here on
+            a = start / start_norm if start_norm >= _INIT_FALLBACK_NORM else _cartesian(cols, n)
+            w = Y @ a
         j_prev = float(w @ w) / t
         for it in range(1, _MAX_ITERS + 1):
-            # a += step * grad / (2 J) with grad = 2 Z^T w / t
-            if Z is None:
+            # a += step * grad / (2 J) with grad = 2 Z^T w / t = 2 P Y^T w / t
+            if eigen:
                 c = c + _STEP_SIZE * (2.0 * w / t) / max(2.0 * j_prev, _TINY)
                 c -= C[:index].T @ (W[:index] @ c)
                 c /= np.sqrt(float(c @ (lam * c)))
                 w = lam * c
             else:
-                a = a + _STEP_SIZE * (2.0 * (Z.T @ w) / t) / max(2.0 * j_prev, _TINY)
+                a = a + _STEP_SIZE * (2.0 * _project(Y.T @ w, cols) / t) / max(2.0 * j_prev, _TINY)
                 a /= np.linalg.norm(a)
-                w = Z @ a
+                w = Y @ a
             j_cur = float(w @ w) / t
             if j_cur - j_prev <= _TOL * max(j_prev, _TINY):
                 converged[index] = True
@@ -126,7 +126,7 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
             j_prev = j_cur
         else:
             iterations[index] = _MAX_ITERS
-        if Z is None:
+        if eigen:
             a = Y.T @ (U @ c)
         # re-orthogonalize against earlier directions; this moves a by float
         # dust, unless the cloud's rank has run out and the ascent climbed
@@ -140,35 +140,17 @@ def deflate(train_vectors: np.ndarray, num_components: int) -> ProjectionBasis:
         # sign convention: largest-magnitude entry positive, comparable runs
         sign = -1.0 if a[np.argmax(np.abs(a))] < 0 else 1.0
         a = sign * a
-        if Z is None:
+        if eigen:
             C[index] = sign * c / norm
             w = W[index] = lam * C[index]
         else:
-            w = _remove(Z, a)
+            w = Y @ a
         rayleigh[index] = float(w @ w) / t
         cols.append(a)
 
     return ProjectionBasis(
         matrix=np.stack(cols, axis=1), rayleigh=rayleigh, iterations=iterations, converged=converged
     )
-
-
-def _remove(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Deflate Z by the unit direction a in place and return the old Z a.
-    One row block of the rank-one term at a time, so no (t, n) temporary
-    forms beside Z; each entry is rounded the same."""
-    w = Z @ a
-    for rows in row_slices(Z.shape[0], row_block(Z.shape[1])):
-        Z[rows] -= np.outer(w[rows], a)
-    return w
-
-
-def _initial_direction(Z: np.ndarray, cols, n: int) -> np.ndarray:
-    """Deterministic start: the stage's normalized column sum, orthogonal to
-    every extracted direction, or the Cartesian completion if it vanishes."""
-    a = Z.sum(axis=0)
-    norm = np.linalg.norm(a)
-    return a / norm if norm >= _INIT_FALLBACK_NORM else _cartesian(cols, n)
 
 
 def _cartesian(cols, n: int) -> np.ndarray:

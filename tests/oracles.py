@@ -243,8 +243,9 @@ def zspace_deflate(Z, num_components, step_size=10.0, max_iters=10_000, tol=1e-1
     """Deflation power ascent carried out directly on the (t, n) cloud.
 
     Reference for ``pca.deflate``, which runs the same ascent in the
-    eigenbasis of the t x t Gram matrix when t <= n and, with these bits,
-    on the cloud when t > n or the column sums vanish: same start vector
+    eigenbasis of the t x t Gram matrix when t <= n and, projecting the
+    found directions out of each gradient instead of out of a copy, on the
+    read-only cloud when t > n or the column sums vanish: same start vector
     (normalized cloud sum, else the first
     Cartesian direction with a residual against the found ones), same
     step, stopping test, re-orthogonalization and sign convention, but

@@ -129,6 +129,14 @@ class TestClip:
             assert abs(residuals[i] - res) <= 1e-8
             np.testing.assert_allclose(V_hat[i], v_hat, atol=1e-7)
 
+    def test_hull_of_small_scale_fixes_an_interior_point(self):
+        # the LP's tolerances are absolute: solved at the hull's own scale
+        # 1e-10, this point inside it clipped to a vertex, residual 3.1e-11
+        hull = make_hull([[1e-10], [2e-281], [1e-10]])
+        v_hat, residual = clip_row([6.9e-11], hull)
+        assert residual == 0.0
+        np.testing.assert_allclose(v_hat, [6.9e-11], rtol=1e-15, atol=0)
+
 
 class TestClipValidation:
     def test_rejects_non_finite_points(self):

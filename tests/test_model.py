@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,3 +220,19 @@ class TestImageIO:
         arr = rng.uniform(size=(6, 7, 3))
         img = ImageTensor.from_array(arr)
         np.testing.assert_array_equal(img.as_array(), arr)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_data_refused(self, dtype):
+        # a darkening of uint8 [200, 10, 220, 5] would wrap -200 around to 56
+        data = np.array([200, 10, 220, 5], dtype=dtype)
+        with pytest.raises(ValueError, match=f"float64, got {np.dtype(dtype)}"):
+            ImageTensor(2, 2, 1, data)
+
+    def test_nonfinite_data_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            ImageTensor(2, 2, 1, np.array([0.5, np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1, 1)])
+    def test_from_array_refuses_other_ranks(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ImageTensor.from_array(np.full(shape, 0.5))

@@ -217,6 +217,20 @@ def test_stream_takes_its_buffers_once():
     assert not found, sorted(found)
 
 
+def test_deflation_never_copies_its_cloud():
+    # ``pca.deflate`` reads the (t, n) cloud and projects the found
+    # directions out of each gradient; a copy of the cloud to deflate
+    # fails here
+    tree = ast.parse((PACKAGE / "pca.py").read_text())
+    deflate = next(top for top in tree.body if getattr(top, "name", None) == "deflate")
+    found = [
+        f"pca.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(deflate)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "copy"
+    ]
+    assert not found, found
+
+
 def _passed():
     """(function name, parameter name or position) for every argument a
     call in CALLERS passes, the function named bare or as an attribute."""

@@ -136,14 +136,11 @@ class TestDeflate:
 
     @pytest.mark.parametrize("t, n", [(300, 4000), (1000, 768)])
     def test_memory_is_the_copy_one_row_block_and_a_gram_only_if_t_le_n(self, t, n):
-        # deflation holds at most its (t, n) copy of the cloud, one
-        # (row_block(n), n) block of the rank-one term it removes and a
-        # t x t Gram only when t <= n, plus vectors. At t <= n it now holds
-        # less: the Gram and its eigenvectors (LAPACK's workspace is not
-        # traced) and no (t, n) copy, so a copy beside them is over the
-        # budget. At t > n (surrogate-dark16-n10's train cloud) it holds the
-        # copy and one row block; the whole (t, n) term, or a Gram, beside
-        # the copy is over the budget
+        # deflation never copies the cloud. At t <= n it holds the Gram and
+        # its eigenvectors (LAPACK's workspace is not traced), so a (t, n)
+        # copy beside them is over the budget. At t > n (surrogate-dark16-n10's
+        # train cloud) it holds the finiteness check's (t, n) bool mask and
+        # vectors, so a float copy of the cloud alone is over the budget
         rng = np.random.default_rng(26)
         Z = rng.normal(size=(t, n)) + 1.0
         if t <= n:
@@ -151,9 +148,8 @@ class TestDeflate:
             assert budget <= 8 * (t * n + t * t + row_block(n) * n + 16 * (t + n))
             assert 8 * (t * n + 2 * t * t) > budget
         else:
-            budget = 8 * (t * n + row_block(n) * n + 16 * (t + n))
-            assert 8 * (2 * t * n) > budget
-            assert 8 * (t * n + t * t) > budget
+            budget = t * n + 128 * (t + n)
+            assert 8 * t * n > budget
         tracemalloc.start()
         try:
             deflate(Z, 2)
@@ -164,7 +160,7 @@ class TestDeflate:
 
     @pytest.mark.parametrize("shape", [(20, 40), (12, 30), (30, 12)], ids=["t<n", "t<n-zero-sums", "t>n"])
     def test_read_only_cloud_is_left_unchanged(self, shape):
-        # the eigen form reads the cloud itself, the cloud form copies it
+        # both forms read the cloud itself
         rng = np.random.default_rng(27)
         Z = rng.normal(size=shape) * np.linspace(3.0, 0.2, shape[1]) + 0.4
         if shape == (12, 30):
@@ -220,25 +216,21 @@ class TestDeflate:
 
 
 class TestEigenAscentMatchesZSpace:
-    """The oracle runs the ascent on the t x n cloud, passed the constants
-    that ``deflate`` reads. At t > n, and at t <= n when the column sums
-    vanish, ``deflate`` runs the same ascent on its copy of the cloud, so
-    every output must be the oracle's bit for bit. Otherwise at t <= n it
-    runs in the eigenbasis of the t x t Gram matrix and must take the same
-    steps, with the basis equal to 1e-12 and the Rayleigh values to 1e-12
-    relative."""
+    """The oracle runs the ascent on a deflated copy of the t x n cloud,
+    passed the constants that ``deflate`` reads. ``deflate`` copies nothing:
+    at t > n, and at t <= n when the column sums vanish, it ascends on the
+    read-only cloud with the found directions projected out of each
+    gradient, and otherwise at t <= n in the eigenbasis of the t x t Gram
+    matrix. Either way it must take the same steps, with the basis equal
+    to 1e-12 and the Rayleigh values to 1e-12 relative."""
 
     def assert_matches_oracle(self, Z, N):
         basis = deflate(Z, N)
         matrix, rayleigh, iterations, converged = zspace_deflate(Z, N, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations, iterations)
         np.testing.assert_array_equal(basis.converged, converged)
-        if Z.shape[0] > Z.shape[1] or not np.any(Z.sum(axis=0)):
-            np.testing.assert_array_equal(basis.matrix, matrix)
-            np.testing.assert_array_equal(basis.rayleigh, rayleigh)
-        else:
-            np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
+        np.testing.assert_allclose(basis.matrix, matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.rayleigh, rayleigh, rtol=1e-12)
         return basis
 
     def test_fewer_samples_than_dimensions(self):
@@ -273,7 +265,7 @@ class TestEigenAscentMatchesZSpace:
         Z = np.stack([X, -X], axis=1).reshape(12, 30)
         set_ascent(monkeypatch, _STEP_SIZE=0.5, _MAX_ITERS=3)
         assert Z.shape[0] <= Z.shape[1] and not np.any(Z.sum(axis=0))
-        basis = self.assert_matches_oracle(Z, 3)  # bit for bit: the cloud form
+        basis = self.assert_matches_oracle(Z, 3)  # the cloud form from the start
         assert not np.any(basis.converged)
 
     def test_rank_deficient_cloud(self):
@@ -286,9 +278,9 @@ class TestEigenAscentMatchesZSpace:
         assert np.all(np.isfinite(basis.rayleigh))
         np.testing.assert_allclose(basis.matrix.T @ basis.matrix, np.eye(6), atol=1e-10)
         assert np.all(basis.rayleigh[3:] < 1e-20 * basis.rayleigh[0])
-        # t = 30 > n = 12: the first three directions are the oracle's bits
+        # t = 30 > n = 12: the first three directions are the oracle's
         matrix, rayleigh, iterations, converged = zspace_deflate(Z, 3, **ascent_constants())
         np.testing.assert_array_equal(basis.iterations[:3], iterations)
         np.testing.assert_array_equal(basis.converged[:3], converged)
-        np.testing.assert_array_equal(basis.matrix[:, :3], matrix)
-        np.testing.assert_array_equal(basis.rayleigh[:3], rayleigh)
+        np.testing.assert_allclose(basis.matrix[:, :3], matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.rayleigh[:3], rayleigh, rtol=1e-12)

@@ -91,12 +91,11 @@ def hull_and_inner_point(draw):
 @given(hull_and_inner_point())
 def test_points_inside_the_hull_are_fixed(case):
     # a point inside the hull takes the LP like any other and clips to
-    # itself. The LP stops once no reduced cost is below -1e-10, an
-    # absolute figure: on hulls of scale 1e-11 it can stop at the nearest
-    # vertex, and 4000 examples of this strategy reached 6.6e-11 there
+    # itself. The LP's tolerances are absolute, so a hull and query below
+    # scale 1 are solved at scale 1, and the tolerance scales with them
     points, v = case
     (v_hat,), (residual,) = clip_batch(v[None, :], HullModel.from_points(points))
-    tol = 1e-10 * max(1.0, np.abs(v).max())
+    tol = 1e-10 * max(min(1.0, np.abs(points).max()), np.abs(v).max())
     assert residual <= tol
     assert distance(v_hat - v) <= tol
 
