@@ -48,6 +48,8 @@ _STALL_LIMIT = 24
 _REFACTOR_EVERY = 16
 # A pivot this small next to its column's largest entry may be noise.
 _SMALL_PIVOT = 1e-9
+# Largest scale of hull and queries that the clip LP solves at.
+_MAX_SCALE = 1024.0
 
 
 class LpError(RuntimeError):
@@ -296,8 +298,10 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     if bad.size:
         raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
     # the LP's tolerances are absolute, so a hull and queries below scale 1
-    # are solved at scale 1; the l-inf projection commutes with scaling
-    scale = min(1.0, max(np.abs(hull.points).max(), np.abs(V).max(initial=0.0))) or 1.0
+    # are solved at scale 1 and those above _MAX_SCALE at _MAX_SCALE; the
+    # l-inf projection commutes with scaling
+    top = max(np.abs(hull.points).max(), np.abs(V).max(initial=0.0))
+    scale = top / min(max(top, 1.0), _MAX_SCALE) or 1.0
     problem = _ClipProblem(HullModel(hull.points / scale, hull.degenerate))
     out = np.empty_like(V)
     residuals = np.empty(V.shape[0])

@@ -15,15 +15,14 @@ manifest writes that call (``spec_manifest``) if making it again rebuilds
 the spec, and a rerun makes it again (``spec_from_manifest``), so the
 builders hold the only checks on an adversary's arguments.
 
-The pipelines draw their samples from one stream, ``stage_outputs``: it
-takes its buffers once, before its first draw, and cuts each
-PIPELINE_CHUNK of a stage's seeded stream into ``model.block_rows``-row
-blocks in one of two regimes. A uniform box is drawn a block at a time,
-so the stream holds one block's draw, one image block (for the implicit
-basis, the draw itself) and one output buffer, about ``model.BLOCK_BYTES``
-at most, and ``model._ROW_BYTES`` more per row block. The l2 ball holds a
-whole (k, n0) draw, as its radii follow all of its normals; its images
-are that draw, and its outputs overwrite a pad before it and inferred rows.
+The pipelines draw their samples from one stream, ``stage_outputs``,
+which cuts each PIPELINE_CHUNK of a stage's seeded stream into
+``model.block_rows``-row blocks. Both of its regimes draw in place
+(``_draw``) into buffers taken before the first draw, and free none per
+block: a uniform box draws each block into one draw buffer, and the l2 ball,
+whose radii follow all of its normals, draws each (k, n0) chunk into one
+stage buffer that its outputs overwrite. A box holds about
+``model.BLOCK_BYTES``, and ``model._ROW_BYTES`` more per row block.
 ``apply_batch`` forms one batch of images with the stream's image helper.
 Perturbed intensities are deliberately not clamped to [0, 1]: the
 darkening construction is in-range by design, and clamping would destroy
@@ -109,10 +108,7 @@ class PerturbationSpec:
             return
         r = (self.dim,)
         if idx.shape != r or val.shape != r:
-            raise ValueError(
-                f"noise_index {idx.shape} and noise_value {val.shape} "
-                f"must have shape {r}"
-            )
+            raise ValueError(f"noise_index {idx.shape} and noise_value {val.shape} need shape {r}")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"noise_index must be integer, got {idx.dtype}")
         if idx.size and (idx.min() < 0 or idx.max() >= self.base_image.size):
@@ -259,26 +255,32 @@ def build_global_ball(x: ImageTensor, norm: str, radius: float) -> PerturbationS
 
 
 def sample_lambdas(spec: PerturbationSpec, count: int, rng) -> np.ndarray:
-    """(count, r) i.i.d. coefficient draws, taken from the numpy Generator
-    ``rng``: uniform on the l2 ball of the spec's radius if it has one, and
-    on its box [lambda_lower, lambda_upper] otherwise."""
+    """(count, r) i.i.d. draws of the spec's law from the numpy Generator
+    ``rng``, taken by ``_draw`` into a new array."""
     check_integer("count", count, 1)
-    r = spec.dim
+    return _draw(spec, rng, np.empty((count, spec.dim)))
+
+
+def _draw(spec: PerturbationSpec, rng, out: np.ndarray) -> np.ndarray:
+    """Fill the (k, r) float64 buffer ``out`` with k draws from ``rng``, and
+    return it. A box is ``rng.uniform(lower, upper)`` bit for bit (IEEE
+    products and sums commute) and refuses an overflowing upper - lower as
+    it does. A ball scales its normals to unit rows a row block at a time
+    (a row's norm does not depend on its block), then by radii drawn last."""
     if spec.radius is None:
-        return rng.uniform(spec.lambda_lower, spec.lambda_upper, size=(count, r))
-    return _ball_draws(spec, rng.standard_normal((count, r)), rng)
-
-
-def _ball_draws(spec: PerturbationSpec, g: np.ndarray, rng) -> np.ndarray:
-    """Make the (k, r) normals ``g``, just drawn from ``rng``, uniform on
-    the spec's l2 ball in place: row norms one row block at a time (a row's
-    norm has the same bits however rows are blocked), then radii from ``rng``."""
-    k, r = g.shape
-    for rows in row_slices(k, row_block(r)):
-        g[rows] /= np.linalg.norm(g[rows], axis=1, keepdims=True)
-    radii = spec.radius * rng.random(k) ** (1.0 / r)
-    g *= radii[:, None]
-    return g
+        with np.errstate(over="ignore"):
+            span = spec.lambda_upper - spec.lambda_lower
+        if not np.all(np.isfinite(span)):
+            raise OverflowError("lambda_upper - lambda_lower overflows float64")
+        rng.random(out=out)
+        out *= span
+        out += spec.lambda_lower
+        return out
+    rng.standard_normal(out=out)
+    for rows in row_slices(len(out), row_block(spec.dim)):
+        out[rows] /= np.linalg.norm(out[rows], axis=1, keepdims=True)
+    out *= (spec.radius * rng.random(len(out)) ** (1.0 / spec.dim))[:, None]
+    return out
 
 
 def stage_outputs(
@@ -290,17 +292,17 @@ def stage_outputs(
     from the stage's seeded stream.
 
     A block's coefficients are the rows that ``sample_lambdas`` would give
-    its PIPELINE_CHUNK, bit for bit. Its two regimes take their buffers
-    before the first draw. A box draws each block when it is requested (numpy
-    fills a uniform draw one value at a time), into one (size, n) output
-    buffer, size = min(rows + 1, count). The l2 ball draws each chunk into
-    one stage buffer after a pad of size * max(0, n - r) floats, and its
-    outputs overwrite the buffer's start: m rows ending at draw row e write
-    m * n <= pad + e * r floats, over rows ``infer`` has read, in one
-    product, before it writes. A block is valid only until the next one is
-    requested: a consumer may write into it, and one that keeps rows
-    copies them. ``count`` must be a positive integer; the first
-    ``next()`` checks it."""
+    its PIPELINE_CHUNK, bit for bit. Both regimes ``_draw`` into buffers
+    taken before the first draw; size = min(rows + 1, count). A box draws
+    each block when it is requested (numpy fills a uniform draw one value
+    at a time) into one (size, r) buffer and infers it into one (size, n)
+    buffer. The l2 ball draws each chunk into one stage buffer after a pad
+    of size * max(0, n - r) floats, and its outputs overwrite the buffer's
+    start: m rows ending at draw row e write m * n <= pad + e * r floats,
+    over rows ``infer`` has read, in one product, before it writes. A
+    block is valid only until the next one is requested: a consumer may
+    write into it, and one that keeps rows copies them. ``count`` must be
+    a positive integer; the first ``next()`` checks it."""
     check_integer("count", count, 1)
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
@@ -313,18 +315,14 @@ def stage_outputs(
         stage_buf = np.empty(pad + min(PIPELINE_CHUNK, count) * r)
         out = stage_buf[: size * n].reshape(size, n)
     else:
-        out = np.empty((size, n))
+        draw, out = np.empty((size, r)), np.empty((size, n))
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
         if ball:
-            chunk = stage_buf[pad : pad + k * r].reshape(k, r)
-            _ball_draws(spec, rng.standard_normal(out=chunk), rng)
+            chunk = _draw(spec, rng, stage_buf[pad : pad + k * r].reshape(k, r))
         for block in row_slices(k, rows):
-            lams = chunk[block] if ball else sample_lambdas(spec, block.stop - block.start, rng)
-            X = _images(spec, lams, buf)
-            yield infer(model, X, out=out[: X.shape[0]])
-            # the images may be the draw itself: free it before the next draw
-            del lams, X
+            lams = chunk[block] if ball else _draw(spec, rng, draw[: block.stop - block.start])
+            yield infer(model, _images(spec, lams, buf), out=out[: len(lams)])
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:

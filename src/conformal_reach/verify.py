@@ -108,8 +108,10 @@ def pixel_status(
     """Label every pixel robust / non-robust / unknown from logit intervals.
 
     ``y_lo``/``y_hi`` are (h, w, L) interval bounds, ``baseline_mask``
-    the (h, w) 1-based prediction on the clean image.
+    the (h, w) 1-based prediction on the clean image. Bounds are read as
+    float64.
     """
+    y_lo, y_hi = np.asarray(y_lo, dtype=np.float64), np.asarray(y_hi, dtype=np.float64)
     if y_lo.shape != y_hi.shape or y_lo.ndim != 3:
         raise ValueError(f"bound shapes disagree: {y_lo.shape} vs {y_hi.shape}")
     # NaN fails every comparison below, which would certify the pixel

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: grids, exhaustive enumeration and
 dense eigendecompositions, kept free of the code paths they check. The
 inputs the tests share (a hand-built 4x4 model, benchmark instances), a
-file rewriter, a reader of the clip LP's weights and a refit of the
-surrogate's basis and hull are built here too.
+reader of the clip LP's weights and a refit of the surrogate's basis and
+hull are built here too.
 """
 
 from itertools import combinations

@@ -3,6 +3,7 @@ import pytest
 
 from conformal_reach.calibrate import (
     CalibrationSet,
+    CenterScale,
     ReachSet,
     build_calibration,
     center_and_scales,
@@ -168,6 +169,12 @@ class TestBuildCalibration:
         calib = build_calibration(np.array([[4.0]]), cs)
         assert calib.rank_score(1) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("outputs", [np.zeros((0, 2)), np.zeros(3)], ids=["no-rows", "vector"])
+    def test_rejects_non_matrix_outputs(self, outputs):
+        cs = center_and_scales(np.array([[0.0], [2.0]]))
+        with pytest.raises(ValueError, match=r"^outputs must be a non-empty \(m, n\) array$"):
+            build_calibration(outputs, cs)
+
 
 class TestCalibrationSet:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -179,6 +186,40 @@ class TestCalibrationSet:
         cs = center_and_scales(np.array([[0.0, 1.0], [2.0, 3.0]]))
         with pytest.raises(ValueError, match="finite"):
             build_calibration(np.array([[1.0, 2.0], [np.nan, 2.0], [0.5, 2.5]]), cs)
+
+    @pytest.mark.parametrize(
+        "scores, match",
+        [
+            (np.array([]), "^scores must be a non-empty vector$"),
+            (np.zeros((2, 2)), "^scores must be a non-empty vector$"),
+            (np.array([-0.5, 1.0]), "^scores must be non-negative$"),
+            (np.array([1.0, 0.5]), "^scores must be sorted ascending$"),
+        ],
+        ids=["empty", "matrix", "negative", "unsorted"],
+    )
+    def test_rejects_bad_scores(self, scores, match):
+        with pytest.raises(ValueError, match=match):
+            CalibrationSet(scores=scores)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_rank_out_of_range(self, rank):
+        calib = CalibrationSet(scores=np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match=f"^rank must satisfy 1 <= ell <= 3, got {rank}$"):
+            calib.rank_score(rank)
+
+
+@pytest.mark.parametrize(
+    "center, tau, match",
+    [
+        (np.zeros(2), np.ones(3), "^center/tau shapes differ$"),
+        (np.array([0.0, np.nan]), np.ones(2), "^center must be finite$"),
+        (np.zeros(2), np.array([1.0, 0.0]), "^tau must be positive$"),
+    ],
+    ids=["shapes", "center", "tau"],
+)
+def test_center_scale_checks(center, tau, match):
+    with pytest.raises(ValueError, match=match):
+        CenterScale(center=center, tau=tau, tau_star=1.0)
 
 
 def reach_set(**fields):

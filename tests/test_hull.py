@@ -137,6 +137,19 @@ class TestClip:
         assert residual == 0.0
         np.testing.assert_allclose(v_hat, [6.9e-11], rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("s", [1e8, 1e10, 1e12])
+    def test_hull_of_large_scale_keeps_the_projection(self, s):
+        # the LP's tolerances are absolute: solved at the hull's own scale,
+        # at 1e8 row 2 reported a residual below the optimum, and at 1e10
+        # and 1e12 rows 0 and 2 reported 0 for points 1.13 s and 0.61 s away
+        P = np.random.default_rng(1).normal(size=(50, 3))
+        V = P[:3] + 1
+        _, expected = clip_batch(V, make_hull(P))
+        np.testing.assert_allclose(expected, [0.651187, 0.545307, 0.400395], atol=1e-6)
+        V_hat, residuals = clip_batch(V * s, make_hull(P * s))
+        np.testing.assert_allclose(residuals / s, expected, rtol=1e-9)
+        np.testing.assert_allclose(np.abs(V_hat - V * s).max(axis=1) / s, expected, rtol=1e-9)
+
 
 class TestClipValidation:
     def test_rejects_non_finite_points(self):
@@ -157,6 +170,11 @@ class TestClipValidation:
         for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 2, 1))):
             with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
                 clip_batch(bad, hull)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_hull(self, bad):
+        with pytest.raises(ValueError, match="^hull points must be finite$"):
+            make_hull([[0.0, 0.0], [1.0, bad]])
 
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,)])
     def test_rejects_empty_hull(self, shape):

@@ -232,6 +232,11 @@ class TestImageIO:
         with pytest.raises(ValueError, match="finite"):
             ImageTensor(2, 2, 1, np.array([0.5, np.nan, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("cls, names", [(ImageTensor, "h*w*nc"), (LogitTensor, "h*w*L")])
+    def test_data_length_refused(self, cls, names):
+        with pytest.raises(ValueError, match=re.escape(f"data length (3,) != {names} = 4")):
+            cls(2, 2, 1, np.full(3, 0.5))
+
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 1, 1)])
     def test_from_array_refuses_other_ranks(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

@@ -119,13 +119,13 @@ def test_package_does_no_file_io():
     assert not found, found
 
 
-def _calls_outside(names, home):
+def _calls_outside(names, *homes):
     """Each call in the package of a function in ``names`` outside the
-    top-level definition ``home`` = (module, name)."""
+    top-level definitions ``homes``, each (module, name)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            if (path.stem, getattr(top, "name", None)) == home:
+            if (path.stem, getattr(top, "name", None)) in homes:
                 continue
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
@@ -136,8 +136,12 @@ def _calls_outside(names, home):
 
 def test_one_sampling_stream():
     # a stage's generator is made and drawn from only inside
-    # ``perturb.stage_outputs``, so a second sampling loop fails here
+    # ``perturb.stage_outputs``, through ``perturb._draw``, the one draw of
+    # both laws, which only it and ``sample_lambdas`` call; a second
+    # sampling loop or a second draw of a law fails here
     found = _calls_outside({"stage_rng", "sample_lambdas"}, ("perturb", "stage_outputs"))
+    found += _calls_outside({"_draw"}, ("perturb", "stage_outputs"), ("perturb", "sample_lambdas"))
+    found += _calls_outside({"uniform", "standard_normal", "random"}, ("perturb", "_draw"))
     assert not found, found
 
 
@@ -202,9 +206,9 @@ def test_rows_are_cut_one_way():
 
 
 def test_stream_takes_its_buffers_once():
-    # ``stage_outputs`` takes its image and output buffers before its first
-    # draw; a buffer taken inside its chunk or block loop (a lazy buffer,
-    # or one per chunk) fails here
+    # ``stage_outputs`` takes its draw, image and output buffers before its
+    # first draw; a buffer taken inside its chunk or block loop (a lazy
+    # buffer, one per chunk, or a new draw per block) fails here
     tree = ast.parse((PACKAGE / "perturb.py").read_text())
     stream = next(top for top in tree.body if getattr(top, "name", None) == "stage_outputs")
     found = {
@@ -212,7 +216,7 @@ def test_stream_takes_its_buffers_once():
         for loop in ast.walk(stream) if isinstance(loop, ast.For)
         for node in ast.walk(loop)
         if isinstance(node, ast.Call)
-        and ast.unparse(node.func) in {"np.empty", "np.zeros", "_base_rows"}
+        and ast.unparse(node.func) in {"np.empty", "np.zeros", "_base_rows", "sample_lambdas"}
     }
     assert not found, sorted(found)
 

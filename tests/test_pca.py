@@ -49,6 +49,11 @@ def controlled_cloud(rng, n, t, N, min_rel_gap=0.05):
 
 
 class TestDeflate:
+    @pytest.mark.parametrize("cloud", [np.zeros((0, 3)), np.zeros(3)], ids=["no-rows", "vector"])
+    def test_rejects_empty_cloud(self, cloud):
+        with pytest.raises(ValueError, match=r"^train_vectors must be a non-empty \(t, n\) array$"):
+            deflate(cloud, 1)
+
     def test_axis_aligned_cloud(self):
         Z = np.zeros((3, 4))
         Z[:, 0] = [1.0, -2.0, 3.0]

@@ -242,6 +242,39 @@ class TestSample:
         lams = sample_lambdas(spec, 500, np.random.default_rng(16))
         assert np.all((lams >= spec.lambda_lower) & (lams <= spec.lambda_upper))
 
+    @pytest.mark.parametrize("shape", [(341, 246), (100, 3072)])
+    def test_box_draw_is_numpys_uniform(self, shape):
+        # a uniform on [0, 1) scaled in place has the bits of rng.uniform
+        count, r = shape
+        rng = np.random.default_rng(31)
+        lower = rng.uniform(-1.0, 0.5, r)
+        upper = lower + rng.uniform(0.0, 2.0, r)
+        spec = PerturbationSpec(
+            base_image=ImageTensor.from_array(np.full((1, r, 1), 0.5)),
+            noise_index=None, noise_value=None, lambda_lower=lower, lambda_upper=upper,
+        )
+        got = sample_lambdas(spec, count, np.random.default_rng(32))
+        want = np.random.default_rng(32).uniform(lower, upper, size=shape)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_box_whose_width_overflows_is_refused(self):
+        # numpy's uniform refuses it too; drawn, it would give inf or NaN.
+        # A ball's bounds are never read, so the same bounds with a radius draw
+        parts = dict(
+            base_image=bright_2x2(), noise_index=None, noise_value=None,
+            lambda_lower=np.array([0.0, -1e308, 0.0, 0.0]),
+            lambda_upper=np.array([1.0, 1e308, 1.0, 1.0]),
+        )
+        box = PerturbationSpec(**parts)
+        model = random_mlp([4, 2], np.random.default_rng(33))
+        match = "^lambda_upper - lambda_lower overflows float64$"
+        with pytest.raises(OverflowError, match=match):
+            sample_lambdas(box, 3, np.random.default_rng(34))
+        with pytest.raises(OverflowError, match=match):
+            next(stage_outputs(model, box, 35, "calib", 3))
+        ball = sample_lambdas(PerturbationSpec(**parts, radius=0.5), 3, np.random.default_rng(34))
+        assert np.all(np.linalg.norm(ball, axis=1) <= 0.5)
+
     @pytest.mark.parametrize("count", [0, -2, 2.5, True, "3"])
     def test_rejects_bad_count(self, count):
         spec = build_global_ball(bright_2x2(), "l2", 0.1)
@@ -419,6 +452,14 @@ class TestBoundsValidation:
             PerturbationSpec(
                 base_image=bright_2x2(), noise_index=index, noise_value=value,
                 lambda_lower=lower, lambda_upper=upper,
+            )
+
+    def test_spec_bounds_must_be_ordered(self):
+        with pytest.raises(ValueError, match="^lambda_lower must be <= lambda_upper componentwise$"):
+            PerturbationSpec(
+                base_image=bright_2x2(), noise_index=np.array([0, 2]),
+                noise_value=np.array([-0.9, -0.8]),
+                lambda_lower=np.array([0.0, 0.5]), lambda_upper=np.array([1.0, 0.4]),
             )
 
     @pytest.mark.parametrize("radius", [-1.0, 0.0], ids=["negative-radius", "zero-radius"])

@@ -129,6 +129,27 @@ class TestPixelStatus:
         with pytest.raises(ValueError):
             pixel_status(lo, hi, np.array([[1]]), G)
 
+    @pytest.mark.parametrize(
+        "lo, hi, baseline, match",
+        [
+            (np.zeros((1, 1, 2)), np.ones((1, 1, 3)), np.array([[1]]), "^bound shapes disagree: "),
+            (np.zeros((1, 2)), np.ones((1, 2)), np.array([[1]]), "^bound shapes disagree: "),
+            (np.zeros((1, 1, 2)), np.ones((1, 1, 2)), np.array([[1, 1]]),
+             "^baseline mask shape disagrees with bounds$"),
+        ],
+        ids=["bounds-differ", "bounds-2d", "baseline"],
+    )
+    def test_bad_shapes_rejected(self, lo, hi, baseline, match):
+        with pytest.raises(ValueError, match=match):
+            pixel_status(lo, hi, baseline, G)
+
+    def test_integer_bounds_read_as_float(self):
+        # an integer copy of y_hi could not take the -inf that masks the winner
+        lo, hi = np.array([[[2, 0]]]), np.array([[[3, 1]]])
+        floats = pixel_status(lo.astype(float), hi.astype(float), np.array([[1]]), G)
+        ints = pixel_status(lo, hi, np.array([[1]]), G)
+        assert ints.status[0, 0] == floats.status[0, 0] == STATUS_ROBUST
+
     def test_non_finite_bounds_rejected(self):
         # NaN fails every comparison, so unchecked it reads as a robust pixel
         for bad in (np.nan, np.inf, -np.inf):
@@ -535,6 +556,23 @@ def test_bad_input_dim_rejected_before_any_draw(monkeypatch, call):
         if call == "audit":
             conservatism_audit(model, spec, np.zeros(48), np.ones(48), 10, seed=0)
         elif call == "naive":
+            run_naive_pipeline(model, spec, 100, 200, 0.05, 190)
+        else:
+            run_surrogate_pipeline(model, spec, 100, 200, 80, 4, 0.05, 190)
+
+
+@pytest.mark.parametrize("pipeline", ["naive", "surrogate"])
+def test_bad_output_dim_rejected_before_any_draw(monkeypatch, pipeline):
+    # 47 outputs on the 16-pixel 4x4 image hold no whole number of classes
+    def no_draw(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(verify, "stage_outputs", no_draw)
+    _, base = synthetic_ssn_4x4()
+    spec = build_darkening(base, 1.0, min_darkening=5 / 255, rng_seed=7)
+    model = random_mlp([16, 47], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^output dim 47 is not a multiple of pixel count 16$"):
+        if pipeline == "naive":
             run_naive_pipeline(model, spec, 100, 200, 0.05, 190)
         else:
             run_surrogate_pipeline(model, spec, 100, 200, 80, 4, 0.05, 190)
