@@ -156,6 +156,7 @@ def guarantee_confidence(
     ell, m and epsilon beyond 1 <= ell <= m, both integers.
     """
     check_number("epsilon", epsilon, positive=False)
+    epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     check_integer("rank_ell", rank_ell, 1)
@@ -167,7 +168,7 @@ def guarantee_confidence(
     miscoverage = beta_cdf(1.0 - epsilon, rank_ell, calib_size_m + 1 - rank_ell)
     # plain Python numbers, so ``as_dict`` is ready for ``json.dumps``
     return GuaranteeSpec(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         rank_ell=int(rank_ell),
         calib_size_m=int(calib_size_m),
         coverage_delta1=1.0 - epsilon,

@@ -102,7 +102,7 @@ class HullModel:
 
 
 class _ClipProblem:
-    """Prebuilt standard-form arrays for projecting points onto one hull.
+    """Prebuilt standard-form arrays for projecting onto the hull of ``points``.
 
     Standard form (P is N x t, columns = hull points):
 
@@ -135,8 +135,8 @@ class _ClipProblem:
     until its slowest row is optimal.
     """
 
-    def __init__(self, hull: HullModel):
-        P = hull.points.T.copy()
+    def __init__(self, points: np.ndarray):
+        P = points.T.copy()
         N, t = P.shape
         self.P = P
         self.N, self.t = N, t
@@ -302,7 +302,7 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     # l-inf projection commutes with scaling
     top = max(np.abs(hull.points).max(), np.abs(V).max(initial=0.0))
     scale = top / min(max(top, 1.0), _MAX_SCALE) or 1.0
-    problem = _ClipProblem(HullModel(hull.points / scale, hull.degenerate))
+    problem = _ClipProblem(hull.points / scale)
     out = np.empty_like(V)
     residuals = np.empty(V.shape[0])
     for rows in row_slices(V.shape[0], problem.rows):

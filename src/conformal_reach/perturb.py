@@ -17,11 +17,11 @@ builders hold the only checks on an adversary's arguments.
 
 The pipelines draw their samples from one stream, ``stage_outputs``,
 which cuts each PIPELINE_CHUNK of a stage's seeded stream into
-``model.block_rows``-row blocks. Both of its regimes draw in place
-(``_draw``) into buffers taken before the first draw, and free none per
-block: a uniform box draws each block into one draw buffer, and the l2 ball,
-whose radii follow all of its normals, draws each (k, n0) chunk into one
-stage buffer that its outputs overwrite. A box holds about
+``model.block_rows``-row blocks. Every law draws in place (``_draw``)
+behind a pad in one stage buffer, taken before the first draw, and each
+block's outputs overwrite the buffer's start; the law decides only when
+the stream draws: a uniform box each block, the l2 ball, whose radii
+follow all of its normals, each (k, n0) chunk. A box holds about
 ``model.BLOCK_BYTES``, and ``model._ROW_BYTES`` more per row block.
 ``apply_batch`` forms one batch of images with the stream's image helper.
 Perturbed intensities are deliberately not clamped to [0, 1]: the
@@ -292,17 +292,18 @@ def stage_outputs(
     from the stage's seeded stream.
 
     A block's coefficients are the rows that ``sample_lambdas`` would give
-    its PIPELINE_CHUNK, bit for bit. Both regimes ``_draw`` into buffers
-    taken before the first draw; size = min(rows + 1, count). A box draws
-    each block when it is requested (numpy fills a uniform draw one value
-    at a time) into one (size, r) buffer and infers it into one (size, n)
-    buffer. The l2 ball draws each chunk into one stage buffer after a pad
-    of size * max(0, n - r) floats, and its outputs overwrite the buffer's
-    start: m rows ending at draw row e write m * n <= pad + e * r floats,
-    over rows ``infer`` has read, in one product, before it writes. A
-    block is valid only until the next one is requested: a consumer may
-    write into it, and one that keeps rows copies them. ``count`` must be
-    a positive integer; the first ``next()`` checks it."""
+    its PIPELINE_CHUNK, bit for bit. One stage buffer, taken before the
+    first draw, holds a pad of size * max(0, n - r) floats, size =
+    min(rows + 1, count), and behind it D draw rows of r floats, which
+    ``_draw`` fills in place: a box draws each block when it is requested
+    (numpy fills a uniform draw one value at a time), D = size, and the l2
+    ball each chunk, D = min(PIPELINE_CHUNK, count). A block's m outputs
+    are the buffer's first m * n floats: m rows ending at draw row e write
+    m * n <= pad + e * r floats (a box's e is m), over rows ``infer`` has
+    read, in one product, before it writes. A block is valid only until
+    the next one is requested: a consumer may write into it, and one that
+    keeps rows copies them. ``count`` must be a positive integer; the
+    first ``next()`` checks it."""
     check_integer("count", count, 1)
     rng = stage_rng(seed, stage)
     rows = block_rows(model)
@@ -310,19 +311,17 @@ def stage_outputs(
     r, n = spec.dim, model.output_dim
     buf = _base_rows(spec, size)
     ball = spec.radius is not None
-    if ball:
-        pad = size * max(0, n - r)
-        stage_buf = np.empty(pad + min(PIPELINE_CHUNK, count) * r)
-        out = stage_buf[: size * n].reshape(size, n)
-    else:
-        draw, out = np.empty((size, r)), np.empty((size, n))
+    pad = size * max(0, n - r)
+    stage_buf = np.empty(pad + (min(PIPELINE_CHUNK, count) if ball else size) * r)
+    out, draws = stage_buf[: size * n].reshape(size, n), stage_buf[pad:]
     for start in range(0, count, PIPELINE_CHUNK):
         k = min(PIPELINE_CHUNK, count - start)
         if ball:
-            chunk = _draw(spec, rng, stage_buf[pad : pad + k * r].reshape(k, r))
+            chunk = _draw(spec, rng, draws[: k * r].reshape(k, r))
         for block in row_slices(k, rows):
-            lams = chunk[block] if ball else _draw(spec, rng, draw[: block.stop - block.start])
-            yield infer(model, _images(spec, lams, buf), out=out[: len(lams)])
+            m = block.stop - block.start
+            lams = chunk[block] if ball else _draw(spec, rng, draws[: m * r].reshape(m, r))
+            yield infer(model, _images(spec, lams, buf), out=out[:m])
 
 
 def spec_manifest(spec: PerturbationSpec) -> dict:

@@ -89,15 +89,6 @@ class ConservatismReport:
     sample_count: int
     degenerate: bool = False  # certified widths unusable (inf/zero sum)
 
-    def as_dict(self) -> dict:
-        """The scalar figures as plain Python values, ready for ``json.dumps``."""
-        return {
-            "eps_hat": float(self.eps_hat),
-            "bound_ratio": float(self.bound_ratio),
-            "sample_count": int(self.sample_count),
-            "degenerate": bool(self.degenerate),
-        }
-
 
 def pixel_status(
     y_lo: np.ndarray,

@@ -74,7 +74,7 @@ def clip_weights(hull, V):
     clip tests check, for the weights ``clip_batch`` does not return."""
     from conformal_reach.hull import _ClipProblem
 
-    basis, xB, residuals = _ClipProblem(hull).solve_block(np.atleast_2d(V))
+    basis, xB, residuals = _ClipProblem(hull.points).solve_block(np.atleast_2d(V))
     alpha = np.zeros((basis.shape[0], hull.size))
     rows, pos = np.nonzero(basis < hull.size)
     alpha[rows, basis[rows, pos]] = xB[rows, pos]

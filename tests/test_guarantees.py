@@ -201,6 +201,15 @@ class TestGuaranteeConfidence:
         g = guarantee_confidence(np.float64(0.1), 5, 10)
         assert g.confidence_delta2 == guarantee_confidence(0.1, 5, 10).confidence_delta2
 
+    def test_numpy_float_epsilon_is_read_as_python_float(self):
+        # a float32 epsilon is computed with at the value it records, not
+        # at its float32-rounded 1 - eps, and every field is a plain
+        # Python number, ready for ``json.dumps``
+        g = guarantee_confidence(np.float32(0.01), 7947, 8000)
+        assert g == guarantee_confidence(float(np.float32(0.01)), 7947, 8000)
+        for field, value in g.as_dict().items():
+            assert type(value) in (int, float), field
+
 
 def test_order_statistic_follows_beta_law():
     # Monte-Carlo check of the rank-statistics lemma: for uniform draws the

@@ -398,7 +398,7 @@ def guard_off(monkeypatch):
 
 def clip_rows(hull):
     """Rows of one lockstep block of the clip LP on ``hull``."""
-    return hull_module._ClipProblem(hull).rows
+    return hull_module._ClipProblem(hull.points).rows
 
 
 def pipeline_block(hull, V, row):

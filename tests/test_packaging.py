@@ -206,19 +206,53 @@ def test_rows_are_cut_one_way():
 
 
 def test_stream_takes_its_buffers_once():
-    # ``stage_outputs`` takes its draw, image and output buffers before its
-    # first draw; a buffer taken inside its chunk or block loop (a lazy
-    # buffer, one per chunk, or a new draw per block) fails here
+    # ``stage_outputs`` takes one stage buffer, which holds every law's
+    # draw behind its outputs, and the image rows of ``_base_rows``, both
+    # before its first draw; a separate draw or output buffer, or a buffer
+    # taken inside its chunk or block loop (a lazy buffer, one per chunk,
+    # or a new draw per block) fails here
     tree = ast.parse((PACKAGE / "perturb.py").read_text())
     stream = next(top for top in tree.body if getattr(top, "name", None) == "stage_outputs")
-    found = {
-        f"perturb.py:{node.lineno}: {ast.unparse(node.func)}"
-        for loop in ast.walk(stream) if isinstance(loop, ast.For)
-        for node in ast.walk(loop)
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func) in {"np.empty", "np.zeros", "_base_rows", "sample_lambdas"}
-    }
+
+    def taken(node):
+        """(line, function) of each buffer-taking call in ``node``."""
+        return [
+            (call.lineno, ast.unparse(call.func))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and ast.unparse(call.func) in {"np.empty", "np.zeros", "_base_rows", "sample_lambdas"}
+        ]
+
+    found = {call for loop in ast.walk(stream) if isinstance(loop, ast.For) for call in taken(loop)}
     assert not found, sorted(found)
+    assert sorted(func for _, func in taken(stream)) == ["_base_rows", "np.empty"], taken(stream)
+
+
+# The public names whose one reader outside the tests is the benchmark's
+# stage-by-stage replay, which keeps them alive; ROADMAP direction 16
+# deletes the replay and empties this list, and a new name that only the
+# replay reads fails here
+REPLAY_ONLY = [
+    "calibrate.build_calibration",
+    "calibrate.naive_reachset",
+    "perturb.apply_batch",
+    "perturb.sample_lambdas",
+]
+
+
+def test_replay_only_names_are_pinned():
+    readers = {}
+    for path in CALLERS:
+        for read, owner in _reads(path):
+            readers.setdefault(read, set()).add((path, owner))
+    found = []
+    for name in MODULES:
+        own = PACKAGE / f"{name}.py"
+        for public in getattr(importlib.import_module(f"conformal_reach.{name}"), "__all__", ()):
+            paths = {path for path, owner in readers.get(public, ()) if not (path == own and owner == public)}
+            if paths == {ROOT / "perfbench" / "replay.py"}:
+                found.append(f"{name}.{public}")
+    assert found == REPLAY_ONLY
 
 
 def test_deflation_never_copies_its_cloud():

@@ -1,14 +1,14 @@
 """The fused sampling stream: ``stage_outputs`` cuts each PIPELINE_CHUNK
 into blocks of ``block_rows(model)`` rows, draws a uniform law's
 coefficients block by block, builds each block of images in reused memory
-and infers it into one reused output buffer. It must give the bits of the
-unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK, n0)
-input array, no (PIPELINE_CHUNK, n) output array and, for a uniform law,
-no (PIPELINE_CHUNK, r) draw; its blocks stay within the ``BLOCK_BYTES``
-budget. Its consumers
-(the l2 sampler, the surrogate's residual and lift bounds, the audit) work
-in row blocks beside the draw and the output buffer, with the bits of
-their whole-array forms."""
+and infers it into the start of one stage buffer, in which every law
+draws behind a pad, over draw rows already read. It must give the bits of
+the unfused sample -> apply -> infer chain, and hold no (PIPELINE_CHUNK,
+n0) input array, no (PIPELINE_CHUNK, n) output array and, for a uniform
+law, no (PIPELINE_CHUNK, r) draw; its blocks stay within the
+``BLOCK_BYTES`` budget. Its consumers (the l2 sampler, the surrogate's
+residual and lift bounds, the audit) work in row blocks beside the stage
+buffer, with the bits of their whole-array forms."""
 
 import tracemalloc
 
@@ -234,8 +234,8 @@ def test_row_budget_keeps_every_byte(monkeypatch, inputs, row_bytes):
     clip_rows = []
     build = hull_module._ClipProblem.__init__
 
-    def spy(problem, hull):
-        build(problem, hull)
+    def spy(problem, points):
+        build(problem, points)
         clip_rows.append(problem.rows)
 
     monkeypatch.setattr(hull_module._ClipProblem, "__init__", spy)
@@ -388,6 +388,29 @@ def test_ball_stream_holds_one_draw(norm):
     draw = PIPELINE_CHUNK * img.size * 8
     budget = (1.5 if norm == "l2" else 0.25) * draw
     peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 35, "calib", 3 * PIPELINE_CHUNK)))
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("law", ["darkening", "linf", "l2"])
+def test_stream_holds_one_stage_buffer(law):
+    # 1000 rows of each law, one block, on a 16x16x3 image (n0 = 768)
+    # through a 256-output model: every law draws behind its outputs in
+    # one stage buffer of size * max(n, r) floats, beside a selection's
+    # size image rows, with a slack of one (_ROW_BLOCK, n0 + n) block. An
+    # l-inf ball's (size, r) draw beside a (size, n) output buffer holds
+    # size * n more floats, 1.95 MiB, which is over the slack
+    img = _image(16, 16, 3, seed=12)
+    spec = {
+        "darkening": lambda: build_darkening(img, 0.02, rng_seed=5),
+        "linf": lambda: build_global_ball(img, "linf", 0.05),
+        "l2": lambda: build_global_ball(img, "l2", 0.3),
+    }[law]()
+    model = random_mlp([img.size, 8, 256], np.random.default_rng(13))
+    size, n, r = 1000, model.output_dim, spec.dim
+    assert block_rows(model) > size
+    images = 0 if spec.noise_index is None else size * img.size * 8
+    budget = size * max(n, r) * 8 + images + _ROW_BLOCK * (img.size + n) * 8
+    peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 35, "calib", size)))
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
 
