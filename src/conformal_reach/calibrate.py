@@ -178,6 +178,8 @@ def nonconformity_batch(ys: np.ndarray, cs: CenterScale) -> np.ndarray:
     whatever the blocking.
     """
     ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[1] != cs.center.shape[0]:
+        raise ValueError(f"ys must be a (k, {cs.center.shape[0]}) array, got shape {ys.shape}")
     k = ys.shape[0]
     scores = np.empty(k)
     rows = row_block(ys.shape[1])
@@ -210,6 +212,8 @@ def stream_calibration(blocks, cs: CenterScale) -> CalibrationSet:
     scores = []
     for Y in blocks:
         scores.append(nonconformity_batch(Y, cs))
+    if not scores:
+        raise ValueError("blocks holds no block")
     return CalibrationSet(scores=np.sort(np.concatenate(scores), kind="stable"))
 
 

@@ -10,17 +10,14 @@ calibrates it, and is the one place g is formed: ``clip_batch`` of the
 reduced logits, lifted back by the basis. This module holds the hull and
 the clip LP.
 
-The projection finds the hull point nearest in l-inf norm. It is a
-small-row linear program (the hull may have thousands of generators but
-the reduced space has N dimensions). Its feasible basis can be written
-down at the nearest hull point, so the solver here is a dense phase-2
-revised simplex from that basis, with no phase 1: Dantzig pricing,
-switching to Bland's anti-cycling rule under stalling. Queries are
-solved in lockstep blocks sized by bytes, each row with its own basis,
-pivot rules and refactorization schedule, so a row's result does not
-depend on its block (see ``clip_batch``). ``clip_batch`` is the one
-entry point: it forms each clipped point from its row's weights on the
-simplex. Every row takes the LP, a point inside the hull like any other.
+The projection finds the hull point nearest in l-inf norm: a small-row LP
+whose objective is one variable, the distance s, in basis slot 1 of a
+feasible basis written down at the nearest hull point. The solver is a
+dense phase-2 revised simplex with no phase 1 and no cost vector; its
+duals are s's row of the basis inverse (``_ClipProblem``). Queries are
+solved in lockstep blocks sized by bytes, a row's result not depending on
+its block. Every row takes the LP; ``clip_batch``, the one entry point,
+forms each clipped point from its row's weights on the simplex.
 """
 
 from __future__ import annotations
@@ -113,7 +110,10 @@ class _ClipProblem:
     with everything nonnegative; minimize the l-inf epigraph variable s,
     column t. Only the right-hand side depends on the query point, and a
     feasible basis can be written down directly from the nearest hull
-    point, so each solve starts in phase 2 a few pivots from optimal.
+    point, with s in slot 1, so each solve starts in phase 2 a few pivots
+    from optimal. A pivot overwrites only the slot that leaves: while s is
+    basic the objective is xB[1] and the duals are row 1 of B^-1, and once
+    a pivot drives s out at 0 every price is 0 and the row is optimal.
 
     ``solve_block`` runs the primal revised simplex on a block of queries
     in lockstep, one row each. Every row follows its own pivot rules
@@ -148,10 +148,7 @@ class _ClipProblem:
         A[: 2 * N, t] = -1.0
         A[: 2 * N, t + 1 :] = np.eye(2 * N)
         A[2 * N, :t] = 1.0
-        c = np.zeros(cols)
-        c[t] = 1.0
         self.columns = A.T.copy()  # row j is column j of A
-        self.c = c
         self.max_iters = 50 * (cols + M) + 200
         self.rows = max(2, model._ROW_BYTES // (8 * max(t, M * M)))
 
@@ -224,8 +221,10 @@ class _ClipProblem:
                     raise LpError(f"singular basis at iteration {it}") from exc
                 age = 0
             xB = (Binv @ b[:, :, None])[:, :, 0]
-            cB = self.c[basis]
-            y = (cB[:, None, :] @ Binv)[:, 0, :]
+            # the objective s is basic in slot 1 until a pivot drives it
+            # to 0; then every price is 0 and the row is optimal
+            on = basis[:, 1] == t
+            y = np.where(on[:, None], Binv[:, 1], 0.0)
             q, low = self.entering(y, basis, stall >= _STALL_LIMIT)
             done = low >= -_RED_COST_TOL
             if done.any():
@@ -233,8 +232,8 @@ class _ClipProblem:
                 go = ~done
                 if not go.any():
                     break
-                live, basis, b, Binv, xB, cB, q, stall, last_obj = (
-                    a[go] for a in (live, basis, b, Binv, xB, cB, q, stall, last_obj)
+                live, basis, b, Binv, xB, on, q, stall, last_obj = (
+                    a[go] for a in (live, basis, b, Binv, xB, on, q, stall, last_obj)
                 )
             d = (Binv @ self.columns[q][:, :, None])[:, :, 0]
             # eta and rounding error can lift an exact zero of d over
@@ -249,7 +248,7 @@ class _ClipProblem:
             # leaving tie-break by lowest variable index (Bland-safe)
             p = np.argmin(np.where(ties, basis, np.iinfo(np.int64).max), axis=1)
             rows = np.arange(live.size)
-            obj = (cB * xB).sum(axis=1)
+            obj = np.where(on, xB[:, 1], 0.0)
             stalled = obj >= last_obj - 1e-12 * (1.0 + np.abs(obj))
             stall = np.where(stalled, stall + 1, 0)
             last_obj = np.minimum(last_obj, obj)
@@ -266,7 +265,7 @@ class _ClipProblem:
             xB = np.maximum(np.linalg.solve(B, rhs[:, :, None])[:, :, 0], 0.0)
         except np.linalg.LinAlgError as exc:
             raise LpError(f"singular basis at iteration {it}") from exc
-        return final, xB, (self.c[final] * xB).sum(axis=1)
+        return final, xB, np.where(final[:, 1] == t, xB[:, 1], 0.0)
 
 
 def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):

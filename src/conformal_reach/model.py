@@ -180,13 +180,12 @@ def infer(model: MlpNetwork, x: np.ndarray, out=None) -> np.ndarray:
     either way.
     """
     x = np.asarray(x, dtype=np.float64)
+    n0 = model.input_dim
+    if x.ndim not in (1, 2) or x.shape[-1] != n0:
+        raise ValueError(f"x must have shape ({n0},) or (batch, {n0}) at input dim {n0}, got {x.shape}")
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input dim {x.shape[1]} != network input dim {model.input_dim}"
-        )
     shape = (x.shape[0], model.output_dim)
     if out is None:
         out = np.empty(shape)

@@ -140,18 +140,20 @@ def _images(spec: PerturbationSpec, lams: np.ndarray, buf) -> np.ndarray:
 
     Each selected index gets base + lambda * value and every other index
     keeps base, which is exactly ``base + lams @ noise_matrix``: the dense
-    product adds only exact zeros to the one nonzero term. A selection
-    rewrites only the r selected columns of the first k rows of ``buf``,
-    whose rows hold the base. The implicit basis takes no buffer and adds
+    product adds only exact zeros to the one nonzero term. Both forms add
     the base into ``lams`` in place (IEEE addition commutes, so the bits
-    equal ``base + lams``).
+    equal ``base + lams``); a selection first scales them by the values,
+    then writes them over the r selected columns of the first k rows of
+    ``buf``, whose rows hold the base. The implicit basis takes no buffer.
     """
     base = spec.base_image.data
     if spec.noise_index is None:
         lams += base
         return lams
+    lams *= spec.noise_value
+    lams += base[spec.noise_index]
     X = buf[: lams.shape[0]]
-    X[:, spec.noise_index] = base[spec.noise_index] + lams * spec.noise_value
+    X[:, spec.noise_index] = lams
     return X
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conformal_reach.calibrate import (
     center_and_scales,
     naive_reachset,
     nonconformity_batch,
+    stream_calibration,
 )
 from conformal_reach.guarantees import guarantee_confidence
 from conformal_reach.model import INFER_CHUNK
@@ -150,6 +153,12 @@ class TestNonconformity:
         expected = [box_score(y, cs.center, cs.tau) for y in ys]
         np.testing.assert_array_equal(nonconformity_batch(ys, cs), expected)
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 2, 1)], ids=["vector", "width", "three-dim"])
+    def test_rejects_a_batch_of_another_shape(self, shape):
+        cs = center_and_scales(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match=re.escape(f"ys must be a (k, 2) array, got shape {shape}")):
+            nonconformity_batch(np.zeros(shape), cs)
+
 
 class TestBuildCalibration:
     def test_sorting(self):
@@ -168,6 +177,11 @@ class TestBuildCalibration:
         cs = center_and_scales(np.array([[0.0], [2.0]]))
         calib = build_calibration(np.array([[4.0]]), cs)
         assert calib.rank_score(1) == pytest.approx(3.0)
+
+    def test_stream_of_no_block(self):
+        cs = center_and_scales(np.array([[0.0], [2.0]]))
+        with pytest.raises(ValueError, match="^blocks holds no block$"):
+            stream_calibration(iter([]), cs)
 
     @pytest.mark.parametrize("outputs", [np.zeros((0, 2)), np.zeros(3)], ids=["no-rows", "vector"])
     def test_rejects_non_matrix_outputs(self, outputs):

@@ -76,11 +76,15 @@ class TestClip:
         )
 
     def test_interior_point(self):
+        # the ratio test drops the epigraph s (column t, basis slot 1) at 0,
+        # so the row ends with s nonbasic and its residual is exactly 0
         hull = make_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         v = np.array([0.2, 0.3])
         v_hat, residual = clip_row(v, hull)
-        assert residual <= 1e-7
-        np.testing.assert_allclose(v_hat, v, atol=1e-7)
+        assert residual == 0.0
+        np.testing.assert_allclose(v_hat, v, rtol=0, atol=1e-12)
+        basis, _, _ = hull_module._ClipProblem(hull.points).solve_block(v[None, :])
+        assert hull.size not in basis[0]
         # the weights of the LP that clip_batch solves for this row too
         (alpha,), (lp_residual,) = clip_weights(hull, v)
         assert lp_residual <= 1e-7

@@ -102,6 +102,12 @@ class TestInfer:
         with pytest.raises(ValueError, match="dim"):
             infer(identity_net(3), np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 3, 3), ()], ids=["column", "stack", "scalar"])
+    def test_rejects_an_input_of_another_shape(self, shape):
+        match = re.escape(f"x must have shape (3,) or (batch, 3) at input dim 3, got {shape}")
+        with pytest.raises(ValueError, match=match):
+            infer(identity_net(3), np.zeros(shape))
+
     def test_out_gives_the_same_bits(self):
         rng = np.random.default_rng(2)
         net = random_mlp([6, 17, 9, 4], rng)

@@ -414,6 +414,51 @@ def test_stream_holds_one_stage_buffer(law):
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
 
+def test_selection_forms_its_images_in_the_draw_rows():
+    # 1000 rows of a darkening with r = 84 on a 16x16x3 image through a
+    # 256-output model, one block: the draw rows are scaled and offset in
+    # place before their scatter into the image rows, so beside the stage
+    # buffer and the image rows only 0.25 MiB is traced. Two (size, r)
+    # temporaries, the scaled draw and its sum with the base, are 1.28 MiB
+    img = _image(16, 16, 3, seed=12)
+    spec = build_darkening(img, 0.2, rng_seed=5)
+    model = random_mlp([img.size, 8, 256], np.random.default_rng(13))
+    size, n, r = 1000, model.output_dim, spec.dim
+    assert r == 84 and block_rows(model) > size
+    slack = 1 << 18
+    assert 2 * size * r * 8 > slack
+    budget = size * max(n, r) * 8 + size * img.size * 8 + slack
+    peak, _ = traced_peak(lambda: sum(1 for _ in stage_outputs(model, spec, 35, "calib", size)))
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("law", ["darkening", "l2"])
+def test_audit_holds_the_stream_and_row_blocks(law):
+    # 2000 audit rows on a 16x16x3 image (n0 = 768) through a 4-class
+    # model (n = 1024), with bounds 0.05 either side of the clean output,
+    # so that most row blocks take the miss test. Beside the stream's stage
+    # buffer (a pad of size * max(0, n - r) floats, then D draw rows: D =
+    # size for a box, the whole chunk for the l2 ball) and a selection's
+    # size image rows, the audit holds its row blocks, within one
+    # _ROW_BYTES. A separate (size, n) output block would pass it
+    img = _image(16, 16, 3, seed=12)
+    spec = {
+        "darkening": lambda: build_darkening(img, 0.2, rng_seed=5),
+        "l2": lambda: build_global_ball(img, "l2", 0.3),
+    }[law]()
+    model = random_mlp([img.size, 8, 4 * 256], np.random.default_rng(13))
+    m, n, r = 2000, model.output_dim, spec.dim
+    size = block_rows(model) + 1
+    assert size < m and size * n * 8 > model_module._ROW_BYTES
+    draws = m if law == "l2" else size
+    images = 0 if law == "l2" else size * img.size
+    budget = 8 * (size * max(0, n - r) + draws * r + images) + model_module._ROW_BYTES
+    y = infer(model, img.data)
+    peak, report = traced_peak(lambda: conservatism_audit(model, spec, y - 0.05, y + 0.05, m, seed=3))
+    assert report.sample_count == m and report.eps_hat > 0
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+
+
 def test_surrogate_pipeline_and_audit_hold_draw_and_output_buffer():
     # l2 ball on a 16x16x3 image (r = n0 = 768) through a 4-class model
     # (n = 1024), with calib and audit streams of m = 3000 rows. Each
