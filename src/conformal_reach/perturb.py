@@ -168,8 +168,10 @@ def _base_rows(spec: PerturbationSpec, size: int):
 def apply_batch(spec: PerturbationSpec, lams: np.ndarray) -> np.ndarray:
     """Vectorized superposition: (k, r) coefficients -> (k, n0) flat images,
     formed by ``_images`` from a copy of ``lams``, which is left as it
-    was."""
+    was. Coefficients of any other shape raise ``ValueError``."""
     lams = np.array(lams, dtype=np.float64)
+    if lams.ndim != 2 or lams.shape[1] != spec.dim:
+        raise ValueError(f"lams must have shape (k, {spec.dim}), got {lams.shape}")
     return _images(spec, lams, _base_rows(spec, lams.shape[0]))
 
 
@@ -304,8 +306,9 @@ def stage_outputs(
     m * n <= pad + e * r floats (a box's e is m), over rows ``infer`` has
     read, in one product, before it writes. A block is valid only until
     the next one is requested: a consumer may write into it, and one that
-    keeps rows copies them. ``count`` must be a positive integer; the
-    first ``next()`` checks it."""
+    keeps rows copies them. The last block stays valid after the stream
+    has ended, so a stage of one block may be kept without a copy.
+    ``count`` must be a positive integer; the first ``next()`` checks it."""
     check_integer("count", count, 1)
     rng = stage_rng(seed, stage)
     rows = block_rows(model)

@@ -12,7 +12,8 @@ and scales of q on one seeded stage, scores q on the ``calib`` stage, each
 read block by block without holding its (count, n) outputs, and inflates
 the lifts by that box (``calibrate.ReachSet``). The naive box is g = 0:
 the identity map with zero lifts. The surrogate's g is the convex hull of
-``hull``, fitted on the ``train`` cloud, the one stage held whole.
+``hull``, fitted on the ``train`` cloud, the one stage held whole: in the
+stream's own stage buffer, with no copy, when the stage is one block.
 
 Each run's manifest is its one record: the seed, sizes, guarantee and
 perturbation that reproduce it, and under ``"stages"`` every stage it
@@ -33,7 +34,7 @@ import numpy as np
 from .calibrate import ReachSet, center_and_scales, stream_calibration
 from .guarantees import GuaranteeSpec, guarantee_confidence
 from .hull import HullModel, clip_batch
-from .model import MlpNetwork, LogitTensor, infer, predict_mask, row_block, row_slices
+from .model import MlpNetwork, LogitTensor, block_rows, infer, predict_mask, row_block, row_slices
 from .pca import deflate
 from .perturb import PerturbationSpec, spec_manifest, stage_outputs
 from ._seeds import check_integer
@@ -260,14 +261,20 @@ def run_surrogate_pipeline(
     )
 
     def train():
-        # deflation reads the whole cloud: copy each block out of the
-        # stage's reused output buffer; it is freed when this stage returns
-        Y = np.empty((train_size, model.output_dim))
-        row = 0
-        for block in stage_outputs(model, spec, seed, "train", train_size):
-            Y[row : row + block.shape[0]] = block
-            row += block.shape[0]
-        del block  # frees the stage's output buffer before deflation
+        # deflation reads the whole cloud. A stage of one block is the
+        # stream's own stage buffer, taken once the stream has run to its
+        # end and freed its image rows; a longer stage copies each block
+        # out of that reused buffer. The cloud is freed when this returns
+        blocks = stage_outputs(model, spec, seed, "train", train_size)
+        if train_size <= block_rows(model) + 1:
+            (Y,) = blocks
+        else:
+            Y = np.empty((train_size, model.output_dim))
+            row = 0
+            for block in blocks:
+                Y[row : row + block.shape[0]] = block
+                row += block.shape[0]
+            del block  # frees the stage's buffer before deflation
         basis = deflate(Y, num_components)
         V = Y @ basis.matrix
         hull = HullModel.from_points(V)

@@ -78,6 +78,34 @@ class TestApply:
         np.testing.assert_array_equal(apply_batch(spec, lams), spec.base_image.data + kept)
         np.testing.assert_array_equal(lams, kept)
 
+    # a 4x4x3 image bright everywhere: every channel is darkened, so a
+    # selection and the implicit basis both have r = n0 = 48
+    BASES = {
+        "selection": lambda img: build_darkening(img, 1.0, rng_seed=5),
+        "implicit": lambda img: build_global_ball(img, "l2", 0.3),
+    }
+
+    def test_selection_refuses_one_coefficient_vector(self):
+        # a vector is not one image: a selection took its length as the
+        # row count and returned r copies of the image
+        spec = self.BASES["selection"](ImageTensor.from_array(np.full((4, 4, 3), 0.8)))
+        assert spec.dim == 48
+        with pytest.raises(ValueError, match=r"^lams must have shape \(k, 48\), got \(48,\)$"):
+            apply_batch(spec, np.full(spec.dim, 0.5))
+
+    def test_implicit_basis_refuses_one_coefficient_vector(self):
+        # the implicit basis returned one image for the same call
+        spec = self.BASES["implicit"](ImageTensor.from_array(np.full((4, 4, 3), 0.8)))
+        with pytest.raises(ValueError, match=r"^lams must have shape \(k, 48\), got \(48,\)$"):
+            apply_batch(spec, np.zeros(spec.dim))
+
+    @pytest.mark.parametrize("basis", sorted(BASES))
+    def test_refuses_a_block_of_the_wrong_width(self, basis):
+        # numpy's broadcast message named neither lams nor r
+        spec = self.BASES[basis](ImageTensor.from_array(np.full((4, 4, 3), 0.8)))
+        with pytest.raises(ValueError, match=r"^lams must have shape \(k, 48\), got \(3, 47\)$"):
+            apply_batch(spec, np.zeros((3, spec.dim - 1)))
+
 
 class TestBuildDarkening:
     def test_eligible_set_by_hand(self):

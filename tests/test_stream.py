@@ -11,6 +11,7 @@ residual and lift bounds, the audit) work in row blocks beside the stage
 buffer, with the bits of their whole-array forms."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +492,89 @@ def test_surrogate_pipeline_and_audit_hold_draw_and_output_buffer():
     peak, report = traced_peak(certify_and_audit)
     assert report.sample_count == m
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize(
+    "count, rows", [(300, None), (11, 5), (PIPELINE_CHUNK + 7, 5)],
+    ids=["one-block", "lone-row-join", "two-chunks"],
+)
+def test_last_block_outlives_the_stream(monkeypatch, kind, count, rows):
+    # the last block a stream yields keeps its rows once the stream has
+    # ended: nothing is written into the stage buffer after it
+    img = _image(6, 6, 3, seed=1)
+    spec = SPECS[kind](img)
+    model = random_mlp([img.size, 12, 160], np.random.default_rng(2))
+    if rows is not None:
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (img.size + 160))
+    stream = stage_outputs(model, spec, 11, "calib", count)
+    for block in stream:
+        kept = block.copy()
+    with pytest.raises(StopIteration):
+        next(stream)
+    np.testing.assert_array_equal(block, kept)
+
+
+def test_one_block_train_stage_is_the_stream_buffer(monkeypatch):
+    # 1000 train rows of a darkening on a 16x16x3 image (n0 = 768) through
+    # a 4-class model (n = 1024), one stream block: up to deflation the
+    # surrogate holds the stream's stage buffer of t * n floats, its t
+    # image rows and one (t, 16) hidden block, with a slack of one
+    # (_ROW_BLOCK, n0 + n) block. A (t, n) copy of the cloud is over it.
+    # When deflation starts the stream has ended, so the cloud is the
+    # stage buffer (a view) and the image rows are freed
+    img = _image(16, 16, 3, seed=12)
+    spec = build_darkening(img, 0.02, rng_seed=5)
+    model = random_mlp([img.size, 16, 4 * 256], np.random.default_rng(13))
+    n0, n, t, m = img.size, model.output_dim, 1000, 200
+    assert t <= block_rows(model) + 1 and spec.dim < n
+    stage, slack = t * n * 8, _ROW_BLOCK * (n0 + n) * 8
+    budget = stage + t * n0 * 8 + t * 16 * 8 + slack
+    assert stage > slack
+    seen = []
+    deflate = verify_module.deflate
+
+    def spy(Y, num_components):
+        seen.append((tracemalloc.get_traced_memory(), Y.flags.owndata))
+        return deflate(Y, num_components)
+
+    monkeypatch.setattr(verify_module, "deflate", spy)
+    traced_peak(lambda: run_surrogate_pipeline(
+        model, spec, train_size=t, calib_size=m, aux_size=100, num_components=3,
+        epsilon=0.05, rank_ell=m - 10, seed=14,
+    ))
+    [((current, peak), owndata)] = seen
+    assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
+    assert not owndata
+    assert current < stage + slack, f"{current / 2**20:.2f} MiB held at deflation"
+
+
+@INPUTS
+@pytest.mark.parametrize("rows", [None, 100], ids=["one-block", "three-blocks"])
+def test_train_cloud_gives_the_oracle_hull(monkeypatch, inputs, rows):
+    # 301 train rows, in one stream block or in blocks of 100, 100 and 101
+    # rows: the pipeline's hull points (the cloud in the stage buffer, or
+    # gathered block by block) are those of the oracle's stacked copies at
+    # the same block size, bit for bit
+    model, spec = inputs()
+    t = 301
+    if rows is not None:
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", rows * 8 * (model.input_dim + model.output_dim))
+    assert (t <= block_rows(model) + 1) == (rows is None)
+    hulls = []
+
+    def from_points(points):
+        hulls.append(hull_module.HullModel.from_points(points))
+        return hulls[-1]
+
+    monkeypatch.setattr(verify_module, "HullModel", SimpleNamespace(from_points=from_points))
+    run_surrogate_pipeline(
+        model, spec, train_size=t, calib_size=200, aux_size=100, num_components=4,
+        epsilon=0.05, rank_ell=190, seed=24,
+    )
+    _, hull = surrogate_fit(model, spec, 24, t, 4)
+    (got,) = hulls
+    assert got.points.tobytes() == hull.points.tobytes()
 
 
 @pytest.mark.parametrize("inputs", [golden_inputs, ball_inputs], ids=["darkening", "l2-ball"])
