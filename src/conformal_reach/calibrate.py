@@ -97,7 +97,6 @@ class ReachSet:
     sigma: np.ndarray
     lift_lb: np.ndarray
     lift_ub: np.ndarray
-    guarantee: GuaranteeSpec
 
     def __post_init__(self):
         n = np.shape(self.center)
@@ -234,4 +233,4 @@ def naive_reachset(
             f"calibration set has {calib.size}"
         )
     sigma = cs.tau * calib.rank_score(guarantee.rank_ell)
-    return ReachSet(cs.center, sigma, np.zeros_like(sigma), np.zeros_like(sigma), guarantee)
+    return ReachSet(cs.center, sigma, np.zeros_like(sigma), np.zeros_like(sigma))

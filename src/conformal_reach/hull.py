@@ -272,13 +272,15 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     """Project (k, N) points onto the hull in l-inf norm; returns (V_hat,
     residuals).
 
-    Every row goes through the LP, in lockstep blocks of
-    ``_ClipProblem.rows`` rows cut by ``row_slices``. A row's result
-    does not depend on its block: the stacked inverses and solves are
-    formed matrix by matrix, and the one product across rows, the
-    (k, N) @ (N, t) pricing, gave each row the same bits at every block
-    size tried (1, 2, 64, 262 and 1024 rows of surrogate-dark16-n10, two
-    instances of which a test in ``tests/test_hull.py`` checks). Each
+    Every row goes through the LP at its own power-of-two scale, the one
+    that brings max(max|P|, max|v_i|) into [1, ``_MAX_SCALE``] (1 inside
+    it); each scale's rows are solved in lockstep blocks of
+    ``_ClipProblem.rows`` rows cut by ``row_slices``. A row's result does
+    not depend on the other rows or on its block: the stacked inverses and
+    solves are formed matrix by matrix, and the one product across rows,
+    the (k, N) @ (N, t) pricing, gave each row the same bits at every
+    block size tried (1, 2, 64, 262 and 1024 rows of surrogate-dark16-n10,
+    two instances of which a test in ``tests/test_hull.py`` checks). Each
     row's point is formed from its basic weights (the solve clips them at
     0) divided by their sum, so it is a convex combination of hull points
     even where rounding in the final solve moves the weights off the
@@ -296,20 +298,27 @@ def clip_batch(V: np.ndarray, hull: HullModel, norm: str = "l_inf"):
     bad = np.nonzero(~np.all(np.isfinite(V), axis=1))[0]
     if bad.size:
         raise ValueError(f"points must be finite; row {bad[0]} is {V[bad[0]]}")
-    # the LP's tolerances are absolute, so a hull and queries below scale 1
-    # are solved at scale 1 and those above _MAX_SCALE at _MAX_SCALE; the
-    # l-inf projection commutes with scaling
-    top = max(np.abs(hull.points).max(), np.abs(V).max(initial=0.0))
-    scale = top / min(max(top, 1.0), _MAX_SCALE) or 1.0
-    problem = _ClipProblem(hull.points / scale)
+    # the LP's tolerances are absolute, so each row is solved at the power
+    # of two that brings the larger of its own and the hull's scale into
+    # [1, _MAX_SCALE], 1 inside it; dividing by it is exact, and the l-inf
+    # projection commutes with scaling
+    top = np.maximum(np.abs(hull.points).max(), np.abs(V).max(axis=1, initial=0.0))
+    _, exp = np.frexp(top)  # top = f * 2**exp with 1/2 <= f < 1
+    big = np.where(top > _MAX_SCALE, np.ldexp(1 / _MAX_SCALE, exp), 1.0)
+    scales = np.where(top < 1.0, np.ldexp(0.5, exp), big)
     out = np.empty_like(V)
     residuals = np.empty(V.shape[0])
-    for rows in row_slices(V.shape[0], problem.rows):
-        basis, xB, residuals[rows] = problem.solve_block(V[rows] / scale)
-        residuals[rows] *= scale
-        # basic alpha columns weigh their hull points; the others weigh 0
-        weights = np.where(basis < hull.size, xB, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
-        points = hull.points[np.minimum(basis, hull.size - 1)]
-        out[rows] = np.einsum("km,kmn->kn", weights, points)
+    for scale in set(scales.tolist()):
+        of_scale = scales == scale
+        W = V[of_scale] / scale
+        problem = _ClipProblem(hull.points / scale)
+        part, res = np.empty_like(W), np.empty(W.shape[0])
+        for rows in row_slices(W.shape[0], problem.rows):
+            basis, xB, res[rows] = problem.solve_block(W[rows])
+            # basic alpha columns weigh their hull points; the others weigh 0
+            weights = np.where(basis < hull.size, xB, 0.0)
+            weights /= weights.sum(axis=1, keepdims=True)
+            points = hull.points[np.minimum(basis, hull.size - 1)]
+            part[rows] = np.einsum("km,kmn->kn", weights, points)
+        out[of_scale], residuals[of_scale] = part, res * scale
     return out, residuals

@@ -17,11 +17,12 @@ stream's own stage buffer, with no copy, when the stage is one block.
 
 Each run's manifest is its one record: the seed, sizes, guarantee and
 perturbation that reproduce it, and under ``"stages"`` every stage it
-ran, in order, with its sample count and wall time. A rerun gives the same
-bits at the same BLAS thread count; at another, a threaded product may sum
-in another order, so the outputs can move by rounding (on one 32x32x3
-l2-ball surrogate run, the intervals differ by 2e-15 between one and two
-OpenBLAS threads; the iteration counts and labels do not).
+ran, in order, with its sample count and wall time. It is the one record
+of the guarantee too: the reachset and the pixel mask carry none. A rerun
+gives the same bits at the same BLAS thread count; at another, a threaded
+product may sum in another order, so the outputs can move by rounding (on
+one 32x32x3 l2-ball surrogate run, the intervals differ by 2e-15 between
+one and two OpenBLAS threads; the iteration counts and labels do not).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import ReachSet, center_and_scales, stream_calibration
-from .guarantees import GuaranteeSpec, guarantee_confidence
+from .guarantees import guarantee_confidence
 from .hull import HullModel, clip_batch
 from .model import MlpNetwork, LogitTensor, block_rows, infer, predict_mask, row_block, row_slices
 from .pca import deflate
@@ -68,7 +69,6 @@ class PixelStatusMask:
     status: np.ndarray  # (h, w) uint8 of STATUS_* codes
     baseline_mask: np.ndarray  # (h, w) 1-based class indices
     rv: float
-    guarantee: GuaranteeSpec
 
     @property
     def counts(self) -> dict:
@@ -87,15 +87,16 @@ class ConservatismReport:
     bound_ratio: float
     empirical_lo: np.ndarray
     empirical_hi: np.ndarray
-    sample_count: int
     degenerate: bool = False  # certified widths unusable (inf/zero sum)
 
 
+# ``guarantee`` is read by no one: perfbench/replay.py passes it, until
+# ROADMAP direction 16 removes it
 def pixel_status(
     y_lo: np.ndarray,
     y_hi: np.ndarray,
     baseline_mask: np.ndarray,
-    guarantee: GuaranteeSpec,
+    guarantee=None,
 ) -> PixelStatusMask:
     """Label every pixel robust / non-robust / unknown from logit intervals.
 
@@ -129,9 +130,7 @@ def pixel_status(
         np.where(winner_is_baseline, STATUS_ROBUST, STATUS_NONROBUST),
     ).astype(np.uint8)
     rv = 100.0 * float(np.sum(status == STATUS_ROBUST)) / (h * w)
-    return PixelStatusMask(
-        status=status, baseline_mask=baseline_mask.copy(), rv=rv, guarantee=guarantee
-    )
+    return PixelStatusMask(status=status, baseline_mask=baseline_mask.copy(), rv=rv)
 
 
 def _check_sizes(seed, **sizes):
@@ -189,10 +188,10 @@ def _certify(model, spec, seed, epsilon, rank_ell, calib_size, fit, manifest):
         "calibrate", lambda: stream_calibration(residuals("calib", calib_size), cs), calib_size, stages
     )
     sigma = cs.tau * calib.rank_score(rank_ell)
-    reachset = ReachSet(cs.center, sigma, lift_lb, lift_ub, guarantee)
+    reachset = ReachSet(cs.center, sigma, lift_lb, lift_ub)
     lo, hi = reachset.project_intervals()
     baseline = predict_mask(LogitTensor(*shape, infer(model, spec.base_image.data)))
-    mask = pixel_status(lo.reshape(shape), hi.reshape(shape), baseline, guarantee)
+    mask = pixel_status(lo.reshape(shape), hi.reshape(shape), baseline)
     manifest.update(
         calib_size=guarantee.calib_size_m,
         guarantee=guarantee.as_dict(),
@@ -355,6 +354,5 @@ def conservatism_audit(
         bound_ratio=ratio,
         empirical_lo=emp_lo,
         empirical_hi=emp_hi,
-        sample_count=sample_count,
         degenerate=degenerate,
     )

@@ -37,3 +37,39 @@ def test_one_pair_is_its_own_quartiles():
     row, _ = abrun.summarize([dict(peak_rss_mb=2.0, rv_pct=1.0)], [dict(peak_rss_mb=1.0, rv_pct=1.0)], END_TO_END)
     assert row["parent"] == (2.0, 2.0, 2.0) and row["change"] == (1.0, 1.0, 1.0)
     assert (row["better"], row["worse"]) == (1, 0)
+
+
+QUALITY = [
+    {"name": "setup_s", "better": "lower"},
+    {"name": "rv_pct", "better": "higher"},
+    {"name": "unknown_pct", "better": "lower"},
+]
+
+
+def report(instances, rv, unknown):
+    """A benchmark report's instance count and per-instance samples."""
+    return dict(instances=instances, samples=dict(setup_s=[1.0] * 3 * instances, rv_pct=rv, unknown_pct=unknown))
+
+
+def test_equal_instances_are_compared_one_by_one():
+    # two pairs of three instances: RV falls on one instance of pair 1 by
+    # 0.5 and rises on another; unknown pixels rise on one instance by 0.25
+    parent = [report(3, [60.0, 70.0, 80.0], [40.0, 30.0, 20.0])] * 2
+    change = [report(3, [60.0, 70.0, 80.0], [40.0, 30.0, 20.0]),
+              report(3, [59.5, 70.5, 80.0], [40.0, 30.25, 20.0])]
+    got = abrun.compare_instances(parent, change, QUALITY)
+    assert got["instances"] == dict(parent=[3, 3], change=[3, 3])
+    assert "setup_s" not in got  # only the quality metrics are per instance
+    assert got["rv_pct"] == dict(compared=6, worse=1, worst_change=-0.5)
+    assert got["unknown_pct"] == dict(compared=6, worse=1, worst_change=0.25)
+
+
+def test_unequal_instances_compare_those_both_finished():
+    # the change finished two of the parent's three instances in pair 0;
+    # the parent's third instance, far lower, is compared with nothing
+    parent = [report(3, [60.0, 70.0, 10.0], [40.0, 30.0, 90.0]), report(2, [60.0, 70.0], [40.0, 30.0])]
+    change = [report(2, [60.0, 70.0], [40.0, 30.0]), report(2, [60.0, 71.0], [40.0, 29.0])]
+    got = abrun.compare_instances(parent, change, QUALITY)
+    assert got["instances"] == dict(parent=[3, 2], change=[2, 2])
+    assert got["rv_pct"] == dict(compared=4, worse=0, worst_change=0.0)
+    assert got["unknown_pct"] == dict(compared=4, worse=0, worst_change=0.0)

@@ -241,7 +241,6 @@ def reach_set(**fields):
     parts = dict(
         center=np.array([1.0, -1.0]), sigma=np.array([0.5, 0.0]),
         lift_lb=np.zeros(2), lift_ub=np.zeros(2),
-        guarantee=guarantee_confidence(0.1, 9, 10),
     )
     return ReachSet(**dict(parts, **fields))
 

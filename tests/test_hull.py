@@ -154,6 +154,42 @@ class TestClip:
         np.testing.assert_allclose(residuals / s, expected, rtol=1e-9)
         np.testing.assert_allclose(np.abs(V_hat - V * s).max(axis=1) / s, expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 30.0, 2000.0, 1e6])
+    def test_row_scale_does_not_depend_on_the_call(self, s):
+        # each row is solved at its own power-of-two scale, so one far
+        # query (4000 s, past the window [1, 1024] of every hull scale
+        # here) leaves the other rows' bits as they are alone or in a pair
+        rng = np.random.default_rng(45)
+        pts = rng.normal(size=(40, 3))
+        hull = make_hull(pts / np.abs(pts).max() * s)
+        far = np.array([[4000.0, -2500.0, 1000.0]]) * s
+        V = np.vstack([mixed_queries(hull.points, rng, 50), far])
+        whole = clip_batch(V, hull)
+        for i in range(V.shape[0]):
+            for part, j in ((V[i : i + 1], 0), (V[[i, -1]], 0), (V[[-1, i]], 1)):
+                got = clip_batch(part, hull)
+                for a, b in zip(got, whole):
+                    assert a[j].tobytes() == b[i].tobytes(), (i, part.shape)
+
+    @pytest.mark.parametrize("factor", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_far_queries_match_highs(self, factor):
+        # queries far outside a unit-scale hull are solved at a power of
+        # two below their own scale; their l-inf distance is HiGHS's
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(46)
+        pts = rng.normal(size=(30, 3))
+        hull = make_hull(pts)
+        V = rng.normal(size=(8, 3)) * factor
+        V_hat, residuals = clip_batch(V, hull)
+        for v, v_hat, residual in zip(V, V_hat, residuals):
+            c, a_ub, b_ub = clip_lp_rows(pts, v)
+            opt = linprog(c, A_ub=a_ub[:-2], b_ub=b_ub[:-2], A_eq=a_ub[-2:-1], b_eq=[1.0],
+                          bounds=(0, None), method="highs")
+            assert opt.status == 0
+            assert residual == pytest.approx(opt.fun, rel=1e-12, abs=0)
+            assert np.abs(v_hat - v).max() == pytest.approx(opt.fun, rel=1e-12, abs=0)
+
 
 class TestClipValidation:
     def test_rejects_non_finite_points(self):

@@ -173,6 +173,9 @@ def test_one_reachset_type(name):
         ("hull.HullModel", "_bary_solver"),
         ("calibrate.CalibrationSet", "source"),
         ("hull.HullModel", "basis"),
+        ("calibrate.ReachSet", "guarantee"),
+        ("verify.PixelStatusMask", "guarantee"),
+        ("verify.ConservatismReport", "sample_count"),
     ],
 )
 def test_no_duplicate_path(owner, name):

@@ -169,8 +169,7 @@ def test_pipeline_and_audit_memory_grow_with_infer_chunk():
         )
         return conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=11)
 
-    peak, report = traced_peak(certify_and_audit)
-    assert report.sample_count == m
+    peak, _ = traced_peak(certify_and_audit)
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
 
 
@@ -456,7 +455,7 @@ def test_audit_holds_the_stream_and_row_blocks(law):
     budget = 8 * (size * max(0, n - r) + draws * r + images) + model_module._ROW_BYTES
     y = infer(model, img.data)
     peak, report = traced_peak(lambda: conservatism_audit(model, spec, y - 0.05, y + 0.05, m, seed=3))
-    assert report.sample_count == m and report.eps_hat > 0
+    assert report.eps_hat > 0
     assert peak < budget, f"traced peak {peak / 2**20:.2f} MiB >= {budget / 2**20:.2f} MiB"
 
 
@@ -489,8 +488,7 @@ def test_surrogate_pipeline_and_audit_hold_draw_and_output_buffer():
         )
         return conservatism_audit(model, spec, *reachset.project_intervals(), m, seed=15)
 
-    peak, report = traced_peak(certify_and_audit)
-    assert report.sample_count == m
+    peak, _ = traced_peak(certify_and_audit)
     assert peak < budget, f"traced peak {peak / 2**20:.1f} MiB >= {budget / 2**20:.1f} MiB"
 
 

@@ -32,8 +32,6 @@ from conformal_reach.verify import (
 from oracles import darkening_grid_rv, surrogate_fit, synthetic_ssn_4x4
 from test_golden import CASES, golden_inputs
 
-G = guarantee_confidence(0.05, 95, 100)
-
 
 def residual_blocks(model, spec, seed, stage, count, surrogate=None):
     """The blocks a pipeline scores on one stage, as new arrays that may be
@@ -76,22 +74,22 @@ def bounds_1x1(intervals):
 class TestPixelStatus:
     def test_clear_winner_matching_baseline_is_robust(self):
         lo, hi = bounds_1x1([(5.0, 6.0), (1.0, 2.0)])
-        mask = pixel_status(lo, hi, np.array([[1]]), G)
+        mask = pixel_status(lo, hi, np.array([[1]]))
         assert mask.status[0, 0] == STATUS_ROBUST
 
     def test_overlap_is_unknown(self):
         lo, hi = bounds_1x1([(3.0, 6.0), (2.0, 4.0)])
-        mask = pixel_status(lo, hi, np.array([[1]]), G)
+        mask = pixel_status(lo, hi, np.array([[1]]))
         assert mask.status[0, 0] == STATUS_UNKNOWN
 
     def test_clear_winner_off_baseline_is_nonrobust(self):
         lo, hi = bounds_1x1([(1.0, 2.0), (5.0, 6.0)])
-        mask = pixel_status(lo, hi, np.array([[1]]), G)
+        mask = pixel_status(lo, hi, np.array([[1]]))
         assert mask.status[0, 0] == STATUS_NONROBUST
 
     def test_tie_at_equality_is_unknown(self):
         lo, hi = bounds_1x1([(3.0, 5.0), (1.0, 3.0)])  # lo* == other hi
-        mask = pixel_status(lo, hi, np.array([[1]]), G)
+        mask = pixel_status(lo, hi, np.array([[1]]))
         assert mask.status[0, 0] == STATUS_UNKNOWN
 
     def test_partition_sums_to_pixel_count(self):
@@ -99,7 +97,7 @@ class TestPixelStatus:
         lo = rng.normal(size=(6, 7, 4))
         hi = lo + rng.uniform(0, 2, size=lo.shape)
         baseline = rng.integers(1, 5, size=(6, 7))
-        mask = pixel_status(lo, hi, baseline, G)
+        mask = pixel_status(lo, hi, baseline)
         c = mask.counts
         assert c["robust"] + c["nonrobust"] + c["unknown"] == 42
 
@@ -108,9 +106,9 @@ class TestPixelStatus:
         lo = rng.normal(size=(5, 5, 3))
         hi = lo + rng.uniform(0.1, 1.5, size=lo.shape)
         baseline = rng.integers(1, 4, size=(5, 5))
-        before = pixel_status(lo, hi, baseline, G)
+        before = pixel_status(lo, hi, baseline)
         shrink = rng.uniform(0, 0.04, size=lo.shape)
-        after = pixel_status(lo + shrink, hi - shrink, baseline, G)
+        after = pixel_status(lo + shrink, hi - shrink, baseline)
         was_robust = before.status == STATUS_ROBUST
         assert np.all(after.status[was_robust] == STATUS_ROBUST)
 
@@ -119,15 +117,28 @@ class TestPixelStatus:
         lo = rng.normal(size=(4, 4, 3))
         hi = lo + rng.uniform(0.1, 1.0, size=lo.shape)
         baseline = rng.integers(1, 4, size=(4, 4))
-        base_status = pixel_status(lo, hi, baseline, G).status
+        base_status = pixel_status(lo, hi, baseline).status
         shift = rng.normal(size=(4, 4, 1))
-        shifted = pixel_status(lo + shift, hi + shift, baseline, G).status
+        shifted = pixel_status(lo + shift, hi + shift, baseline).status
         np.testing.assert_array_equal(base_status, shifted)
+
+    def test_guarantee_is_read_by_no_one(self):
+        # the benchmark's replay passes a guarantee as the fourth argument;
+        # the labels, RV and baseline are those of a call without one
+        rng = np.random.default_rng(3)
+        lo = rng.normal(size=(4, 5, 3))
+        hi = lo + rng.uniform(0.1, 1.0, size=lo.shape)
+        baseline = rng.integers(1, 4, size=(4, 5))
+        guarantee = guarantee_confidence(0.05, 95, 100)
+        passed, bare = pixel_status(lo, hi, baseline, guarantee), pixel_status(lo, hi, baseline)
+        assert passed.status.tobytes() == bare.status.tobytes()
+        assert passed.baseline_mask.tobytes() == bare.baseline_mask.tobytes()
+        assert passed.rv == bare.rv
 
     def test_bad_bounds_rejected(self):
         lo, hi = bounds_1x1([(5.0, 4.0), (1.0, 2.0)])
         with pytest.raises(ValueError):
-            pixel_status(lo, hi, np.array([[1]]), G)
+            pixel_status(lo, hi, np.array([[1]]))
 
     @pytest.mark.parametrize(
         "lo, hi, baseline, match",
@@ -141,13 +152,13 @@ class TestPixelStatus:
     )
     def test_bad_shapes_rejected(self, lo, hi, baseline, match):
         with pytest.raises(ValueError, match=match):
-            pixel_status(lo, hi, baseline, G)
+            pixel_status(lo, hi, baseline)
 
     def test_integer_bounds_read_as_float(self):
         # an integer copy of y_hi could not take the -inf that masks the winner
         lo, hi = np.array([[[2, 0]]]), np.array([[[3, 1]]])
-        floats = pixel_status(lo.astype(float), hi.astype(float), np.array([[1]]), G)
-        ints = pixel_status(lo, hi, np.array([[1]]), G)
+        floats = pixel_status(lo.astype(float), hi.astype(float), np.array([[1]]))
+        ints = pixel_status(lo, hi, np.array([[1]]))
         assert ints.status[0, 0] == floats.status[0, 0] == STATUS_ROBUST
 
     def test_non_finite_bounds_rejected(self):
@@ -157,10 +168,10 @@ class TestPixelStatus:
             hi = np.ones((2, 2, 3))
             lo[1, 0, :] = hi[1, 0, :] = bad
             with pytest.raises(ValueError, match="finite"):
-                pixel_status(lo, hi, np.ones((2, 2), dtype=np.int64), G)
+                pixel_status(lo, hi, np.ones((2, 2), dtype=np.int64))
         lo, hi = bounds_1x1([(5.0, 6.0), (1.0, np.nan)])
         with pytest.raises(ValueError, match="finite"):
-            pixel_status(lo, hi, np.array([[1]]), G)
+            pixel_status(lo, hi, np.array([[1]]))
 
 
 class TestRvMetrics:
@@ -174,7 +185,7 @@ class TestRvMetrics:
     def status_rv(self, codes):
         bounds = np.array([[self.INTERVALS[c] for c in row] for row in codes])
         baseline = np.ones(bounds.shape[:2], dtype=np.int64)
-        mask = pixel_status(bounds[..., 0], bounds[..., 1], baseline, G)
+        mask = pixel_status(bounds[..., 0], bounds[..., 1], baseline)
         np.testing.assert_array_equal(mask.status, codes)
         return mask.rv
 
@@ -247,12 +258,9 @@ class TestNaivePipeline:
         assert [b.shape[0] for b in blocks] == [INFER_CHUNK] * 8 + [808]
         cs = center_and_scales(np.vstack(list(residual_blocks(model, spec, 6, "train", 400))))
         calib = build_calibration(np.vstack(blocks), cs)
-        g = guarantee_confidence(0.02, ell, m)
-        stacked = naive_reachset(calib, cs, g)
+        stacked = naive_reachset(calib, cs, guarantee_confidence(0.02, ell, m))
         lo, hi = stacked.project_intervals()
-        status = pixel_status(
-            lo.reshape(4, 4, 3), hi.reshape(4, 4, 3), mask.baseline_mask, g
-        ).status
+        status = pixel_status(lo.reshape(4, 4, 3), hi.reshape(4, 4, 3), mask.baseline_mask).status
         assert manifest["rank_score"] == calib.rank_score(ell)
         np.testing.assert_array_equal(reachset.sigma, stacked.sigma)
         np.testing.assert_array_equal(mask.status, status)
@@ -267,7 +275,7 @@ def test_naive_intervals_are_the_zero_lift_box(case):
     # + 0.0 is +0.0, which flips the sign bit of that interval's ends.
     if case == "4x4":
         model, spec, (reachset, _, _) = run_4x4("naive")
-        args = dict(train_size=100, calib_size=200, seed=8)
+        args = dict(train_size=100, calib_size=200, epsilon=0.05, rank_ell=190, seed=8)
     else:
         model, spec = golden_inputs()
         args = CASES["naive"][2]
@@ -279,7 +287,8 @@ def test_naive_intervals_are_the_zero_lift_box(case):
     calib = build_calibration(
         np.vstack(list(residual_blocks(model, spec, seed, "calib", args["calib_size"]))), cs
     )
-    replayed = naive_reachset(calib, cs, reachset.guarantee).project_intervals()
+    guarantee = guarantee_confidence(args["epsilon"], args["rank_ell"], args["calib_size"])
+    replayed = naive_reachset(calib, cs, guarantee).project_intervals()
     box = reachset.center - reachset.sigma, reachset.center + reachset.sigma
     for got, *wants in zip(reachset.project_intervals(), replayed, box):
         for want in wants:
